@@ -31,7 +31,9 @@ from .errors import (
 from .explorer import ExploreConfig, Schedule, Trace, converge, explore, replay, simulate
 from .files import Scenario, load_scenario, load_trace, save_trace, write_trace
 from .properties import check_all, valid_initial
+from .protocol import CHURN_POLICIES
 from .repro import SCENARIO_NAMES, run_scenario
+from .state import GlobalState
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,12 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--depth", type=int, default=None, help="maximum interleaving depth")
     p.add_argument("--max-states", type=int, default=None, help="visited-state cap")
-    p.add_argument("--churn", choices=["none", "joins_only", "fails_only", "full"], default=None)
+    p.add_argument("--churn", choices=CHURN_POLICIES, default=None)
     p.add_argument("--join-cap", type=int, default=None, help="cap on join candidates per state")
-    p.add_argument("--no-dedup", action="store_true", help="disable visited-state deduplication")
     p.add_argument("--allow-invalid-initial", action="store_true",
                    help="explore even if the scenario is not a valid initial network")
-    p.add_argument("--workers", type=int, default=1, help="parallel frontier workers")
     p.add_argument("--out", default=None, help="write the counterexample trace here")
 
     p = sub.add_parser("simulate", help="seeded fair simulation under a churn policy")
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="number of scheduler rounds")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fairness-window", type=int, default=None)
-    p.add_argument("--churn", choices=["none", "joins_only", "fails_only", "full"], default=None)
+    p.add_argument("--churn", choices=CHURN_POLICIES, default=None)
     p.add_argument("--out", default=None, help="write the trace here")
 
     p = sub.add_parser("converge", help="churn-free fair run to the ideal network")
@@ -142,15 +142,16 @@ def cmd_check(args) -> int:
 def cmd_explore(args) -> int:
     scenario = _load(args)
     block = scenario.explore_config
-    cfg = ExploreConfig(
-        max_depth=args.depth if args.depth is not None else block.get("max_depth", 6),
-        max_states=args.max_states if args.max_states is not None else block.get("max_states", 1_000_000),
-        churn=args.churn or block.get("churn", "full"),
-        join_candidate_cap=args.join_cap if args.join_cap is not None else block.get("join_candidate_cap"),
-        dedup=not args.no_dedup and block.get("dedup", True),
-        require_valid_initial=not (args.allow_invalid_initial or block.get("allow_invalid_initial", False)),
-        workers=args.workers,
-    )
+    try:
+        cfg = ExploreConfig(
+            max_depth=args.depth if args.depth is not None else block.get("max_depth", 6),
+            max_states=args.max_states if args.max_states is not None else block.get("max_states", 1_000_000),
+            churn=args.churn or block.get("churn", "full"),
+            join_candidate_cap=args.join_cap if args.join_cap is not None else block.get("join_candidate_cap"),
+            require_valid_initial=not (args.allow_invalid_initial or block.get("allow_invalid_initial", False)),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     result = explore(scenario.starting_state(), cfg)
     if result.trace is not None:
         _output_trace(result.trace, args.out, scenario.digest)
@@ -170,16 +171,24 @@ def cmd_explore(args) -> int:
     return EXIT_VIOLATION
 
 
+def _schedule(args, block: dict, state: GlobalState) -> Schedule:
+    window = args.fairness_window if args.fairness_window is not None else block.get("fairness_window")
+    schedule = Schedule(seed=args.seed if args.seed is not None else block.get("seed", 0),
+                        fairness_window=window)
+    try:
+        schedule.window_for(state)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return schedule
+
+
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     block = scenario.simulate_config
-    schedule = Schedule(
-        seed=args.seed if args.seed is not None else block.get("seed", 0),
-        fairness_window=args.fairness_window or block.get("fairness_window"),
-    )
+    state = scenario.starting_state()
     trace = simulate(
-        scenario.starting_state(),
-        schedule,
+        state,
+        _schedule(args, block, state),
         steps=args.steps if args.steps is not None else block.get("steps", 100),
         churn=args.churn or block.get("churn", "full"),
         join_candidate_cap=block.get("join_candidate_cap"),
@@ -195,13 +204,9 @@ def cmd_converge(args) -> int:
         _diag("scenario is not a valid initial network; run `chordcheck check` for details")
         return EXIT_VIOLATION
     block = scenario.converge_config
-    schedule = Schedule(
-        seed=args.seed if args.seed is not None else block.get("seed", 0),
-        fairness_window=args.fairness_window or block.get("fairness_window"),
-    )
     trace = converge(
         state,
-        schedule,
+        _schedule(args, block, state),
         step_cap=args.steps if args.steps is not None else block.get("step_cap", 200),
     )
     _output_trace(trace, args.out, scenario.digest)
@@ -245,11 +250,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _diag(f"usage error: {exc}")
         return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except (ScenarioFormatError, TraceFormatError) as exc:
         _diag(str(exc))
         return EXIT_SCHEMA

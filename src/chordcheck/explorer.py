@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvalidInitialStateError, ReplayMismatchError
@@ -28,6 +28,8 @@ from .properties import (
     error_metric,
     invariant_holds,
     is_ideal,
+    one_live_successor,
+    sufficient_principals,
     valid_initial,
 )
 from .protocol import Step, StepKind, apply_step, enabled_steps
@@ -77,15 +79,18 @@ class Trace:
         return state
 
 
-def _record(index: int, step: Step, state: GlobalState) -> TraceRecord:
+def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, ErrorMetric]:
+    """The trace record of one resulting state, and its error metric."""
     report = check_all(state)
-    return TraceRecord(
+    metric = error_metric(state)
+    record = TraceRecord(
         index=index,
         step=step,
         digest=state_digest(state),
         flags=dict(report.flags),
-        cumulative_error=error_metric(state).cumulative,
+        cumulative_error=metric.cumulative,
     )
+    return record, metric
 
 
 def run_script(
@@ -99,7 +104,7 @@ def run_script(
     state = initial
     for i, step in enumerate(steps):
         state = apply_step(state, step)
-        records.append(_record(i, step, state))
+        records.append(_record(i, step, state)[0])
     return Trace(initial=initial, records=records, verdict="ok", kind=kind, meta=meta or {})
 
 
@@ -112,14 +117,15 @@ class ExploreConfig:
     max_states: int = 1_000_000
     churn: str = "full"
     join_candidate_cap: int | None = None
-    dedup: bool = True
     require_valid_initial: bool = True
     collect_states: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0 or self.max_states < 1 or self.workers < 1:
-            raise ValueError("max_depth must be >= 0 and caps positive")
+        if self.max_depth < 0 or self.max_states < 1:
+            raise ValueError("max_depth must be >= 0 and max_states positive")
+
+
+Parents = dict[GlobalState, tuple[GlobalState, Step] | None]
 
 
 @dataclass
@@ -131,7 +137,7 @@ class ExploreResult:
     frontier_size: int
     trace: Trace | None = None
     states: list[GlobalState] | None = None  # BFS order, when collect_states
-    parents: dict | None = None  # state -> (parent, step) | None, when collect_states
+    parents: Parents | None = None  # state -> (parent, step) | None, when collect_states
 
     @property
     def ok(self) -> bool:
@@ -142,53 +148,30 @@ class ExploreResult:
         any visited state (requires ``collect_states``)."""
         if self.parents is None:
             raise ValueError("exploration did not keep parent links")
-        steps: list[Step] = []
-        cur = state
-        while self.parents[cur] is not None:
-            parent, step = self.parents[cur]
-            steps.append(step)
-            cur = parent
-        steps.reverse()
-        return steps
+        return [step for step, _ in _path(self.parents, state)[1]]
 
 
 TransitionHook = Callable[[GlobalState, Step, GlobalState, frozenset, frozenset], None]
 
 
-def _expand_chunk(args):
-    states, churn, cap = args
-    out = []
-    for i, state in enumerate(states):
-        row = []
-        for step in enabled_steps(state, churn=churn, join_candidate_cap=cap):
-            post = apply_step(state, step)
-            post_prins = principals(post)
-            live_ok = all(
-                any(e in post._by_ident for e in node.succ_list) for node in post.members
-            )
-            inv_ok = live_ok and len(post_prins) >= post.r + 1
-            row.append((step, post, post_prins, inv_ok))
-        out.append(row)
-    return out
-
-
-def _violation_trace(
-    parents: dict[GlobalState, tuple[GlobalState, Step] | None],
-    pre: GlobalState,
-    step: Step,
-    post: GlobalState,
-) -> Trace:
-    path: list[tuple[Step, GlobalState]] = [(step, post)]
-    cur = pre
-    while parents[cur] is not None:
-        parent, via = parents[cur]
-        path.append((via, cur))
-        cur = parent
+def _path(parents: Parents, state: GlobalState) -> tuple[GlobalState, list[tuple[Step, GlobalState]]]:
+    """The initial state, and the (step, resulting state) pairs that lead
+    from it to ``state``."""
+    path: list[tuple[Step, GlobalState]] = []
+    while parents[state] is not None:
+        parent, step = parents[state]
+        path.append((step, state))
+        state = parent
     path.reverse()
-    records = [_record(i, s, st) for i, (s, st) in enumerate(path)]
+    return state, path
+
+
+def _violation_trace(parents: Parents, pre: GlobalState, step: Step, post: GlobalState) -> Trace:
+    initial, path = _path(parents, pre)
+    path.append((step, post))
     return Trace(
-        initial=cur,
-        records=records,
+        initial=initial,
+        records=[_record(i, s, st)[0] for i, (s, st) in enumerate(path)],
         verdict="invariant-violated",
         kind="explore",
     )
@@ -211,87 +194,44 @@ def explore(
             "initial state is not a valid initial network "
             "(invariant must hold and no repair traffic may be in flight)"
         )
-    pool = None
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
-    try:
-        return _explore_loop(initial, cfg, on_transition, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _explore_loop(initial, cfg, on_transition, pool) -> ExploreResult:
-    parents: dict[GlobalState, tuple[GlobalState, Step] | None] = {initial: None}
-    collected = [initial] if cfg.collect_states else None
+    parents: Parents = {initial: None}
     frontier: list[tuple[GlobalState, frozenset]] = [(initial, principals(initial))]
     transitions = 0
     depth = 0
     capped = False
-    while frontier and depth < cfg.max_depth and not capped:
+    trace = None
+    while frontier and depth < cfg.max_depth and not capped and trace is None:
         next_frontier: list[tuple[GlobalState, frozenset]] = []
-        if pool is None:
-            chunk_rows = (
-                (
-                    (state, prins),
-                    _expand_chunk(([state], cfg.churn, cfg.join_candidate_cap))[0],
-                )
-                for state, prins in frontier
-            )
-        else:
-            chunk_size = max(1, len(frontier) // (cfg.workers * 4))
-            chunks = [frontier[i : i + chunk_size] for i in range(0, len(frontier), chunk_size)]
-            futures = [
-                pool.submit(_expand_chunk, ([s for s, _ in chunk], cfg.churn, cfg.join_candidate_cap))
-                for chunk in chunks
-            ]
-            chunk_rows = (
-                (entry, row)
-                for chunk, fut in zip(chunks, futures)
-                for entry, row in zip(chunk, fut.result())
-            )
-        for (state, prins), row in chunk_rows:
-            for step, post, post_prins, inv_ok in row:
+        for state, prins in frontier:
+            for step in enabled_steps(state, churn=cfg.churn, join_candidate_cap=cfg.join_candidate_cap):
+                post = apply_step(state, step)
+                enough, post_prins = sufficient_principals(post)
                 transitions += 1
                 if on_transition is not None:
                     on_transition(state, step, post, prins, post_prins)
-                if not inv_ok:
+                if not (enough and one_live_successor(post)[0]):
                     trace = _violation_trace(parents, state, step, post)
-                    return ExploreResult(
-                        verdict="invariant-violated",
-                        states_visited=len(parents),
-                        transitions=transitions,
-                        depth_reached=depth + 1,
-                        frontier_size=len(next_frontier),
-                        trace=trace,
-                        states=collected,
-                        parents=parents if cfg.collect_states else None,
-                    )
-                known = post in parents
-                if not known:
-                    parents[post] = (state, step)
-                    if collected is not None:
-                        collected.append(post)
-                if cfg.dedup and known:
+                    break
+                if post in parents:
                     continue
+                parents[post] = (state, step)
                 next_frontier.append((post, post_prins))
                 if len(parents) >= cfg.max_states:
                     capped = True
                     break
-            if capped:
+            if capped or trace is not None:
                 break
         depth += 1
         frontier = next_frontier
-    verdict = "cap-hit" if capped else "ok"
+    verdict = "invariant-violated" if trace is not None else "cap-hit" if capped else "ok"
     return ExploreResult(
         verdict=verdict,
         states_visited=len(parents),
         transitions=transitions,
         depth_reached=depth,
         frontier_size=len(frontier),
-        states=collected,
+        trace=trace,
+        states=list(parents) if cfg.collect_states else None,
         parents=parents if cfg.collect_states else None,
     )
 
@@ -401,7 +341,7 @@ def simulate(
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        records.append(_record(i, step, state))
+        records.append(_record(i, step, state)[0])
     return Trace(
         initial=initial,
         records=records,
@@ -431,14 +371,14 @@ def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
             continue
         step = Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
-        records.append(_record(index, step, state))
+        records.append(_record(index, step, state)[0])
         index += 1
     for target, new_prdc in sorted(state.pending_notify):
         if not state.is_member(target):
             continue
         step = Step(StepKind.RECTIFY, target, new_prdc)
         state = apply_step(state, step)
-        records.append(_record(index, step, state))
+        records.append(_record(index, step, state)[0])
         index += 1
     return state, records
 
@@ -466,35 +406,28 @@ def converge(
     records: list[TraceRecord] = []
     metrics: list[ErrorMetric] = [error_metric(state)]
     steps_to_ideal: int | None = 0 if is_ideal(state) else None
+    # until ideal, run up to step_cap steps; from then on, one more window
+    limit = step_cap if steps_to_ideal is None else sched.window
+    retained = True
     index = 0
-    while steps_to_ideal is None and index < step_cap:
+    while index < limit:
         step = sched.pick(state)
         if step is None:
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        records.append(_record(index, step, state))
-        metrics.append(error_metric(state))
+        record, metric = _record(index, step, state)
+        records.append(record)
+        metrics.append(metric)
         index += 1
-        if is_ideal(state):
-            steps_to_ideal = index
-    verdict = "not-converged"
-    retained = True
-    if steps_to_ideal is not None:
-        for _ in range(sched.window):
-            step = sched.pick(state)
-            if step is None:
-                break
-            state = apply_step(state, step)
-            sched.account(step, state)
-            records.append(_record(index, step, state))
-            metrics.append(error_metric(state))
-            index += 1
-            if not is_ideal(state):
-                retained = False
-                break
-        if retained:
-            verdict = "converged"
+        if steps_to_ideal is None:
+            if record.flags["ideal"]:
+                steps_to_ideal = index
+                limit = index + sched.window
+        elif not record.flags["ideal"]:
+            retained = False
+            break
+    verdict = "converged" if steps_to_ideal is not None and retained else "not-converged"
     return Trace(
         initial=post_drain,
         records=records,

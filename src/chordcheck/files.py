@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ScenarioFormatError, TraceFormatError
 from .explorer import Trace, TraceRecord
 from .idspace import IdSpace
-from .protocol import Step, StepKind
+from .protocol import CHURN_POLICIES, Step, StepKind
 from .state import GlobalState, NodeState
 
 TRACE_FORMAT = "chordcheck-trace/1"
@@ -131,6 +131,32 @@ def _expect(cond: bool, message: str) -> None:
         raise ScenarioFormatError(message)
 
 
+# Per-command configuration blocks: setting -> expected JSON type. The
+# settings in _NULLABLE may also be null, meaning "no cap" / "default".
+_CONFIG_FIELDS = {
+    "explore": {"max_depth": int, "max_states": int, "churn": str,
+                "join_candidate_cap": int, "allow_invalid_initial": bool},
+    "simulate": {"steps": int, "seed": int, "fairness_window": int, "churn": str,
+                 "join_candidate_cap": int},
+    "converge": {"step_cap": int, "seed": int, "fairness_window": int},
+}
+_NULLABLE = {"join_candidate_cap", "fairness_window"}
+
+
+def _config_block(doc: dict, name: str) -> dict:
+    block = doc.get(name, {}) or {}
+    _expect(isinstance(block, dict), f"field {name!r} must be an object")
+    fields = _CONFIG_FIELDS[name]
+    for key, value in block.items():
+        _expect(key in fields, f"unknown {name} setting {key!r}")
+        # type(...) is, not isinstance: JSON true/false must not pass as integers
+        _expect(type(value) is fields[key] or (value is None and key in _NULLABLE),
+                f"{name}.{key} must be {fields[key].__name__}, got {value!r}")
+        _expect(key != "churn" or value in CHURN_POLICIES,
+                f"{name}.churn must be one of {list(CHURN_POLICIES)}, got {value!r}")
+    return dict(block)
+
+
 def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int | None = None) -> Scenario:
     _expect(isinstance(doc, dict), "scenario must be a JSON object")
     _expect(str(doc.get("version")) == SCENARIO_VERSION,
@@ -186,9 +212,9 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
         initial=GlobalState(space, r, tuple(nodes)),
         events=events,
         allow_forced_fail=allow_forced,
-        explore_config=dict(doc.get("explore", {}) or {}),
-        simulate_config=dict(doc.get("simulate", {}) or {}),
-        converge_config=dict(doc.get("converge", {}) or {}),
+        explore_config=_config_block(doc, "explore"),
+        simulate_config=_config_block(doc, "simulate"),
+        converge_config=_config_block(doc, "converge"),
         digest=scenario_digest(doc),
     )
 
@@ -290,6 +316,8 @@ def read_trace(fh: IO[str]) -> Trace:
             docs.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
+        if not isinstance(docs[-1], dict):
+            raise TraceFormatError(f"line {i}: not a JSON object")
     header = docs[0]
     if header.get("type") != "header" or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError("first line must be a trace header")
@@ -303,16 +331,25 @@ def read_trace(fh: IO[str]) -> Trace:
             seed_state = state_from_doc(header["seed_state"], space, r)
             prelude = [_record_from_doc(d) for d in header.get("prelude", [])]
         records = []
-        verdict = "unknown"
-        meta: dict = {}
-        for doc in docs[1:]:
+        closing = None
+        for i, doc in enumerate(docs[1:], start=2):
+            if closing is not None:
+                raise TraceFormatError(f"line {i}: nothing may follow the verdict line")
             if doc.get("type") == "record":
                 records.append(_record_from_doc(doc))
             elif doc.get("type") == "verdict":
-                verdict = str(doc.get("verdict"))
-                meta = dict(doc.get("meta", {}))
+                closing = doc
             else:
                 raise TraceFormatError(f"unknown line type {doc.get('type')!r}")
+        if closing is None:
+            raise TraceFormatError("trace has no verdict line (truncated?)")
+        for where, recs in (("prelude", prelude), ("records", records)):
+            for pos, rec in enumerate(recs):
+                if rec.index != pos:
+                    raise TraceFormatError(f"{where}[{pos}] carries index {rec.index}; "
+                                           f"indices must run 0..{len(recs) - 1}")
+        verdict = str(closing.get("verdict"))
+        meta = dict(closing.get("meta", {}))
     except TraceFormatError:
         raise
     except (KeyError, TypeError, ValueError, ScenarioFormatError) as exc:

@@ -14,16 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .state import (
-    GlobalState,
-    appendage_members,
-    best_successor,
-    correct_predecessor,
-    correct_succ_list,
-    esl,
-    principals,
-    ring_members,
-)
+from .state import GlobalState, best_successor, esl, ideal_nodes, principals, ring_members
 
 FLAG_NAMES = (
     "one_live_successor",
@@ -117,16 +108,17 @@ def _ring_flags(state: GlobalState):
 
     ordered = True
     ordered_witness = None
-    for n1 in sorted(ring):
+    ring_order = sorted(ring)
+    for n1 in ring_order:
         n2 = best_successor(state, n1)
-        for nb in sorted(ring):
+        for nb in ring_order:
             if state.space.between(n1, nb, n2):
                 ordered = False
                 if ordered_witness is None:
                     ordered_witness = (n1, nb, n2)
     connected = True
     connected_offenders = []
-    for start in sorted(appendage_members(state)):
+    for start in (i for i in state.idents() if i not in ring):
         seen = set()
         cur = start
         while cur not in seen and cur not in ring:
@@ -144,7 +136,7 @@ def _ring_flags(state: GlobalState):
                 connected = False
                 connected_offenders.append(start)
     return (
-        (at_least, tuple(sorted(state.idents())) if not at_least else None),
+        (at_least, state.idents() if not at_least else None),
         (at_most, at_most_witness),
         (ordered, ordered_witness),
         (connected, tuple(connected_offenders)),
@@ -155,23 +147,16 @@ def is_ideal(state: GlobalState) -> bool:
     """True iff every successor list holds the r nearest live members in
     identifier order and every predecessor is the nearest live member in
     reverse identifier order."""
-    if not state.members:
-        return False
-    live = state.idents()
-    for node in state.members:
-        if node.succ_list != correct_succ_list(state.space, state.r, live, node.ident):
-            return False
-        if node.prdc != correct_predecessor(state.space, live, node.ident):
-            return False
-    return True
+    return bool(state.members) and _ideal_witness(state) is None
 
 
 def _ideal_witness(state: GlobalState) -> tuple | None:
-    live = state.idents()
-    for node in state.members:
-        if node.succ_list != correct_succ_list(state.space, state.r, live, node.ident):
+    """The lowest member with a pointer that is not globally correct, and
+    which pointer; None when there is none (an empty network included)."""
+    for node, ideal in zip(state.members, ideal_nodes(state.r, state.idents())):
+        if node.succ_list != ideal.succ_list:
             return (node.ident, "succ_list")
-        if node.prdc != correct_predecessor(state.space, live, node.ident):
+        if node.prdc != ideal.prdc:
             return (node.ident, "prdc")
     return None
 
@@ -220,9 +205,10 @@ def check_all(state: GlobalState) -> PropertyReport:
     if not ca:
         witnesses["connected_appendages"] = ca_w
 
-    flags["ideal"] = is_ideal(state)
+    witness = _ideal_witness(state)
+    flags["ideal"] = bool(state.members) and witness is None
     if not flags["ideal"]:
-        witnesses["ideal"] = _ideal_witness(state)
+        witnesses["ideal"] = witness
 
     return PropertyReport(flags=flags, witnesses=witnesses)
 
@@ -262,7 +248,7 @@ def error_metric(state: GlobalState) -> ErrorMetric:
     succ_err: dict[int, int] = {}
     pred_err: dict[int, int] = {}
     list_err: dict[int, int] = {}
-    for node in state.members:
+    for node, ideal in zip(state.members, ideal_nodes(state.r, live)):
         my = index[node.ident]
         head = node.succ_list[0]
         if head in index:
@@ -275,10 +261,9 @@ def error_metric(state: GlobalState) -> ErrorMetric:
             )
         else:
             pred_err[node.ident] = s
-        correct = correct_succ_list(state.space, state.r, live, node.ident)
         err = 0
         for i in range(state.r):
-            if node.succ_list[i] != correct[i]:
+            if node.succ_list[i] != ideal.succ_list[i]:
                 err = state.r - i
                 break
         list_err[node.ident] = err

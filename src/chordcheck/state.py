@@ -6,14 +6,14 @@ never-seen identifiers; that is legal protocol state, and repairing it
 is the protocol's job, not the data model's.
 
 A :class:`GlobalState` is an immutable value. Steps produce new
-snapshots; snapshots can be hashed, compared, copied between workers,
-and used as dictionary keys.
+snapshots; snapshots can be hashed, compared, and used as dictionary
+keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnknownMemberError
 from .idspace import IdSpace
@@ -147,32 +147,36 @@ def make_state(
     return GlobalState(space, r, members, tuple(pending_stabilize), tuple(pending_notify))
 
 
+def ideal_nodes(r: int, ring: Sequence[int]) -> tuple[NodeState, ...]:
+    """Every member's globally correct pointers, one node per entry of the
+    ascending identifier sequence ``ring``: the next ``r`` members in
+    clockwise order (cycling when fewer than ``r`` others exist) and the
+    nearest member counterclockwise."""
+    n = len(ring)
+    return tuple(
+        NodeState(ident, ring[pos - 1], tuple(ring[(pos + 1 + j) % n] for j in range(r)))
+        for pos, ident in enumerate(ring)
+    )
+
+
 def correct_succ_list(space: IdSpace, r: int, live: Iterable[int], ident: int) -> tuple[int, ...]:
     """The globally correct successor list: the next ``r`` live members in
     clockwise identifier order, cycling when fewer than ``r`` others exist."""
     ring = sorted(live)
-    pos = ring.index(ident)
-    n = len(ring)
-    return tuple(ring[(pos + 1 + j) % n] for j in range(r))
+    return ideal_nodes(r, ring)[ring.index(ident)].succ_list
 
 
 def correct_predecessor(space: IdSpace, live: Iterable[int], ident: int) -> int:
     """The globally correct predecessor: the nearest live member in
     counterclockwise identifier order."""
     ring = sorted(live)
-    pos = ring.index(ident)
-    return ring[pos - 1]
+    return ideal_nodes(1, ring)[ring.index(ident)].prdc
 
 
 def ideal_ring(space: IdSpace, r: int, idents: Iterable[int]) -> GlobalState:
     """An ideal network over the given members: every pointer globally
     correct and no repair traffic in flight."""
-    ids = sorted(idents)
-    nodes = [
-        NodeState(i, correct_predecessor(space, ids, i), correct_succ_list(space, r, ids, i))
-        for i in ids
-    ]
-    return GlobalState(space, r, tuple(nodes))
+    return GlobalState(space, r, ideal_nodes(r, sorted(idents)))
 
 
 # -- derived structure ------------------------------------------------------

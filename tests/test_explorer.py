@@ -76,16 +76,6 @@ class TestExplore:
                 cur = apply_step(cur, step)
             assert cur == state
 
-    def test_workers_match_single_threaded_verdict(self, space3):
-        s = ideal_ring(space3, 2, [0, 2, 5])
-        solo = explore(s, ExploreConfig(max_depth=3))
-        multi = explore(s, ExploreConfig(max_depth=3, workers=2))
-        assert (solo.verdict, solo.states_visited, solo.transitions) == (
-            multi.verdict,
-            multi.states_visited,
-            multi.transitions,
-        )
-
     def test_churn_none_stays_near_ideal(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=4, churn="none", collect_states=True))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chordcheck import Schedule, ideal_ring, run_fig3, simulate
+from chordcheck import Schedule, converge, ideal_ring, run_fig3, simulate
 from chordcheck.cli import (
     EXIT_CAP_HIT,
     EXIT_NOT_CONVERGED,
@@ -68,6 +68,10 @@ class TestScenarioFormat:
             (lambda d: d.update(events=[{"kind": "warp", "actor": 0}]), "kind"),
             (lambda d: d.update(events=[{"kind": "join", "actor": 1}]), "require an 'arg'"),
             (lambda d: d.update(events=[{"kind": "fail", "actor": 0, "arg": 2}]), "no 'arg'"),
+            (lambda d: d.update(converge={"steps": 10}), "unknown converge setting 'steps'"),
+            (lambda d: d.update(explore={"max_depth": "6"}), "explore.max_depth must be int"),
+            (lambda d: d.update(simulate={"seed": True}), "simulate.seed must be int"),
+            (lambda d: d.update(simulate={"churn": "most"}), "simulate.churn must be one of"),
         ],
     )
     def test_schema_violations(self, mutate, message):
@@ -126,11 +130,31 @@ class TestTraceFormat:
 
         assert render() == render()
 
-    def test_malformed_trace_rejected(self):
-        with pytest.raises(TraceFormatError):
-            read_trace(io.StringIO(""))
-        with pytest.raises(TraceFormatError):
-            read_trace(io.StringIO('{"type": "record"}\n'))
+    def test_malformed_trace_rejected(self, space3):
+        def lines_of(trace):
+            buf = io.StringIO()
+            write_trace(trace, buf)
+            return buf.getvalue().splitlines()
+
+        ring = ideal_ring(space3, 2, [0, 2, 5])
+        run = lines_of(simulate(ring, Schedule(seed=8), steps=6))  # header, 6 records, verdict
+        drained = lines_of(converge(ring.with_notify(2, 0), Schedule(seed=1)))
+        header = json.loads(drained[0])
+        assert [rec["index"] for rec in header["prelude"]] == [0]
+        header["prelude"][0]["index"] = 1
+        cases = [
+            [],
+            ['{"type": "record"}'],
+            ["[]"],
+            run[:1],  # header only
+            run[:3],  # cut mid-run: no verdict line
+            run + run[1:2],  # a record after the verdict
+            run[:2] + run[3:],  # record index 1 missing
+            [json.dumps(header)] + drained[1:],  # prelude indices not 0..n-1
+        ]
+        for lines in cases:
+            with pytest.raises(TraceFormatError):
+                read_trace(io.StringIO("\n".join(lines) + "\n"))
 
 
 class TestCli:
@@ -148,8 +172,9 @@ class TestCli:
         assert out["flags"]["sufficient_principals"] is False
 
     def test_check_schema_error(self, tmp_path):
+        # a removed explore setting fails loudly rather than being ignored
         doc = json.loads(json.dumps(IDEAL3))
-        doc["init"][0]["succ_list"] = [2]
+        doc["explore"] = {"max_depth": 3, "dedup": False}
         path = write_scenario(tmp_path, doc)
         assert main(["check", path]) == EXIT_SCHEMA
 
@@ -236,6 +261,24 @@ class TestCli:
         lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         out.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(out)]) == EXIT_VIOLATION
+
+    def test_replay_rejects_truncated_trace(self, tmp_path):
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        out.write_text("\n".join(out.read_text().splitlines()[:3]) + "\n")
+        assert main(["replay", str(out)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--depth", "-1"],
+        ["explore", "--max-states", "0"],
+        ["simulate", "--fairness-window", "1"],
+        ["converge", "--fairness-window", "1"],
+        ["simulate", "--fairness-window", "0"],
+        ["converge", "--fairness-window", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, argv):
+        path = write_scenario(tmp_path, IDEAL3)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
 
     def test_usage_error_on_missing_command(self):
         assert main([]) == EXIT_USAGE

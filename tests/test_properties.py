@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from chordcheck import (
+    GlobalState,
     IdSpace,
     StepKind,
     apply_step,
@@ -100,11 +101,25 @@ class TestIsIdeal:
         assert not is_ideal(broken)
         assert check_all(broken).witnesses["ideal"] == (0, "prdc")
 
+    def test_empty_network_not_ideal_and_unwitnessed(self, space3):
+        empty = GlobalState(space3, 2, ())
+        assert not is_ideal(empty)
+        report = check_all(empty)
+        assert report.flags["ideal"] is False
+        assert report.witnesses["ideal"] is None
+
     def test_wrong_tail_breaks_ideal(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         node = s.node(2)
         broken = s.with_node(node._replace(succ_list=(5, 2)))
         assert not is_ideal(broken)
+
+    @settings(max_examples=300, deadline=None)
+    @given(global_states(m=3, r=2, max_members=5, with_pending=True))
+    def test_ideal_flag_predicate_and_zero_error_agree(self, s):
+        metric = error_metric(s)
+        zero_error = metric.cumulative == 0 and not any(metric.list_error.values())
+        assert check_all(s).flags["ideal"] == is_ideal(s) == zero_error
 
     def test_ideal_implies_every_other_flag(self):
         rng = random.Random(15)
