@@ -17,9 +17,11 @@ stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .errors import (
     InvalidInitialStateError,
@@ -52,8 +54,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _stdout() -> Iterator[TextIO]:
+    """Stdout for one piece of data, flushed at the end.
+
+    If the reader has gone (``chordcheck repro fig3 | head -1``), the rest
+    of the data is dropped: stdout is pointed at the null device, so later
+    writes and the flush at interpreter exit do not fail again, and the
+    command goes on to return its own exit code.
+    """
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    with _stdout() as out:
+        out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _diag(message: str) -> None:
@@ -65,7 +91,8 @@ def _output_trace(trace: Trace, out: str | None, scenario_digest: str | None = N
         save_trace(trace, out, scenario_digest)
         _diag(f"trace written to {out}")
     else:
-        write_trace(trace, sys.stdout, scenario_digest)
+        with _stdout() as fh:
+            write_trace(trace, fh, scenario_digest)
 
 
 def _load(args) -> Scenario:
@@ -186,13 +213,16 @@ def cmd_simulate(args) -> int:
     scenario = _load(args)
     block = scenario.simulate_config
     state = scenario.starting_state()
-    trace = simulate(
-        state,
-        _schedule(args, block, state),
-        steps=args.steps if args.steps is not None else block.get("steps", 100),
-        churn=args.churn or block.get("churn", "full"),
-        join_candidate_cap=block.get("join_candidate_cap"),
-    )
+    try:
+        trace = simulate(
+            state,
+            _schedule(args, block, state),
+            steps=args.steps if args.steps is not None else block.get("steps", 100),
+            churn=args.churn or block.get("churn", "full"),
+            join_candidate_cap=block.get("join_candidate_cap"),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)
     return EXIT_OK
 
@@ -204,11 +234,14 @@ def cmd_converge(args) -> int:
         _diag("scenario is not a valid initial network; run `chordcheck check` for details")
         return EXIT_VIOLATION
     block = scenario.converge_config
-    trace = converge(
-        state,
-        _schedule(args, block, state),
-        step_cap=args.steps if args.steps is not None else block.get("step_cap", 200),
-    )
+    try:
+        trace = converge(
+            state,
+            _schedule(args, block, state),
+            step_cap=args.steps if args.steps is not None else block.get("step_cap", 200),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)
     return EXIT_OK if trace.verdict == "converged" else EXIT_NOT_CONVERGED
 

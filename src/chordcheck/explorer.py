@@ -111,6 +111,11 @@ def run_script(
 # -- bounded breadth-first exploration ---------------------------------------
 
 
+def _check_join_cap(join_candidate_cap: int | None) -> None:
+    if join_candidate_cap is not None and join_candidate_cap < 0:
+        raise ValueError(f"join_candidate_cap must be >= 0 or None, got {join_candidate_cap}")
+
+
 @dataclass(frozen=True)
 class ExploreConfig:
     max_depth: int = 6
@@ -123,6 +128,7 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         if self.max_depth < 0 or self.max_states < 1:
             raise ValueError("max_depth must be >= 0 and max_states positive")
+        _check_join_cap(self.join_candidate_cap)
 
 
 Parents = dict[GlobalState, tuple[GlobalState, Step] | None]
@@ -330,6 +336,9 @@ def simulate(
     Deterministic for a given seed. The churn policy decides whether joins
     and unforced fails are offered to the scheduler.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_join_cap(join_candidate_cap)
     if require_valid_initial and not valid_initial(initial):
         raise InvalidInitialStateError("initial state is not a valid initial network")
     sched = _FairScheduler(initial, schedule, churn, join_candidate_cap)
@@ -397,6 +406,8 @@ def converge(
     flags and the cumulative pointer error; per-step error metrics are
     kept on the returned trace for analysis.
     """
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not invariant_holds(initial):
         raise InvalidInitialStateError("convergence requires the invariant to hold")
     seed_state = initial

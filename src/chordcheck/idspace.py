@@ -4,7 +4,10 @@ Identifiers are plain integers in [0, 2**m). Because the space wraps
 (2**m - 1 is adjacent to 0), asking whether one identifier precedes
 another is meaningless: each precedes and succeeds the other. Every
 useful order test therefore takes three arguments and asks whether an
-identifier lies on the clockwise arc between two boundaries.
+identifier lies on the clockwise arc between two boundaries. ``arc``
+gives the whole open arc at once, as a bitmask over identifiers, so a
+set of identifiers (such as a snapshot's members) can be tested against
+it in one operation.
 
 Identifiers are not quantities; no distance metric is defined on the
 circle. The only arithmetic exposed is ``next_ident``, which successor
@@ -47,6 +50,13 @@ class IdSpace:
         if n1 < n2:
             return n1 < nb < n2
         return n1 < nb or nb < n2
+
+    def arc(self, n1: int, n2: int) -> int:
+        """The identifiers strictly inside the clockwise arc from ``n1`` to
+        ``n2``, as a bitmask: bit ``nb`` is set iff ``between(n1, nb, n2)``."""
+        if n1 < n2:
+            return (1 << n2) - (2 << n1)
+        return ((1 << self.size) - (2 << n1)) | ((1 << n2) - 1)
 
     def included_in(self, n1: int, nb: int, n2: int) -> bool:
         """Like :meth:`between`, but inclusive of both boundaries."""

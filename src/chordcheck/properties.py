@@ -51,12 +51,15 @@ class PropertyReport:
 
 
 def one_live_successor(state: GlobalState) -> tuple[bool, tuple[int, ...]]:
-    offenders = tuple(
-        node.ident
-        for node in state.members
-        if not any(state.is_member(e) for e in node.succ_list)
-    )
-    return (not offenders, offenders)
+    mask = state.mask
+    offenders = []
+    for node in state.members:
+        for e in node.succ_list:
+            if mask >> e & 1:
+                break
+        else:
+            offenders.append(node.ident)
+    return (not offenders, tuple(offenders))
 
 
 def sufficient_principals(state: GlobalState) -> tuple[bool, frozenset[int]]:

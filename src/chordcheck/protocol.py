@@ -87,10 +87,14 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
 
 
 def _fail_strands_someone(state: GlobalState, member: int) -> bool:
+    survivors = state.mask & ~(1 << member)
     for node in state.members:
         if node.ident == member:
             continue
-        if not any(e != member and state.is_member(e) for e in node.succ_list):
+        for e in node.succ_list:
+            if survivors >> e & 1:
+                break
+        else:
             return True
     return False
 
@@ -225,9 +229,9 @@ def enabled_steps(
 
     if churn in ("joins_only", "full") and state.live_count:
         count = 0
-        member_set = state._by_ident
+        mask = state.mask
         for ident in state.space.idents():
-            if ident in member_set:
+            if mask >> ident & 1:
                 continue
             if join_candidate_cap is not None and count >= join_candidate_cap:
                 break

@@ -5,14 +5,19 @@ Liveness is membership: an identifier is live exactly when it keys the
 never-seen identifiers; that is legal protocol state, and repairing it
 is the protocol's job, not the data model's.
 
-A :class:`GlobalState` is an immutable value. Steps produce new
-snapshots; snapshots can be hashed, compared, and used as dictionary
-keys.
+A :class:`GlobalState` is an immutable value of a slotted class. Its
+members and pending entries are kept sorted, and it carries an integer
+bitmask of its member identifiers (bit ``i`` set iff ``i`` is live) and
+a hash computed once, when it is built. Steps produce new snapshots;
+snapshots can be hashed, compared, and used as dictionary keys. The
+public constructor validates and sorts its input; the ``with_*`` and
+``without_*`` updates build the next snapshot directly in canonical
+order from one that already is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import insort
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnknownMemberError
@@ -28,8 +33,24 @@ class NodeState(NamedTuple):
     succ_list: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GlobalState:
+def _check_list_length(node: NodeState, r: int) -> None:
+    if len(node.succ_list) != r:
+        raise ValueError(
+            f"member {node.ident} has a successor list of length "
+            f"{len(node.succ_list)}, expected exactly r={r}"
+        )
+
+
+class _Fields:
+    """The slot layout of a snapshot, writable. A derived snapshot is
+    filled in as one of these and then frozen into a :class:`GlobalState`
+    by a class swap, which costs far less than ``object.__setattr__`` per
+    field."""
+
+    __slots__ = ("space", "r", "members", "pending_stabilize", "pending_notify", "mask", "_hash")
+
+
+class GlobalState(_Fields):
     """Snapshot of every member plus in-flight repair messages.
 
     ``pending_stabilize`` maps a member to the candidate successor it
@@ -42,47 +63,110 @@ class GlobalState:
     Duplicates collapse. Entries survive the death of ``new_prdc`` (a
     stale notification is deliverable); entries targeting a member are
     discarded when that member fails.
+
+    ``mask`` has bit ``i`` set exactly when ``i`` is a member.
     """
 
-    space: IdSpace
-    r: int
-    members: tuple[NodeState, ...]
-    pending_stabilize: tuple[tuple[int, int], ...] = ()
-    pending_notify: tuple[tuple[int, int], ...] = ()
-    _by_ident: dict = field(init=False, compare=False, repr=False, hash=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"successor list length r must be >= 1, got {self.r}")
-        members = tuple(sorted(self.members))
-        by_ident = {}
+    def __init__(
+        self,
+        space: IdSpace,
+        r: int,
+        members: Iterable[NodeState],
+        pending_stabilize: Iterable[tuple[int, int]] = (),
+        pending_notify: Iterable[tuple[int, int]] = (),
+    ) -> None:
+        if r < 1:
+            raise ValueError(f"successor list length r must be >= 1, got {r}")
+        members = tuple(sorted(members))
+        size = space.size
+        mask = 0
         for node in members:
-            if len(node.succ_list) != self.r:
-                raise ValueError(
-                    f"member {node.ident} has a successor list of length "
-                    f"{len(node.succ_list)}, expected exactly r={self.r}"
-                )
-            if node.ident in by_ident:
+            _check_list_length(node, r)
+            if not all(0 <= i < size for i in (node.ident, node.prdc, *node.succ_list)):
+                raise ValueError(f"member {node.ident} holds an identifier outside [0, {size})")
+            if mask >> node.ident & 1:
                 raise ValueError(f"duplicate member identifier {node.ident}")
-            by_ident[node.ident] = node
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "pending_stabilize", tuple(sorted(self.pending_stabilize)))
-        object.__setattr__(self, "pending_notify", tuple(sorted(self.pending_notify)))
-        object.__setattr__(self, "_by_ident", by_ident)
+            mask |= 1 << node.ident
+        pending_stabilize = tuple(sorted(pending_stabilize))
+        pending_notify = tuple(sorted(pending_notify))
+        if not all(0 <= i < size for entry in pending_stabilize + pending_notify for i in entry):
+            raise ValueError(f"a pending entry holds an identifier outside [0, {size})")
+        values = (space, r, members, pending_stabilize, pending_notify, mask,
+                  hash((r, members, pending_stabilize, pending_notify)))
+        for name, value in zip(_Fields.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _derive(
+        self,
+        members: tuple[NodeState, ...],
+        pending_stabilize: tuple[tuple[int, int], ...],
+        pending_notify: tuple[tuple[int, int], ...],
+        mask: int,
+    ) -> GlobalState:
+        """A snapshot with this one's space and r and the given fields,
+        which the caller guarantees are canonical: no validation, no sort."""
+        new = object.__new__(_Fields)
+        new.space = self.space
+        new.r = r = self.r
+        new.members = members
+        new.pending_stabilize = pending_stabilize
+        new.pending_notify = pending_notify
+        new.mask = mask
+        new._hash = hash((r, members, pending_stabilize, pending_notify))
+        new.__class__ = GlobalState
+        return new
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GlobalState is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GlobalState is immutable; cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GlobalState):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.members == other.members
+            and self.pending_stabilize == other.pending_stabilize
+            and self.pending_notify == other.pending_notify
+            and self.r == other.r
+            and self.space == other.space
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"GlobalState(space={self.space!r}, r={self.r!r}, members={self.members!r}, "
+            f"pending_stabilize={self.pending_stabilize!r}, "
+            f"pending_notify={self.pending_notify!r})"
+        )
+
+    def __reduce__(self):
+        return (GlobalState, (self.space, self.r, self.members,
+                              self.pending_stabilize, self.pending_notify))
 
     # -- membership queries ------------------------------------------------
 
     def is_member(self, ident: int) -> bool:
-        return ident in self._by_ident
+        return ident >= 0 and self.mask >> ident & 1 == 1
 
     def get(self, ident: int) -> NodeState | None:
-        return self._by_ident.get(ident)
+        mask = self.mask
+        if ident < 0 or not mask >> ident & 1:
+            return None
+        # a member's position in ``members`` is the count of lower members
+        return self.members[(mask & ((1 << ident) - 1)).bit_count()]
 
     def node(self, ident: int) -> NodeState:
-        node = self._by_ident.get(ident)
-        if node is None:
+        mask = self.mask
+        if ident < 0 or not mask >> ident & 1:
             raise UnknownMemberError(f"identifier {ident} is not a member")
-        return node
+        return self.members[(mask & ((1 << ident) - 1)).bit_count()]
 
     def idents(self) -> tuple[int, ...]:
         """Member identifiers in ascending order."""
@@ -101,38 +185,57 @@ class GlobalState:
     # -- functional updates (used by the protocol steps) --------------------
 
     def with_node(self, node: NodeState) -> GlobalState:
-        others = tuple(n for n in self.members if n.ident != node.ident)
-        return replace(self, members=others + (node,))
+        """Add ``node``, or replace the member with its identifier."""
+        _check_list_length(node, self.r)
+        members = self.members
+        mask = self.mask
+        ident = node.ident
+        i = (mask & ((1 << ident) - 1)).bit_count()
+        rest = i + (mask >> ident & 1)
+        return self._derive(members[:i] + (node,) + members[rest:], self.pending_stabilize,
+                            self.pending_notify, mask | 1 << ident)
 
     def without_member(self, ident: int) -> GlobalState:
-        return replace(
-            self,
-            members=tuple(n for n in self.members if n.ident != ident),
-            pending_stabilize=tuple(e for e in self.pending_stabilize if e[0] != ident),
-            pending_notify=tuple(e for e in self.pending_notify if e[0] != ident),
+        """Drop the member, the continuation it owns and the notifications
+        that target it."""
+        members = self.members
+        mask = self.mask
+        if self.is_member(ident):
+            i = (mask & ((1 << ident) - 1)).bit_count()
+            members = members[:i] + members[i + 1:]
+            mask &= ~(1 << ident)
+        return self._derive(
+            members,
+            tuple(e for e in self.pending_stabilize if e[0] != ident),
+            tuple(e for e in self.pending_notify if e[0] != ident),
+            mask,
         )
 
     def with_pending_stabilize(self, member: int, new_succ: int) -> GlobalState:
-        entries = tuple(e for e in self.pending_stabilize if e[0] != member)
-        return replace(self, pending_stabilize=entries + ((member, new_succ),))
+        entries = [e for e in self.pending_stabilize if e[0] != member]
+        insort(entries, (member, new_succ))
+        return self._derive(self.members, tuple(entries), self.pending_notify,
+                            self.mask)
 
     def without_pending_stabilize(self, member: int) -> GlobalState:
-        return replace(
-            self,
-            pending_stabilize=tuple(e for e in self.pending_stabilize if e[0] != member),
-        )
+        entries = tuple(e for e in self.pending_stabilize if e[0] != member)
+        return self._derive(self.members, entries, self.pending_notify,
+                            self.mask)
 
     def with_notify(self, target: int, new_prdc: int) -> GlobalState:
         entry = (target, new_prdc)
         if entry in self.pending_notify:
             return self
-        return replace(self, pending_notify=self.pending_notify + (entry,))
+        entries = list(self.pending_notify)
+        insort(entries, entry)
+        return self._derive(self.members, self.pending_stabilize, tuple(entries),
+                            self.mask)
 
     def without_notify(self, target: int, new_prdc: int) -> GlobalState:
-        return replace(
-            self,
-            pending_notify=tuple(e for e in self.pending_notify if e != (target, new_prdc)),
-        )
+        entry = (target, new_prdc)
+        entries = tuple(e for e in self.pending_notify if e != entry)
+        return self._derive(self.members, self.pending_stabilize, entries,
+                            self.mask)
 
 
 def make_state(
@@ -194,8 +297,9 @@ def best_successor(state: GlobalState, member: int) -> int | None:
     is dead (a state that violates OneLiveSuccessor but must remain
     representable for flaw reproduction)."""
     node = state.node(member)
+    mask = state.mask
     for entry in node.succ_list:
-        if entry in state._by_ident:
+        if mask >> entry & 1:
             return entry
     return None
 
@@ -205,19 +309,18 @@ def principals(state: GlobalState) -> frozenset[int]:
 
     A member p is skipped when some ESL has a contiguous pair (x, y) with
     ``between(x, p, y)``. Padding entries synthesized during stabilization
-    count as ordinary entries.
+    count as ordinary entries. The skipped set is the union of the arc
+    masks of every contiguous ESL pair, so each pair costs one mask
+    operation rather than one ``between`` test per member.
     """
-    between = state.space.between
-    idents = [node.ident for node in state.members]
-    skipped: set[int] = set()
+    arc = state.space.arc
+    skipped = 0
     for node in state.members:
         x = node.ident
         for y in node.succ_list:
-            for p in idents:
-                if p not in skipped and between(x, p, y):
-                    skipped.add(p)
+            skipped |= arc(x, y)
             x = y
-    return frozenset(p for p in idents if p not in skipped)
+    return frozenset(node.ident for node in state.members if not skipped >> node.ident & 1)
 
 
 def ring_members(state: GlobalState) -> frozenset[int]:

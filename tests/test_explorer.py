@@ -1,11 +1,10 @@
 """Exploration, simulation, convergence, and replay."""
 
-import dataclasses
-
 import pytest
 
 from chordcheck import (
     ExploreConfig,
+    GlobalState,
     Schedule,
     StepKind,
     build_fig3_state,
@@ -76,6 +75,21 @@ class TestExplore:
                 cur = apply_step(cur, step)
             assert cur == state
 
+    def test_derived_states_are_canonical(self, space3):
+        # step results skip the constructor's validation and sorting; each
+        # must equal its rebuild through the validating constructor
+        s = ideal_ring(space3, 2, [0, 2, 3, 5, 7])
+        result = explore(s, ExploreConfig(max_depth=5, churn="full", collect_states=True))
+        assert result.states_visited == 4752
+        for state in result.states:
+            rebuilt = GlobalState(state.space, state.r, state.members,
+                                  state.pending_stabilize, state.pending_notify)
+            assert rebuilt == state
+            assert hash(rebuilt) == hash(state)
+            assert rebuilt.mask == state.mask
+            assert [state.get(i) for i in space3.idents()] == \
+                [rebuilt.get(i) for i in space3.idents()]
+
     def test_churn_none_stays_near_ideal(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=4, churn="none", collect_states=True))
@@ -119,6 +133,17 @@ class TestSimulate:
                 gap = i - last_stab[rec.step.actor]
                 assert gap <= window, (rec.step.actor, gap)
                 last_stab[rec.step.actor] = i
+
+    def test_negative_counts_rejected(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="join_candidate_cap"):
+            ExploreConfig(join_candidate_cap=-1)
+        with pytest.raises(ValueError, match="steps"):
+            simulate(s, Schedule(seed=1), steps=-1)
+        with pytest.raises(ValueError, match="join_candidate_cap"):
+            simulate(s, Schedule(seed=1), steps=5, join_candidate_cap=-1)
+        with pytest.raises(ValueError, match="step_cap"):
+            converge(s, Schedule(seed=1), step_cap=-1)
 
     def test_window_must_cover_members(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])

@@ -1,8 +1,11 @@
 """Scenario/trace round-trips and the command-line contract."""
 
+import errno
 import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,16 +271,24 @@ class TestCli:
         out.write_text("\n".join(out.read_text().splitlines()[:3]) + "\n")
         assert main(["replay", str(out)]) == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("argv", [
-        ["explore", "--depth", "-1"],
-        ["explore", "--max-states", "0"],
-        ["simulate", "--fairness-window", "1"],
-        ["converge", "--fairness-window", "1"],
-        ["simulate", "--fairness-window", "0"],
-        ["converge", "--fairness-window", "0"],
-    ], ids=" ".join)
-    def test_out_of_range_values_are_usage_errors(self, tmp_path, argv):
-        path = write_scenario(tmp_path, IDEAL3)
+    @pytest.mark.parametrize("argv,block", [
+        *[pytest.param(argv, {}, id=" ".join(argv)) for argv in (
+            ["explore", "--depth", "-1"],
+            ["explore", "--max-states", "0"],
+            ["simulate", "--fairness-window", "1"],
+            ["converge", "--fairness-window", "1"],
+            ["simulate", "--fairness-window", "0"],
+            ["converge", "--fairness-window", "0"],
+            ["explore", "--join-cap", "-1"],
+            ["simulate", "--steps", "-1"],
+            ["converge", "--steps", "-1"],
+        )],
+        *[pytest.param([command], {command: {key: -1}}, id=f"scenario {command}.{key} -1")
+          for command, key in (("explore", "join_candidate_cap"), ("simulate", "steps"),
+                               ("simulate", "join_candidate_cap"), ("converge", "step_cap"))],
+    ])
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, argv, block):
+        path = write_scenario(tmp_path, {**IDEAL3, **block})
         assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
 
     def test_usage_error_on_missing_command(self):
@@ -287,6 +298,26 @@ class TestCli:
         path = write_scenario(tmp_path, IDEAL3)
         # shrinking the space below the member identifiers must fail loudly
         assert main(["check", path, "--m", "2"]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("argv,code", [
+        pytest.param(["repro", "fig3"], EXIT_OK, id="repro"),
+        pytest.param(["explore", "size_one_m6.json", "--allow-invalid-initial"], EXIT_VIOLATION,
+                     id="explore"),
+    ])
+    def test_closed_stdout_pipe_ends_quietly(self, monkeypatch, capsys, argv, code):
+        # the reader went away: no traceback, stdout goes to the null
+        # device, and the command still returns its own exit code
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == code
+        sink = sys.stdout
+        assert sink.name == os.devnull
+        sink.close()
+        assert capsys.readouterr().err == ""
 
     def test_stdout_trace_when_no_out(self, tmp_path, capsys):
         assert main(["repro", "fig3"]) == EXIT_OK

@@ -62,6 +62,19 @@ class TestBetween:
             assert space.between(n1, nb, n2) == expected, (n1, nb, n2)
 
 
+class TestArc:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_between_exhaustively(self, m):
+        space = IdSpace(m)
+        for n1, nb, n2 in itertools.product(space.idents(), repeat=3):
+            assert (space.arc(n1, n2) >> nb & 1) == space.between(n1, nb, n2), (n1, nb, n2)
+
+    def test_no_bits_outside_the_space(self):
+        space = IdSpace(4)
+        for n1, n2 in itertools.product(space.idents(), repeat=2):
+            assert space.arc(n1, n2) >> space.size == 0
+
+
 class TestIncludedIn:
     def test_boundaries_included(self, space6):
         assert space6.included_in(7, 7, 19)

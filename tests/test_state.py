@@ -1,13 +1,15 @@
 """Snapshot structure: extended successor lists, best successors,
 principal members, ring membership."""
 
+import pickle
 import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from chordcheck import (
+    IdSpace,
     appendage_members,
     best_successor,
     esl,
@@ -15,8 +17,10 @@ from chordcheck import (
     make_state,
     principals,
     ring_members,
+    safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
+from chordcheck.properties import one_live_successor
 
 from conftest import global_states, random_global_state
 
@@ -35,6 +39,25 @@ def brute_force_principals(state):
         if not skipped:
             result.add(p)
     return frozenset(result)
+
+
+def scan_one_live_successor(state):
+    """Literal definition: the members with no live successor-list entry,
+    found by looking every entry up among the member identifiers."""
+    live = set(state.idents())
+    offenders = tuple(
+        node.ident for node in state.members
+        if not any(e in live for e in node.succ_list)
+    )
+    return (not offenders, offenders)
+
+
+def literal_safely_failable(state, member):
+    """Literal definition: after the member fails, every survivor still
+    has a live successor and at least r + 1 members are principal."""
+    after = state.without_member(member)
+    return (scan_one_live_successor(after)[0]
+            and len(brute_force_principals(after)) >= state.r + 1)
 
 
 def networkx_ring_members(state):
@@ -65,6 +88,26 @@ class TestGlobalState:
     def test_rejects_duplicate_members(self, space3):
         with pytest.raises(ValueError, match="duplicate"):
             make_state(space3, 2, [(0, 0, (1, 2)), (0, 1, (2, 3))])
+
+    @pytest.mark.parametrize("nodes,pending_notify", [
+        ([(0, 0, (1, 8))], ()),
+        ([(-1, 0, (1, 2))], ()),
+        ([(0, 0, (1, 2))], [(0, -1)]),
+    ])
+    def test_rejects_identifiers_outside_the_space(self, space3, nodes, pending_notify):
+        with pytest.raises(ValueError, match="outside"):
+            make_state(space3, 2, nodes, pending_notify=pending_notify)
+
+    def test_pickle_roundtrip(self, space3):
+        s = make_state(space3, 2, [(0, 5, (2, 5)), (5, 0, (0, 2))], pending_notify=[(0, 2)])
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_immutable(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(AttributeError):
+            s.r = 3
+        with pytest.raises(AttributeError):
+            del s.members
 
     def test_canonical_ordering_makes_equal_states_equal(self, space3):
         a = make_state(space3, 2, [(0, 5, (2, 5)), (5, 2, (0, 2))],
@@ -136,6 +179,20 @@ class TestPrincipals:
     @given(global_states(m=3, r=2))
     def test_matches_brute_force_hypothesis(self, s):
         assert principals(s) == brute_force_principals(s)
+
+    @settings(max_examples=200)
+    @given(global_states(m=3, r=2, with_pending=True))
+    # failing 1 strands 0, whose other entry is dead, yet 0, 4 and 6
+    # stay principal: only the stranding test can refuse this fail
+    @example(make_state(IdSpace(3), 2, [(0, 6, (1, 3)), (1, 0, (2, 4)), (2, 1, (4, 6)),
+                                        (4, 2, (6, 0)), (6, 4, (0, 2))]))
+    def test_mask_queries_match_literal_definitions(self, s):
+        assert one_live_successor(s) == scan_one_live_successor(s)
+        pre = principals(s)
+        for member in s.idents():
+            expected = literal_safely_failable(s, member)
+            assert safely_failable(s, member) == expected, member
+            assert safely_failable(s, member, pre) == expected, member
 
     def test_padding_entry_counts_as_ordinary(self, space3):
         # (4, 5) skips nothing even though 5 may be nobody: entries are
