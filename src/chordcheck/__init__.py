@@ -21,9 +21,7 @@ from .state import (
     GlobalState,
     NodeState,
     appendage_members,
-    best_successor,
-    correct_predecessor,
-    correct_succ_list,
+    best_successors,
     esl,
     ideal_ring,
     make_state,
@@ -82,13 +80,11 @@ __all__ = [
     "ErrorMetric",
     "appendage_members",
     "apply_step",
-    "best_successor",
+    "best_successors",
     "build_fig3_state",
     "build_fig4_state",
     "check_all",
     "converge",
-    "correct_predecessor",
-    "correct_succ_list",
     "enabled_steps",
     "error_metric",
     "esl",

@@ -27,7 +27,6 @@ from .properties import (
     check_all,
     error_metric,
     invariant_holds,
-    is_ideal,
     one_live_successor,
     sufficient_principals,
     valid_initial,
@@ -82,7 +81,7 @@ class Trace:
 def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, ErrorMetric]:
     """The trace record of one resulting state, and its error metric."""
     report = check_all(state)
-    metric = error_metric(state)
+    metric = report.metric
     record = TraceRecord(
         index=index,
         step=step,
@@ -416,7 +415,7 @@ def converge(
     sched = _FairScheduler(state, schedule, churn="none")
     records: list[TraceRecord] = []
     metrics: list[ErrorMetric] = [error_metric(state)]
-    steps_to_ideal: int | None = 0 if is_ideal(state) else None
+    steps_to_ideal: int | None = 0 if metrics[0].ideal else None
     # until ideal, run up to step_cap steps; from then on, one more window
     limit = step_cap if steps_to_ideal is None else sched.window
     retained = True
@@ -490,7 +489,7 @@ def _check_record(state: GlobalState, rec: TraceRecord, where: str):
     report = check_all(state)
     if dict(report.flags) != dict(rec.flags):
         raise ReplayMismatchError(f"{where}[{rec.index}]: property flags diverge")
-    cumulative = error_metric(state).cumulative
+    cumulative = report.metric.cumulative
     if cumulative != rec.cumulative_error:
         raise ReplayMismatchError(
             f"{where}[{rec.index}]: cumulative error {cumulative} != recorded "

@@ -55,21 +55,28 @@ def step_to_doc(step: Step) -> dict:
     return doc
 
 
+def _is_int(value: object) -> bool:
+    """An integer, and not a JSON true/false (``bool`` subclasses ``int``)."""
+    return type(value) is int
+
+
 def step_from_doc(doc: dict) -> Step:
-    try:
-        kind = _KINDS_BY_NAME[doc["kind"]]
-    except KeyError:
-        raise ScenarioFormatError(f"unknown step kind {doc.get('kind')!r}") from None
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(f"a step must be an object, got {doc!r}")
+    name = doc.get("kind")
+    if not isinstance(name, str) or name not in _KINDS_BY_NAME:
+        raise ScenarioFormatError(f"unknown step kind {name!r}")
+    kind = _KINDS_BY_NAME[name]
     actor = doc.get("actor")
-    if not isinstance(actor, int):
+    if not _is_int(actor):
         raise ScenarioFormatError(f"step actor must be an integer, got {actor!r}")
     arg = doc.get("arg")
-    if arg is not None and not isinstance(arg, int):
+    if arg is not None and not _is_int(arg):
         raise ScenarioFormatError(f"step arg must be an integer or absent, got {arg!r}")
     if kind in (StepKind.JOIN, StepKind.RECTIFY) and arg is None:
-        raise ScenarioFormatError(f"{doc['kind']} steps require an 'arg' identifier")
+        raise ScenarioFormatError(f"{name} steps require an 'arg' identifier")
     if kind in (StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR) and arg is not None:
-        raise ScenarioFormatError(f"{doc['kind']} steps take no 'arg'")
+        raise ScenarioFormatError(f"{name} steps take no 'arg'")
     return Step(kind, actor, arg, forced=bool(doc.get("forced", False)))
 
 
@@ -163,8 +170,8 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
             f"unsupported scenario version {doc.get('version')!r}")
     m = m_override if m_override is not None else doc.get("m")
     r = r_override if r_override is not None else doc.get("r")
-    _expect(isinstance(m, int), f"field 'm' must be an integer, got {doc.get('m')!r}")
-    _expect(isinstance(r, int) and r >= 1, f"field 'r' must be a positive integer, got {doc.get('r')!r}")
+    _expect(_is_int(m), f"field 'm' must be an integer, got {doc.get('m')!r}")
+    _expect(_is_int(r) and r >= 1, f"field 'r' must be a positive integer, got {doc.get('r')!r}")
     try:
         space = IdSpace(m)
     except ValueError as exc:
@@ -179,22 +186,25 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
         for key in ("id", "prdc", "succ_list"):
             _expect(key in rec, f"init[{i}] is missing field {key!r}")
         ident, prdc, succ = rec["id"], rec["prdc"], rec["succ_list"]
-        _expect(isinstance(ident, int) and space.contains(ident),
+        _expect(_is_int(ident) and space.contains(ident),
                 f"init[{i}].id {ident!r} outside [0, {space.size})")
         _expect(ident not in seen, f"init[{i}].id {ident} duplicates an earlier member")
         seen.add(ident)
-        _expect(isinstance(prdc, int) and space.contains(prdc),
+        _expect(_is_int(prdc) and space.contains(prdc),
                 f"init[{i}].prdc {prdc!r} outside [0, {space.size})")
         _expect(isinstance(succ, list) and len(succ) == r,
                 f"init[{i}].succ_list must have exactly r={r} entries, got {succ!r}")
         for e in succ:
-            _expect(isinstance(e, int) and space.contains(e),
+            _expect(_is_int(e) and space.contains(e),
                     f"init[{i}].succ_list entry {e!r} outside [0, {space.size})")
         nodes.append(NodeState(ident, prdc, tuple(succ)))
 
     allow_forced = bool(doc.get("allow_forced_fail", False))
+    raw_events = doc.get("events")
+    _expect(raw_events is None or isinstance(raw_events, list),
+            f"field 'events' must be a list of steps, got {raw_events!r}")
     events = []
-    for i, ev in enumerate(doc.get("events", []) or []):
+    for i, ev in enumerate(raw_events or []):
         try:
             step = step_from_doc(ev)
         except ScenarioFormatError as exc:
@@ -270,6 +280,8 @@ def _record_to_doc(rec: TraceRecord) -> dict:
 
 
 def _record_from_doc(doc: dict) -> TraceRecord:
+    if not isinstance(doc["flags"], dict):
+        raise TraceFormatError(f"record {doc.get('index')!r}: 'flags' must be an object")
     return TraceRecord(
         index=int(doc["index"]),
         step=step_from_doc(doc["step"]),

@@ -18,7 +18,7 @@ order from one that already is.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import UnknownMemberError
 from .idspace import IdSpace
@@ -250,36 +250,17 @@ def make_state(
     return GlobalState(space, r, members, tuple(pending_stabilize), tuple(pending_notify))
 
 
-def ideal_nodes(r: int, ring: Sequence[int]) -> tuple[NodeState, ...]:
-    """Every member's globally correct pointers, one node per entry of the
-    ascending identifier sequence ``ring``: the next ``r`` members in
-    clockwise order (cycling when fewer than ``r`` others exist) and the
-    nearest member counterclockwise."""
-    n = len(ring)
-    return tuple(
-        NodeState(ident, ring[pos - 1], tuple(ring[(pos + 1 + j) % n] for j in range(r)))
-        for pos, ident in enumerate(ring)
-    )
-
-
-def correct_succ_list(space: IdSpace, r: int, live: Iterable[int], ident: int) -> tuple[int, ...]:
-    """The globally correct successor list: the next ``r`` live members in
-    clockwise identifier order, cycling when fewer than ``r`` others exist."""
-    ring = sorted(live)
-    return ideal_nodes(r, ring)[ring.index(ident)].succ_list
-
-
-def correct_predecessor(space: IdSpace, live: Iterable[int], ident: int) -> int:
-    """The globally correct predecessor: the nearest live member in
-    counterclockwise identifier order."""
-    ring = sorted(live)
-    return ideal_nodes(1, ring)[ring.index(ident)].prdc
-
-
 def ideal_ring(space: IdSpace, r: int, idents: Iterable[int]) -> GlobalState:
     """An ideal network over the given members: every pointer globally
-    correct and no repair traffic in flight."""
-    return GlobalState(space, r, ideal_nodes(r, sorted(idents)))
+    correct and no repair traffic in flight. Each member lists the next
+    ``r`` members in clockwise order (cycling when fewer than ``r`` others
+    exist) and points back at the nearest member counterclockwise."""
+    ring = sorted(idents)
+    n = len(ring)
+    return GlobalState(space, r, (
+        NodeState(ident, ring[pos - 1], tuple(ring[(pos + 1 + j) % n] for j in range(r)))
+        for pos, ident in enumerate(ring)
+    ))
 
 
 # -- derived structure ------------------------------------------------------
@@ -292,16 +273,21 @@ def esl(state: GlobalState, member: int) -> tuple[int, ...]:
     return (node.ident,) + node.succ_list
 
 
-def best_successor(state: GlobalState, member: int) -> int | None:
-    """First live entry of the member's successor list; None if every entry
-    is dead (a state that violates OneLiveSuccessor but must remain
+def best_successors(state: GlobalState) -> dict[int, int | None]:
+    """Every member's best successor, keyed in ascending identifier order:
+    the first live entry of its successor list, or None if every entry is
+    dead (a state that violates OneLiveSuccessor but must remain
     representable for flaw reproduction)."""
-    node = state.node(member)
     mask = state.mask
-    for entry in node.succ_list:
-        if mask >> entry & 1:
-            return entry
-    return None
+    table: dict[int, int | None] = {}
+    for node in state.members:
+        for entry in node.succ_list:
+            if mask >> entry & 1:
+                break
+        else:
+            entry = None
+        table[node.ident] = entry
+    return table
 
 
 def principals(state: GlobalState) -> frozenset[int]:
@@ -323,29 +309,32 @@ def principals(state: GlobalState) -> frozenset[int]:
     return frozenset(node.ident for node in state.members if not skipped >> node.ident & 1)
 
 
+def cycle_members(succ: dict[int, int | None]) -> frozenset[int]:
+    """The members on cycles of a best-successor table (see
+    :func:`best_successors`): the ones that reach themselves."""
+    ring: set[int] = set()
+    done: set[int] = set()
+    for start in succ:
+        walk: dict[int, None] = {}  # this chain's members, in order
+        cur = start
+        while cur is not None and cur not in done and cur not in walk:
+            walk[cur] = None
+            cur = succ[cur]
+        if cur in walk:
+            # the chain closed on itself: the part from ``cur`` on is a cycle
+            chain = list(walk)
+            ring.update(chain[chain.index(cur):])
+        done.update(walk)
+    return frozenset(ring)
+
+
 def ring_members(state: GlobalState) -> frozenset[int]:
     """Members that reach themselves by following best successors.
 
     A chain that hits a member with no live successor classifies its start
     as an appendage; so does a chain that enters a cycle elsewhere.
     """
-    ring: set[int] = set()
-    for start in state.idents():
-        if start in ring:
-            continue
-        seen: set[int] = set()
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            nxt = best_successor(state, cur)
-            if nxt is None:
-                break
-            cur = nxt
-            if cur == start:
-                # everything on this cycle reaches itself
-                ring.update(seen)
-                break
-    return frozenset(ring)
+    return cycle_members(best_successors(state))
 
 
 def appendage_members(state: GlobalState) -> frozenset[int]:

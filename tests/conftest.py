@@ -36,6 +36,13 @@ def random_global_state(rng: random.Random, m: int = 4, r: int = 2,
     return GlobalState(space, r, nodes)
 
 
+def scan_best_successor(state, member):
+    """Literal definition of a best successor: the first successor-list
+    entry found among the member identifiers, or None."""
+    live = set(state.idents())
+    return next((e for e in state.node(member).succ_list if e in live), None)
+
+
 @st.composite
 def global_states(draw, m: int = 3, r: int = 2, max_members: int = 5,
                   with_pending: bool = False):

@@ -75,6 +75,18 @@ class TestScenarioFormat:
             (lambda d: d.update(explore={"max_depth": "6"}), "explore.max_depth must be int"),
             (lambda d: d.update(simulate={"seed": True}), "simulate.seed must be int"),
             (lambda d: d.update(simulate={"churn": "most"}), "simulate.churn must be one of"),
+            (lambda d: d.update(events=5), "'events' must be a list"),
+            (lambda d: d.update(events=["x"]), "a step must be an object"),
+            (lambda d: d.update(events=[{"kind": []}]), "unknown step kind []"),
+            # JSON booleans are not integers
+            (lambda d: d.update(m=True), "'m' must be an integer"),
+            (lambda d: d.update(r=True), "'r' must be a positive integer"),
+            (lambda d: d["init"][0].update(id=True), "init[0].id True"),
+            (lambda d: d["init"][0].update(prdc=True), "init[0].prdc True"),
+            (lambda d: d["init"][0].update(succ_list=[True, 5]), "entry True"),
+            (lambda d: d.update(events=[{"kind": "fail", "actor": True}]), "actor must be an integer"),
+            (lambda d: d.update(events=[{"kind": "join", "actor": 1, "arg": False}]),
+             "arg must be an integer"),
         ],
     )
     def test_schema_violations(self, mutate, message):
@@ -145,6 +157,8 @@ class TestTraceFormat:
         header = json.loads(drained[0])
         assert [rec["index"] for rec in header["prelude"]] == [0]
         header["prelude"][0]["index"] = 1
+        record = json.loads(run[1])
+        record["flags"] = []
         cases = [
             [],
             ['{"type": "record"}'],
@@ -154,6 +168,7 @@ class TestTraceFormat:
             run + run[1:2],  # a record after the verdict
             run[:2] + run[3:],  # record index 1 missing
             [json.dumps(header)] + drained[1:],  # prelude indices not 0..n-1
+            run[:1] + [json.dumps(record)] + run[2:],  # flags not an object
         ]
         for lines in cases:
             with pytest.raises(TraceFormatError):

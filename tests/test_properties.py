@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordcheck import (
     GlobalState,
@@ -22,7 +23,93 @@ from chordcheck import (
     valid_initial,
 )
 
-from conftest import global_states, random_global_state
+from conftest import global_states, random_global_state, scan_best_successor
+
+
+def literal_ring_flags(state):
+    """The four ring flags and their witnesses, written literally: ring
+    membership by walking each member's chain, ring order by ``between``
+    on every pair of ring members."""
+    between = state.space.between
+
+    def succ(member):
+        return scan_best_successor(state, member)
+
+    def reaches_itself(start):
+        cur = succ(start)
+        for _ in range(state.live_count):
+            if cur is None or cur == start:
+                break
+            cur = succ(cur)
+        return cur == start
+
+    ring = {m for m in state.idents() if reaches_itself(m)}
+    witnesses = {}
+    if not ring:
+        witnesses["at_least_one_ring"] = state.idents()
+    else:
+        start = min(ring)
+        cycle = {start}
+        cur = succ(start)
+        while cur is not None and cur != start:
+            cycle.add(cur)
+            cur = succ(cur)
+        stray = sorted(ring - cycle)
+        if stray:
+            witnesses["at_most_one_ring"] = (start, stray[0])
+    for n1 in sorted(ring):
+        n2 = succ(n1)
+        for nb in sorted(ring):
+            if between(n1, nb, n2) and "ordered_ring" not in witnesses:
+                witnesses["ordered_ring"] = (n1, nb, n2)
+    offenders = []
+    for start in (i for i in state.idents() if i not in ring):
+        seen = set()
+        cur = start
+        while cur is not None and cur not in seen and cur not in ring:
+            seen.add(cur)
+            cur = succ(cur)
+        if cur not in ring:
+            offenders.append(start)
+    if offenders:
+        witnesses["connected_appendages"] = tuple(offenders)
+    names = ("at_least_one_ring", "at_most_one_ring", "ordered_ring", "connected_appendages")
+    return {name: name not in witnesses for name in names}, witnesses
+
+
+def nearest_live(state, ident, reverse=False):
+    """The live member next to ``ident`` clockwise (counterclockwise with
+    ``reverse``): the one with no live member strictly between them. A
+    lone member is its own neighbour."""
+    live = state.idents()
+    for c in live:
+        if c != ident:
+            a, b = (c, ident) if reverse else (ident, c)
+            if not any(state.space.between(a, d, b) for d in live):
+                return c
+    return ident
+
+
+def literal_ideal_witness(state):
+    """The lowest member whose successor list is not its r clockwise
+    neighbours in turn, or whose predecessor is not its counterclockwise
+    neighbour, and which pointer; None when there is none."""
+    for node in state.members:
+        expected, cur = [], node.ident
+        for _ in range(state.r):
+            cur = nearest_live(state, cur)
+            expected.append(cur)
+        if node.succ_list != tuple(expected):
+            return (node.ident, "succ_list")
+        if node.prdc != nearest_live(state, node.ident, reverse=True):
+            return (node.ident, "prdc")
+    return None
+
+
+# m = 3..5 and r = 1..3, with in-flight continuations and notifications
+varied_states = st.tuples(st.integers(3, 5), st.integers(1, 3)).flatmap(
+    lambda mr: global_states(m=mr[0], r=mr[1], max_members=6, with_pending=True)
+)
 
 IMPLIED = (
     "no_duplicates",
@@ -59,6 +146,36 @@ class TestCheckAll:
         assert not report.flags["ordered_ring"]
         n1, nb, n2 = report.witnesses["ordered_ring"]
         assert s.space.between(n1, nb, n2)
+        assert (n1, nb, n2) == (31, 45, 52)
+
+    def test_ring_witnesses_pinned(self, space3):
+        # two best-successor cycles, 0 <-> 2 and 4 <-> 6
+        two_rings = make_state(space3, 1, [(0, 2, (2,)), (2, 0, (0,)), (4, 6, (6,)), (6, 4, (4,))])
+        assert check_all(two_rings).witnesses["at_most_one_ring"] == (0, 4)
+        # every chain ends at a member whose only entry is dead
+        no_ring = make_state(space3, 1, [(0, 4, (1,)), (4, 0, (0,))])
+        report = check_all(no_ring)
+        assert report.witnesses["at_least_one_ring"] == (0, 4)
+        assert report.witnesses["connected_appendages"] == (0, 4)
+        # ring 0 -> 2 -> 4 -> 0; 1 hangs on it, 6 -> 5 -> (dead 7) does not
+        stranded = make_state(space3, 1, [(0, 4, (2,)), (1, 0, (2,)), (2, 0, (4,)),
+                                          (4, 2, (0,)), (5, 4, (7,)), (6, 5, (5,))])
+        report = check_all(stranded)
+        assert report.flags["at_least_one_ring"] and report.flags["at_most_one_ring"]
+        assert report.witnesses["connected_appendages"] == (5, 6)
+
+    @settings(max_examples=400, deadline=None)
+    @given(varied_states)
+    def test_ring_flags_and_ideal_witness_match_literal_definitions(self, s):
+        report = check_all(s)
+        flags, witnesses = literal_ring_flags(s)
+        for name, flag in flags.items():
+            assert report.flags[name] == flag, name
+            assert report.witnesses.get(name) == witnesses.get(name), name
+        witness = literal_ideal_witness(s)
+        assert report.flags["ideal"] == (witness is None)
+        assert report.witnesses.get("ideal") == witness
+        assert report.metric == error_metric(s)
 
     def test_duplicate_entries_witnessed(self, space6):
         s = make_state(space6, 2, [(62, 48, (48, 48)), (48, 62, (62, 37)), (37, 62, (48, 62))])
@@ -119,7 +236,8 @@ class TestIsIdeal:
     def test_ideal_flag_predicate_and_zero_error_agree(self, s):
         metric = error_metric(s)
         zero_error = metric.cumulative == 0 and not any(metric.list_error.values())
-        assert check_all(s).flags["ideal"] == is_ideal(s) == zero_error
+        literal = literal_ideal_witness(s) is None
+        assert check_all(s).flags["ideal"] == is_ideal(s) == zero_error == literal
 
     def test_ideal_implies_every_other_flag(self):
         rng = random.Random(15)

@@ -3,7 +3,7 @@
 import pytest
 
 from chordcheck import (
-    best_successor,
+    best_successors,
     build_fig3_state,
     build_fig4_state,
     check_all,
@@ -40,8 +40,7 @@ class TestFig3:
         report = check_all(final)
         assert not report.flags["one_live_successor"]
         assert report.witnesses["one_live_successor"] == (37, 62)
-        assert best_successor(final, 62) is None
-        assert best_successor(final, 37) is None
+        assert best_successors(final) == {37: None, 62: None}
         assert not report.flags["at_least_one_ring"]
 
 

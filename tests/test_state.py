@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from chordcheck import (
     IdSpace,
     appendage_members,
-    best_successor,
+    best_successors,
     esl,
     ideal_ring,
     make_state,
@@ -22,7 +22,7 @@ from chordcheck import (
 from chordcheck.errors import UnknownMemberError
 from chordcheck.properties import one_live_successor
 
-from conftest import global_states, random_global_state
+from conftest import global_states, random_global_state, scan_best_successor
 
 
 def brute_force_principals(state):
@@ -66,7 +66,7 @@ def networkx_ring_members(state):
     g = nx.DiGraph()
     g.add_nodes_from(state.idents())
     for ident in state.idents():
-        succ = best_successor(state, ident)
+        succ = scan_best_successor(state, ident)
         if succ is not None:
             g.add_edge(ident, succ)
     ring = set()
@@ -142,16 +142,24 @@ class TestEsl:
 class TestBestSuccessor:
     def test_skips_dead_entry(self, space6):
         s = make_state(space6, 2, [(40, 53, (48, 53)), (53, 40, (40, 48))])
-        assert best_successor(s, 40) == 53
+        assert best_successors(s)[40] == 53
 
     def test_prefers_first_live(self, space6):
         s = make_state(space6, 2, [(48, 53, (50, 53)), (50, 48, (53, 48)), (53, 50, (48, 50))])
-        assert best_successor(s, 48) == 50
+        assert best_successors(s)[48] == 50
 
     def test_none_when_all_dead(self, space6):
         s = make_state(space6, 2, [(62, 48, (48, 48)), (37, 48, (48, 48))])
-        assert best_successor(s, 62) is None
-        assert best_successor(s, 37) is None
+        assert best_successors(s)[62] is None
+        assert best_successors(s)[37] is None
+
+    @settings(max_examples=200)
+    @given(global_states(m=4, r=3, max_members=6, with_pending=True))
+    def test_table_matches_scan(self, s):
+        table = best_successors(s)
+        assert list(table) == list(s.idents())
+        for member in s.idents():
+            assert table[member] == scan_best_successor(s, member), member
 
 
 class TestPrincipals:
@@ -259,6 +267,7 @@ class TestRingMembers:
         for _ in range(200):
             s = random_global_state(rng, m=4, r=2)
             ring = ring_members(s)
+            succ_of = best_successors(s)
             for member in ring:
-                succ = best_successor(s, member)
+                succ = succ_of[member]
                 assert succ is not None and succ in ring
