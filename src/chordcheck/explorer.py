@@ -189,9 +189,12 @@ def explore(
 ) -> ExploreResult:
     """Breadth-first search over atomic-step interleavings.
 
-    Checks the invariant on every post-state and returns the first (hence
-    minimal) violating trace, else a summary. Hitting the visited-state
-    cap yields an inconclusive ``cap-hit`` verdict, never success.
+    Checks the invariant on every distinct post-state, when it is first
+    reached, and returns the first (hence minimal) violating trace, else a
+    summary. A transition to a state already visited, and so already
+    checked, is counted but not checked again; ``on_transition`` still
+    sees every transition. Hitting the visited-state cap yields an
+    inconclusive ``cap-hit`` verdict, never success.
     """
     cfg = cfg or ExploreConfig()
     if cfg.require_valid_initial and not valid_initial(initial):
@@ -200,7 +203,12 @@ def explore(
             "(invariant must hold and no repair traffic may be in flight)"
         )
     parents: Parents = {initial: None}
-    frontier: list[tuple[GlobalState, frozenset]] = [(initial, principals(initial))]
+    enough, initial_prins = sufficient_principals(initial)
+    # every other visited state passed the check when it was reached; the
+    # initial state did only if it satisfies the invariant, which
+    # require_valid_initial=False leaves open
+    initial_checked = enough and one_live_successor(initial)[0]
+    frontier: list[tuple[GlobalState, frozenset]] = [(initial, initial_prins)]
     transitions = 0
     depth = 0
     capped = False
@@ -210,15 +218,17 @@ def explore(
         for state, prins in frontier:
             for step in enabled_steps(state, churn=cfg.churn, join_candidate_cap=cfg.join_candidate_cap):
                 post = apply_step(state, step)
-                enough, post_prins = sufficient_principals(post)
                 transitions += 1
+                if post in parents and (initial_checked or post != initial):
+                    if on_transition is not None:
+                        on_transition(state, step, post, prins, principals(post))
+                    continue
+                enough, post_prins = sufficient_principals(post)
                 if on_transition is not None:
                     on_transition(state, step, post, prins, post_prins)
                 if not (enough and one_live_successor(post)[0]):
                     trace = _violation_trace(parents, state, step, post)
                     break
-                if post in parents:
-                    continue
                 parents[post] = (state, step)
                 next_frontier.append((post, post_prins))
                 if len(parents) >= cfg.max_states:
@@ -279,7 +289,8 @@ class _FairScheduler:
     at most one member resets per round, so deadlines never collide and no
     member's gap between stabilizes can exceed the window. Rounds without
     a deadline deliver over-age notifications first, then fall back to a
-    seeded random choice over everything enabled.
+    seeded random choice over everything enabled. Only that last branch
+    enumerates the enabled steps.
     """
 
     def __init__(self, state: GlobalState, schedule: Schedule, churn: str,
@@ -298,8 +309,15 @@ class _FairScheduler:
         return Step(StepKind.STABILIZE_FROM_SUCCESSOR, member)
 
     def pick(self, state: GlobalState) -> Step | None:
-        enabled = enabled_steps(state, churn=self.churn, join_candidate_cap=self.cap)
-        if not enabled:
+        """This round's step, or None when no step is enabled.
+
+        Some step is enabled exactly when some member is live: each live
+        member can start a stabilize or finish the one it has in flight.
+        So the deadline and notification rounds need no enumeration, and
+        the seeded random draw, the one consumer of the enabled list,
+        draws from a list that is never empty.
+        """
+        if not state.live_count:
             return None
         at_deadline = [m for m, idle in self.idle.items() if idle >= self.window - 1]
         if at_deadline:
@@ -310,7 +328,7 @@ class _FairScheduler:
         if stale:
             target, new_prdc = min(stale)
             return Step(StepKind.RECTIFY, target, new_prdc)
-        return self.rng.choice(enabled)
+        return self.rng.choice(enabled_steps(state, churn=self.churn, join_candidate_cap=self.cap))
 
     def account(self, step: Step, post: GlobalState) -> None:
         self.idle = {ident: self.idle.get(ident, -1) + 1 for ident in post.idents()}

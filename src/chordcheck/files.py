@@ -77,7 +77,10 @@ def step_from_doc(doc: dict) -> Step:
         raise ScenarioFormatError(f"{name} steps require an 'arg' identifier")
     if kind in (StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR) and arg is not None:
         raise ScenarioFormatError(f"{name} steps take no 'arg'")
-    return Step(kind, actor, arg, forced=bool(doc.get("forced", False)))
+    forced = doc.get("forced", False)
+    if type(forced) is not bool:
+        raise ScenarioFormatError(f"step forced must be true or false, got {forced!r}")
+    return Step(kind, actor, arg, forced=forced)
 
 
 def state_to_doc(state: GlobalState) -> dict:
@@ -95,13 +98,14 @@ def state_from_doc(doc: dict, space: IdSpace, r: int) -> GlobalState:
     members = tuple(
         NodeState(m["id"], m["prdc"], tuple(m["succ_list"])) for m in doc["members"]
     )
-    return GlobalState(
-        space,
-        r,
-        members,
-        tuple(tuple(e) for e in doc.get("pending_stabilize", ())),
-        tuple(tuple(e) for e in doc.get("pending_notify", ())),
-    )
+    pending_stabilize = tuple(tuple(e) for e in doc.get("pending_stabilize", ()))
+    pending_notify = tuple(tuple(e) for e in doc.get("pending_notify", ()))
+    idents = [i for node in members for i in (node.ident, node.prdc, *node.succ_list)]
+    idents += [i for entry in pending_stabilize + pending_notify for i in entry]
+    for ident in idents:
+        if not _is_int(ident):
+            raise ValueError(f"identifiers must be integers, got {ident!r}")
+    return GlobalState(space, r, members, pending_stabilize, pending_notify)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -199,7 +203,9 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
                     f"init[{i}].succ_list entry {e!r} outside [0, {space.size})")
         nodes.append(NodeState(ident, prdc, tuple(succ)))
 
-    allow_forced = bool(doc.get("allow_forced_fail", False))
+    allow_forced = doc.get("allow_forced_fail", False)
+    _expect(type(allow_forced) is bool,
+            f"field 'allow_forced_fail' must be true or false, got {allow_forced!r}")
     raw_events = doc.get("events")
     _expect(raw_events is None or isinstance(raw_events, list),
             f"field 'events' must be a list of steps, got {raw_events!r}")
@@ -280,14 +286,23 @@ def _record_to_doc(rec: TraceRecord) -> dict:
 
 
 def _record_from_doc(doc: dict) -> TraceRecord:
-    if not isinstance(doc["flags"], dict):
-        raise TraceFormatError(f"record {doc.get('index')!r}: 'flags' must be an object")
+    index, digest, flags = doc["index"], doc["state_digest"], doc["flags"]
+    cumulative = doc["cumulative_error"]
+    where = f"record {index!r}"
+    if not _is_int(index):
+        raise TraceFormatError(f"{where}: 'index' must be an integer")
+    if not isinstance(digest, str):
+        raise TraceFormatError(f"{where}: 'state_digest' must be a string")
+    if not isinstance(flags, dict) or not all(type(v) is bool for v in flags.values()):
+        raise TraceFormatError(f"{where}: 'flags' must be an object of true/false values")
+    if not _is_int(cumulative):
+        raise TraceFormatError(f"{where}: 'cumulative_error' must be an integer")
     return TraceRecord(
-        index=int(doc["index"]),
+        index=index,
         step=step_from_doc(doc["step"]),
-        digest=str(doc["state_digest"]),
-        flags={str(k): bool(v) for k, v in doc["flags"].items()},
-        cumulative_error=int(doc["cumulative_error"]),
+        digest=digest,
+        flags=dict(flags),
+        cumulative_error=cumulative,
     )
 
 
@@ -334,8 +349,10 @@ def read_trace(fh: IO[str]) -> Trace:
     if header.get("type") != "header" or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError("first line must be a trace header")
     try:
-        space = IdSpace(int(header["m"]))
-        r = int(header["r"])
+        m, r = header["m"], header["r"]
+        if not (_is_int(m) and _is_int(r)):
+            raise TraceFormatError(f"header 'm' and 'r' must be integers, got {m!r} and {r!r}")
+        space = IdSpace(m)
         initial = state_from_doc(header["initial"], space, r)
         seed_state = None
         prelude = []

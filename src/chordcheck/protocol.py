@@ -24,7 +24,7 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .state import GlobalState, NodeState, principals
+from .state import GlobalState, NodeState, principals, skipped_mask, with_entry
 
 
 class StepKind(IntEnum):
@@ -57,21 +57,45 @@ class Step(NamedTuple):
 CHURN_POLICIES = ("none", "joins_only", "fails_only", "full")
 
 
+def _join_predecessors(state: GlobalState) -> dict[int, int]:
+    """Every covered non-member identifier, mapped to its join predecessor.
+
+    A member p covers the identifiers strictly inside the arc from p to
+    the head of its successor list. Members are taken in ascending order
+    and each claims only what no lower member has covered, so every
+    identifier maps to its lowest covering member. One arc mask per
+    member does the work of one ``between`` scan per identifier.
+    """
+    arc = state.space.arc
+    free = ~state.mask
+    covered = 0
+    table: dict[int, int] = {}
+    for node in state.members:
+        ident = node.ident
+        claimed = arc(ident, node.succ_list[0]) & ~covered
+        covered |= claimed
+        claimed &= free
+        while claimed:
+            low = claimed & -claimed
+            table[low.bit_length() - 1] = ident
+            claimed ^= low
+    return table
+
+
 def lookup_predecessor(state: GlobalState, joiner: int) -> int:
     """Find a member p with ``between(p, joiner, head(p.succ_list))``.
 
-    Omniscient oracle: scans members in ascending identifier order and
-    returns the first match, so results are deterministic. Raises
-    NoCandidateError when no member covers the joiner (possible in
-    corrupted states; surfaced, never silently patched).
+    Omniscient oracle: the lowest such member wins, so results are
+    deterministic. Raises NoCandidateError when no member covers the
+    joiner (possible in corrupted states; surfaced, never silently
+    patched).
     """
     if state.is_member(joiner):
         raise AlreadyMemberError(f"identifier {joiner} is already a member")
-    between = state.space.between
-    for node in state.members:
-        if between(node.ident, joiner, node.succ_list[0]):
-            return node.ident
-    raise NoCandidateError(f"no member covers identifier {joiner}")
+    target = _join_predecessors(state).get(joiner)
+    if target is None:
+        raise NoCandidateError(f"no member covers identifier {joiner}")
+    return target
 
 
 def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
@@ -134,13 +158,13 @@ def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalStat
     head_node = state.get(head)
     if head_node is None:
         padded = node.succ_list[1:] + (state.space.next_ident(node.succ_list[-1]),)
-        return state.with_node(node._replace(succ_list=padded))
-    new_list = (head,) + head_node.succ_list[:-1]
-    new_state = state.with_node(node._replace(succ_list=new_list))
+        return state.evolve(node._replace(succ_list=padded))
+    node = node._replace(succ_list=(head,) + head_node.succ_list[:-1])
     candidate = head_node.prdc
     if state.space.between(member, candidate, head):
-        return new_state.with_pending_stabilize(member, candidate)
-    return new_state.with_notify(head, member)
+        return state.evolve(node, pending_stabilize=with_entry(state.pending_stabilize,
+                                                               (member, candidate)))
+    return state.evolve(node, pending_notify=with_entry(state.pending_notify, (head, member)))
 
 
 def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalState:
@@ -150,12 +174,14 @@ def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalSt
     if candidate is None:
         raise NoPendingStabilizeError(f"member {member} has no stabilize in flight")
     node = state.node(member)
-    new_state = state.without_pending_stabilize(member)
     cand_node = state.get(candidate)
     if cand_node is not None:
         node = node._replace(succ_list=(candidate,) + cand_node.succ_list[:-1])
-        new_state = new_state.with_node(node)
-    return new_state.with_notify(node.succ_list[0], member)
+    return state.evolve(
+        node,
+        pending_stabilize=tuple(e for e in state.pending_stabilize if e[0] != member),
+        pending_notify=with_entry(state.pending_notify, (node.succ_list[0], member)),
+    )
 
 
 def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
@@ -164,17 +190,17 @@ def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
     current predecessor is dead. The closer-notifier branch presumes the
     notifier live, so a stale notification can install a dead predecessor.
     Notifications to dead members are dropped without effect."""
-    if (member, new_prdc) not in state.pending_notify:
+    entry = (member, new_prdc)
+    if entry not in state.pending_notify:
         raise NoPendingNotifyError(f"no pending notification ({member}, {new_prdc})")
-    new_state = state.without_notify(member, new_prdc)
-    node = new_state.get(member)
-    if node is None:
-        return new_state  # target died; the notification is silently dropped
-    if new_state.space.between(node.prdc, new_prdc, member):
-        return new_state.with_node(node._replace(prdc=new_prdc))
-    if not new_state.is_member(node.prdc):
-        return new_state.with_node(node._replace(prdc=new_prdc))
-    return new_state
+    delivered = tuple(e for e in state.pending_notify if e != entry)
+    node = state.get(member)
+    if node is not None and (state.space.between(node.prdc, new_prdc, member)
+                             or not state.is_member(node.prdc)):
+        return state.evolve(node._replace(prdc=new_prdc), pending_notify=delivered)
+    # no change of predecessor, or the target died and the notification
+    # is silently dropped
+    return state.evolve(pending_notify=delivered)
 
 
 def apply_step(state: GlobalState, step: Step) -> GlobalState:
@@ -208,7 +234,10 @@ def safely_failable(state: GlobalState, member: int, pre_principals: frozenset[i
         # removing an ESL never makes another node skipped, so surviving
         # principals stay principal; no recount needed
         return True
-    return len(principals(state.without_member(member))) >= required
+    # count the survivors' principals without building the post-fail snapshot
+    survivors = [node for node in state.members if node.ident != member]
+    live = state.mask & ~(1 << member)
+    return (live & ~skipped_mask(state.space, survivors)).bit_count() >= required
 
 
 def enabled_steps(
@@ -219,15 +248,19 @@ def enabled_steps(
     """Every step whose preconditions hold, in canonical order.
 
     Join candidates are drawn from the non-member identifiers, lowest
-    first, up to ``join_candidate_cap`` (None means all). Unforced fails
-    are offered only for safely-failable members. The list is
-    deterministic for a given state and configuration.
+    first, up to ``join_candidate_cap`` (None means all); each joins at
+    the predecessor :func:`lookup_predecessor` would pick, and a candidate
+    no member covers gets no step. Unforced fails are offered only for
+    safely-failable members. The list is deterministic for a given state
+    and configuration, and is built in ``Step.sort_key`` order (by kind,
+    then actor, then argument), so it is never sorted.
     """
     if churn not in CHURN_POLICIES:
         raise ValueError(f"unknown churn policy {churn!r}")
     steps: list[Step] = []
 
     if churn in ("joins_only", "full") and state.live_count:
+        predecessors = _join_predecessors(state)
         count = 0
         mask = state.mask
         for ident in state.space.idents():
@@ -236,11 +269,9 @@ def enabled_steps(
             if join_candidate_cap is not None and count >= join_candidate_cap:
                 break
             count += 1
-            try:
-                target = lookup_predecessor(state, ident)
-            except NoCandidateError:
-                continue
-            steps.append(Step(StepKind.JOIN, ident, target))
+            target = predecessors.get(ident)
+            if target is not None:
+                steps.append(Step(StepKind.JOIN, ident, target))
 
     if churn in ("fails_only", "full"):
         pre = principals(state)
@@ -258,6 +289,4 @@ def enabled_steps(
     for target, new_prdc in state.pending_notify:
         if state.is_member(target):
             steps.append(Step(StepKind.RECTIFY, target, new_prdc))
-
-    steps.sort(key=Step.sort_key)
     return steps

@@ -10,9 +10,9 @@ members and pending entries are kept sorted, and it carries an integer
 bitmask of its member identifiers (bit ``i`` set iff ``i`` is live) and
 a hash computed once, when it is built. Steps produce new snapshots;
 snapshots can be hashed, compared, and used as dictionary keys. The
-public constructor validates and sorts its input; the ``with_*`` and
-``without_*`` updates build the next snapshot directly in canonical
-order from one that already is.
+public constructor validates and sorts its input; ``evolve`` and the
+``with_*``/``without_*`` updates build the next snapshot directly in
+canonical order from one that already is.
 """
 
 from __future__ import annotations
@@ -184,16 +184,33 @@ class GlobalState(_Fields):
 
     # -- functional updates (used by the protocol steps) --------------------
 
+    def evolve(
+        self,
+        node: NodeState | None = None,
+        pending_stabilize: tuple[tuple[int, int], ...] | None = None,
+        pending_notify: tuple[tuple[int, int], ...] | None = None,
+    ) -> GlobalState:
+        """The next snapshot, built once: ``node`` added or put in place of
+        the member with its identifier, and the given pending tuples, which
+        the caller keeps sorted, in place of this snapshot's."""
+        members = self.members
+        mask = self.mask
+        if node is not None:
+            ident = node.ident
+            i = (mask & ((1 << ident) - 1)).bit_count()
+            members = members[:i] + (node,) + members[i + (mask >> ident & 1):]
+            mask |= 1 << ident
+        return self._derive(
+            members,
+            self.pending_stabilize if pending_stabilize is None else pending_stabilize,
+            self.pending_notify if pending_notify is None else pending_notify,
+            mask,
+        )
+
     def with_node(self, node: NodeState) -> GlobalState:
         """Add ``node``, or replace the member with its identifier."""
         _check_list_length(node, self.r)
-        members = self.members
-        mask = self.mask
-        ident = node.ident
-        i = (mask & ((1 << ident) - 1)).bit_count()
-        rest = i + (mask >> ident & 1)
-        return self._derive(members[:i] + (node,) + members[rest:], self.pending_stabilize,
-                            self.pending_notify, mask | 1 << ident)
+        return self.evolve(node)
 
     def without_member(self, ident: int) -> GlobalState:
         """Drop the member, the continuation it owns and the notifications
@@ -211,31 +228,19 @@ class GlobalState(_Fields):
             mask,
         )
 
-    def with_pending_stabilize(self, member: int, new_succ: int) -> GlobalState:
-        entries = [e for e in self.pending_stabilize if e[0] != member]
-        insort(entries, (member, new_succ))
-        return self._derive(self.members, tuple(entries), self.pending_notify,
-                            self.mask)
-
-    def without_pending_stabilize(self, member: int) -> GlobalState:
-        entries = tuple(e for e in self.pending_stabilize if e[0] != member)
-        return self._derive(self.members, entries, self.pending_notify,
-                            self.mask)
-
     def with_notify(self, target: int, new_prdc: int) -> GlobalState:
-        entry = (target, new_prdc)
-        if entry in self.pending_notify:
-            return self
-        entries = list(self.pending_notify)
-        insort(entries, entry)
-        return self._derive(self.members, self.pending_stabilize, tuple(entries),
-                            self.mask)
+        entries = with_entry(self.pending_notify, (target, new_prdc))
+        return self if entries is self.pending_notify else self.evolve(pending_notify=entries)
 
-    def without_notify(self, target: int, new_prdc: int) -> GlobalState:
-        entry = (target, new_prdc)
-        entries = tuple(e for e in self.pending_notify if e != entry)
-        return self._derive(self.members, self.pending_stabilize, entries,
-                            self.mask)
+
+def with_entry(entries: tuple[tuple[int, int], ...], entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """A sorted tuple of pending entries with ``entry`` added; the same
+    tuple if it is already there (duplicates collapse)."""
+    if entry in entries:
+        return entries
+    grown = list(entries)
+    insort(grown, entry)
+    return tuple(grown)
 
 
 def make_state(
@@ -290,22 +295,30 @@ def best_successors(state: GlobalState) -> dict[int, int | None]:
     return table
 
 
-def principals(state: GlobalState) -> frozenset[int]:
-    """Members not skipped by any extended successor list.
+def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
+    """The identifiers skipped by the extended successor lists of
+    ``members``, as a bitmask.
 
-    A member p is skipped when some ESL has a contiguous pair (x, y) with
-    ``between(x, p, y)``. Padding entries synthesized during stabilization
-    count as ordinary entries. The skipped set is the union of the arc
-    masks of every contiguous ESL pair, so each pair costs one mask
+    An identifier p is skipped when some ESL has a contiguous pair (x, y)
+    with ``between(x, p, y)``. Padding entries synthesized during
+    stabilization count as ordinary entries. The mask is the union of the
+    arc masks of every contiguous ESL pair, so each pair costs one mask
     operation rather than one ``between`` test per member.
     """
-    arc = state.space.arc
+    arc = space.arc
     skipped = 0
-    for node in state.members:
+    for node in members:
         x = node.ident
         for y in node.succ_list:
             skipped |= arc(x, y)
             x = y
+    return skipped
+
+
+def principals(state: GlobalState) -> frozenset[int]:
+    """Members not skipped by any extended successor list (see
+    :func:`skipped_mask`)."""
+    skipped = skipped_mask(state.space, state.members)
     return frozenset(node.ident for node in state.members if not skipped >> node.ident & 1)
 
 

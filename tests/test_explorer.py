@@ -1,19 +1,26 @@
 """Exploration, simulation, convergence, and replay."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from chordcheck import (
     ExploreConfig,
     GlobalState,
     Schedule,
+    Step,
     StepKind,
+    apply_step,
     build_fig3_state,
     converge,
+    enabled_steps,
     error_metric,
     explore,
     ideal_ring,
     is_ideal,
     make_state,
+    principals,
     replay,
     simulate,
     state_digest,
@@ -21,6 +28,64 @@ from chordcheck import (
 )
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError
 from chordcheck.explorer import _FairScheduler
+from chordcheck.files import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class ReferenceScheduler:
+    """The fair scheduler's rules, enumerating every enabled step every
+    round: no step when none is enabled, else the most-overdue member at
+    its deadline stabilizes, else the lowest over-age notification to a
+    live member is delivered, else a seeded draw from the enabled list."""
+
+    def __init__(self, state, schedule, churn, join_candidate_cap=None):
+        self.rng = random.Random(schedule.seed)
+        self.window = schedule.window_for(state)
+        self.churn = churn
+        self.cap = join_candidate_cap
+        self.idle = {ident: i for i, ident in enumerate(state.idents())}
+        self.notify_age = {entry: 0 for entry in state.pending_notify}
+
+    def pick(self, state):
+        enabled = enabled_steps(state, churn=self.churn, join_candidate_cap=self.cap)
+        if not enabled:
+            return None
+        due = [m for m, idle in self.idle.items() if idle >= self.window - 1]
+        if due:
+            member = max(due, key=lambda m: (self.idle[m], -m))
+            candidate = state.pending_stabilize_for(member)
+            if candidate is None:
+                return Step(StepKind.STABILIZE_FROM_SUCCESSOR, member)
+            return Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
+        stale = sorted(e for e, age in self.notify_age.items()
+                       if age >= self.window and state.is_member(e[0]))
+        if stale:
+            return Step(StepKind.RECTIFY, *stale[0])
+        return self.rng.choice(enabled)
+
+    def account(self, step, post):
+        self.idle = {i: self.idle.get(i, -1) + 1 for i in post.idents()}
+        if step.kind in (StepKind.STABILIZE_FROM_SUCCESSOR, StepKind.STABILIZE_FROM_PREDECESSOR):
+            self.idle[step.actor] = 0
+        self.notify_age = {e: self.notify_age.get(e, -1) + 1 for e in post.pending_notify}
+
+
+def picks_agree(state, seed, churn, rounds, cap=None):
+    """Run the fair scheduler and the reference side by side from
+    ``state``; return the number of rounds both scheduled."""
+    schedule = Schedule(seed=seed)
+    fair = _FairScheduler(state, schedule, churn, cap)
+    ref = ReferenceScheduler(state, schedule, churn, cap)
+    for done in range(rounds):
+        step = fair.pick(state)
+        assert step == ref.pick(state), (done, state)
+        if step is None:
+            return done
+        state = apply_step(state, step)
+        fair.account(step, state)
+        ref.account(step, state)
+    return rounds
 
 
 class TestExplore:
@@ -90,6 +155,37 @@ class TestExplore:
             assert [state.get(i) for i in space3.idents()] == \
                 [rebuilt.get(i) for i in space3.idents()]
 
+    def test_hook_sees_every_transition(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 4, 6])
+        seen = []
+        result = explore(s, ExploreConfig(max_depth=4, churn="full"),
+                         on_transition=lambda *args: seen.append(args))
+        assert result.ok
+        assert len(seen) == result.transitions
+        assert len({post for _, _, post, _, _ in seen}) < len(seen)  # revisits happen
+        for pre, step, post, pre_principals, post_principals in seen:
+            assert apply_step(pre, step) == post
+            assert pre_principals == principals(pre)
+            assert post_principals == principals(post)
+
+    def test_fig3_counterexample_pinned(self):
+        result = explore(build_fig3_state(), ExploreConfig(max_depth=2, require_valid_initial=False))
+        assert (result.verdict, result.states_visited, result.transitions) == \
+            ("invariant-violated", 1, 1)
+        [record] = result.trace.records
+        assert record.step == Step(StepKind.JOIN, 0, 62)
+        assert record.digest == "ca23e9fc43fbf27db4633f57637938f045f5124633f11c9b40051124ef3202c2"
+
+    def test_violating_initial_state_is_checked_when_revisited(self, space3):
+        # stabilizing the lone member changes nothing (the notification it
+        # sends is already pending), so the first transition leads back to
+        # the violating initial state and must be reported there
+        s = make_state(space3, 2, [(0, 0, (0, 0))], pending_notify=[(0, 0)])
+        result = explore(s, ExploreConfig(max_depth=1, churn="none", require_valid_initial=False))
+        assert result.verdict == "invariant-violated"
+        assert [r.step for r in result.trace.records] == [Step(StepKind.STABILIZE_FROM_SUCCESSOR, 0)]
+        assert result.trace.final_state() == s
+
     def test_churn_none_stays_near_ideal(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=4, churn="none", collect_states=True))
@@ -149,6 +245,41 @@ class TestSimulate:
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
         with pytest.raises(ValueError):
             simulate(s, Schedule(seed=1, fairness_window=2), steps=5)
+
+
+class TestFairScheduler:
+    @pytest.mark.parametrize("churn", ["full", "joins_only", "none"])
+    def test_matches_reference_on_join_lifecycle(self, churn):
+        state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
+        for seed in range(6):
+            assert picks_agree(state, seed, churn, rounds=150) == 150
+        assert picks_agree(state, 0, churn, rounds=150, cap=2) == 150
+
+    @pytest.mark.parametrize("churn", ["full", "joins_only", "none"])
+    def test_matches_reference_on_explored_states(self, space3, churn):
+        # explored states carry continuations and notifications in flight
+        result = explore(ideal_ring(space3, 2, [0, 2, 4, 6]),
+                         ExploreConfig(max_depth=3, churn="full", collect_states=True))
+        for seed, state in enumerate(result.states[::40]):
+            picks_agree(state, seed, churn, rounds=60)
+
+    def test_no_members_no_step(self, space3):
+        assert picks_agree(GlobalState(space3, 2, ()), 1, "full", rounds=5) == 0
+
+    def test_seeded_simulate_pinned(self):
+        state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
+        trace = simulate(state, Schedule(seed=3), steps=200, churn="full")
+        assert len(trace.records) == 200
+        assert trace.records[-1].digest == \
+            "9f45d607457a2d184735ef558ab7e6fbb29f1b0002d7aa93b891255e1ec53ecf"
+
+    def test_seeded_converge_pinned(self, space6):
+        stage1 = step_join(ideal_ring(space6, 2, [7, 19, 34, 50]), 10, 7)
+        trace = converge(stage1, Schedule(seed=2))
+        assert (trace.verdict, trace.meta["steps_to_ideal"], len(trace.records)) == \
+            ("converged", 40, 50)
+        assert trace.records[-1].digest == \
+            "70a6b3aac1df41251d9d672e79cbdf5c27c28e2cdef5744323a5805236c97ef5"
 
 
 class TestConverge:

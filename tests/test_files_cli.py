@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chordcheck import Schedule, converge, ideal_ring, run_fig3, simulate
+from chordcheck import IdSpace, Schedule, converge, ideal_ring, run_fig3, simulate
 from chordcheck.cli import (
     EXIT_CAP_HIT,
     EXIT_NOT_CONVERGED,
@@ -87,6 +87,14 @@ class TestScenarioFormat:
             (lambda d: d.update(events=[{"kind": "fail", "actor": True}]), "actor must be an integer"),
             (lambda d: d.update(events=[{"kind": "join", "actor": 1, "arg": False}]),
              "arg must be an integer"),
+            # and strings are not booleans
+            (lambda d: d.update(events=[{"kind": "fail", "actor": 0, "forced": "no"}]),
+             "forced must be true or false"),
+            (lambda d: d.update(allow_forced_fail=True,
+                                events=[{"kind": "fail", "actor": 0, "forced": "no"}]),
+             "forced must be true or false"),
+            (lambda d: d.update(allow_forced_fail="yes"), "'allow_forced_fail' must be true or false"),
+            (lambda d: d.update(allow_forced_fail=1), "'allow_forced_fail' must be true or false"),
         ],
     )
     def test_schema_violations(self, mutate, message):
@@ -159,7 +167,43 @@ class TestTraceFormat:
         header["prelude"][0]["index"] = 1
         record = json.loads(run[1])
         record["flags"] = []
+
+        def edited(lines, line, **fields):
+            doc = json.loads(lines[line])
+            doc.update(fields)
+            return lines[:line] + [json.dumps(doc)] + lines[line + 1:]
+
+        def with_flag(value):
+            doc = json.loads(run[2])
+            doc["flags"]["ideal"] = value
+            return run[:2] + [json.dumps(doc)] + run[3:]
+
+        # fields of the wrong JSON type are refused, never coerced
+        ring1 = lines_of(simulate(ideal_ring(IdSpace(1), 1, [0, 1]), Schedule(seed=1), steps=2))
+        cumulative = json.loads(run[2])["cumulative_error"]
+        bool_id = json.loads(run[0])["initial"]
+        bool_id["members"][1]["id"] = True
+        float_entry = json.loads(run[0])["initial"]
+        float_entry["members"][0]["succ_list"][1] = 5.0
         cases = [
+            edited(run, 0, m=3.9),
+            edited(run, 0, m="3"),
+            edited(ring1, 0, m=True),
+            edited(run, 0, r=2.9),
+            edited(run, 0, r="2"),
+            edited(ring1, 0, r=True),
+            edited(run, 0, initial=bool_id),
+            edited(run, 0, initial=float_entry),
+            edited(run, 2, index=True),
+            edited(run, 2, index=1.0),
+            edited(run, 2, cumulative_error=str(cumulative)),
+            edited(run, 2, cumulative_error=float(cumulative)),
+            edited(run, 2, state_digest=7),
+            with_flag(1),
+            with_flag("true"),
+            with_flag(None),
+        ]
+        cases += [
             [],
             ['{"type": "record"}'],
             ["[]"],
@@ -284,6 +328,15 @@ class TestCli:
         out = tmp_path / "join.trace"
         main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
         out.write_text("\n".join(out.read_text().splitlines()[:3]) + "\n")
+        assert main(["replay", str(out)]) == EXIT_SCHEMA
+
+    def test_replay_rejects_string_counts(self, tmp_path):
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["r"] = str(header["r"])
+        out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         assert main(["replay", str(out)]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("argv,block", [

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordcheck import (
     Step,
@@ -60,6 +61,42 @@ class TestLookup:
         s = make_state(space3, 2, [(0, 4, (1, 1)), (4, 0, (0, 0))])
         with pytest.raises(NoCandidateError):
             lookup_predecessor(s, 1)
+
+
+def literal_join_predecessor(state, joiner):
+    """Literal definition: the first member, in ascending identifier
+    order, whose arc to the head of its successor list strictly contains
+    the joiner; None when no member's arc does."""
+    for p in sorted(state.idents()):
+        if state.space.between(p, joiner, state.node(p).succ_list[0]):
+            return p
+    return None
+
+
+class TestJoinEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 6).flatmap(
+               lambda m: global_states(m=m, r=2, max_members=6, with_pending=True)),
+           st.sampled_from([None, 0, 1, 3]))
+    def test_join_steps_match_literal_definition(self, s, cap):
+        free = [i for i in range(s.space.size) if not s.is_member(i)]
+        candidates = free if cap is None else free[:cap]
+        for churn in ("joins_only", "full"):
+            steps = enabled_steps(s, churn=churn, join_candidate_cap=cap)
+            assert steps == sorted(steps, key=Step.sort_key)
+            joins = {st.actor: st.arg for st in steps if st.kind == StepKind.JOIN}
+            assert len(joins) == sum(st.kind == StepKind.JOIN for st in steps)
+            # a candidate gets a step exactly when some member covers it,
+            # and the step names the lowest covering member
+            expected = {j: literal_join_predecessor(s, j) for j in candidates}
+            assert joins == {j: p for j, p in expected.items() if p is not None}
+        for joiner in free:
+            expected = literal_join_predecessor(s, joiner)
+            if expected is None:
+                with pytest.raises(NoCandidateError):
+                    lookup_predecessor(s, joiner)
+            else:
+                assert lookup_predecessor(s, joiner) == expected
 
 
 class TestJoin:
