@@ -3,9 +3,11 @@ checking, and trace replay.
 
 Exploration is breadth-first so the first violating trace found is also a
 minimal-length counterexample; no shrinking pass is needed. States are
-deduplicated by value (snapshots are canonical: members and pending
-entries are kept sorted), and every visited state can be traced back to
-the initial state through recorded parent links.
+deduplicated by packed key (``GlobalState.key``, one integer per
+canonical snapshot), and the visited set keeps only those keys: every
+visited state can be traced back to the initial state through recorded
+parent links from key to key, and a state is decoded from its key when
+it is expanded.
 
 The simulator is deterministic for a given seed. Fairness is a hard
 window constraint, not a probabilistic property: the scheduler forces the
@@ -130,11 +132,19 @@ class ExploreConfig:
         _check_join_cap(self.join_candidate_cap)
 
 
-Parents = dict[GlobalState, tuple[GlobalState, Step] | None]
+Parents = dict[int, tuple[int, Step] | None]
 
 
 @dataclass
 class ExploreResult:
+    """The verdict and counts of one exploration.
+
+    With ``collect_states``, ``states`` holds every visited snapshot in BFS
+    order, as built when it was first reached, and ``parents`` maps each
+    visited state's packed key (``GlobalState.key``) to its parent's key
+    and the step taken from there, or to None for the initial state.
+    """
+
     verdict: str  # ok | invariant-violated | cap-hit
     states_visited: int
     transitions: int
@@ -142,7 +152,7 @@ class ExploreResult:
     frontier_size: int
     trace: Trace | None = None
     states: list[GlobalState] | None = None  # BFS order, when collect_states
-    parents: Parents | None = None  # state -> (parent, step) | None, when collect_states
+    parents: Parents | None = None  # key -> (parent key, step) | None, when collect_states
 
     @property
     def ok(self) -> bool:
@@ -150,29 +160,34 @@ class ExploreResult:
 
     def path_to(self, state: GlobalState) -> list[Step]:
         """Reconstruct a concrete step sequence from the initial state to
-        any visited state (requires ``collect_states``)."""
+        any visited state, looked up by its key (requires
+        ``collect_states``)."""
         if self.parents is None:
             raise ValueError("exploration did not keep parent links")
-        return [step for step, _ in _path(self.parents, state)[1]]
+        return [step for step, _ in _path(self.parents, state.key)]
 
 
 TransitionHook = Callable[[GlobalState, Step, GlobalState, frozenset, frozenset], None]
 
 
-def _path(parents: Parents, state: GlobalState) -> tuple[GlobalState, list[tuple[Step, GlobalState]]]:
-    """The initial state, and the (step, resulting state) pairs that lead
-    from it to ``state``."""
-    path: list[tuple[Step, GlobalState]] = []
-    while parents[state] is not None:
-        parent, step = parents[state]
-        path.append((step, state))
-        state = parent
+def _path(parents: Parents, key: int) -> list[tuple[Step, int]]:
+    """The (step, resulting state's key) pairs that lead from the initial
+    state to the state with ``key``."""
+    path: list[tuple[Step, int]] = []
+    while parents[key] is not None:
+        parent, step = parents[key]
+        path.append((step, key))
+        key = parent
     path.reverse()
-    return state, path
+    return path
 
 
-def _violation_trace(parents: Parents, pre: GlobalState, step: Step, post: GlobalState) -> Trace:
-    initial, path = _path(parents, pre)
+def _violation_trace(parents: Parents, initial: GlobalState, pre: int, step: Step,
+                     post: GlobalState) -> Trace:
+    """The trace from ``initial`` through the visited state with key
+    ``pre`` to the violating ``post``; the states between are decoded."""
+    space, r = initial.space, initial.r
+    path = [(s, GlobalState.from_key(space, r, key)) for s, key in _path(parents, pre)]
     path.append((step, post))
     return Trace(
         initial=initial,
@@ -193,8 +208,14 @@ def explore(
     reached, and returns the first (hence minimal) violating trace, else a
     summary. A transition to a state already visited, and so already
     checked, is counted but not checked again; ``on_transition`` still
-    sees every transition. Hitting the visited-state cap yields an
-    inconclusive ``cap-hit`` verdict, never success.
+    sees every transition, with both states and their principals.
+    Hitting the visited-state cap yields an inconclusive ``cap-hit``
+    verdict, never success.
+
+    The visited set and the frontier hold packed keys, not snapshots; a
+    frontier state is decoded when it is expanded. With
+    ``collect_states``, ``states`` holds the snapshots as they were first
+    reached, and ``parents`` the links from key to parent key.
     """
     cfg = cfg or ExploreConfig()
     if cfg.require_valid_initial and not valid_initial(initial):
@@ -202,24 +223,29 @@ def explore(
             "initial state is not a valid initial network "
             "(invariant must hold and no repair traffic may be in flight)"
         )
-    parents: Parents = {initial: None}
-    enough, initial_prins = sufficient_principals(initial)
+    space, r, root = initial.space, initial.r, initial.key
+    parents: Parents = {root: None}
+    states = [initial] if cfg.collect_states else None
     # every other visited state passed the check when it was reached; the
     # initial state did only if it satisfies the invariant, which
     # require_valid_initial=False leaves open
-    initial_checked = enough and one_live_successor(initial)[0]
-    frontier: list[tuple[GlobalState, frozenset]] = [(initial, initial_prins)]
+    initial_checked = sufficient_principals(initial)[0] and one_live_successor(initial)[0]
+    nodes: dict = {}  # decoded members, shared by every expansion of this call
+    frontier: list[int] = [root]
     transitions = 0
     depth = 0
     capped = False
     trace = None
     while frontier and depth < cfg.max_depth and not capped and trace is None:
-        next_frontier: list[tuple[GlobalState, frozenset]] = []
-        for state, prins in frontier:
+        next_frontier: list[int] = []
+        for key in frontier:
+            state = GlobalState.from_key(space, r, key, nodes)
+            prins = principals(state) if on_transition is not None else None
             for step in enabled_steps(state, churn=cfg.churn, join_candidate_cap=cfg.join_candidate_cap):
                 post = apply_step(state, step)
                 transitions += 1
-                if post in parents and (initial_checked or post != initial):
+                post_key = post.key
+                if post_key in parents and (initial_checked or post_key != root):
                     if on_transition is not None:
                         on_transition(state, step, post, prins, principals(post))
                     continue
@@ -227,10 +253,12 @@ def explore(
                 if on_transition is not None:
                     on_transition(state, step, post, prins, post_prins)
                 if not (enough and one_live_successor(post)[0]):
-                    trace = _violation_trace(parents, state, step, post)
+                    trace = _violation_trace(parents, initial, key, step, post)
                     break
-                parents[post] = (state, step)
-                next_frontier.append((post, post_prins))
+                parents[post_key] = (key, step)
+                next_frontier.append(post_key)
+                if states is not None:
+                    states.append(post)
                 if len(parents) >= cfg.max_states:
                     capped = True
                     break
@@ -246,7 +274,7 @@ def explore(
         depth_reached=depth,
         frontier_size=len(frontier),
         trace=trace,
-        states=list(parents) if cfg.collect_states else None,
+        states=states,
         parents=parents if cfg.collect_states else None,
     )
 

@@ -170,7 +170,7 @@ def _config_block(doc: dict, name: str) -> dict:
 
 def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int | None = None) -> Scenario:
     _expect(isinstance(doc, dict), "scenario must be a JSON object")
-    _expect(str(doc.get("version")) == SCENARIO_VERSION,
+    _expect(doc.get("version") == SCENARIO_VERSION,
             f"unsupported scenario version {doc.get('version')!r}")
     m = m_override if m_override is not None else doc.get("m")
     r = r_override if r_override is not None else doc.get("r")
@@ -356,9 +356,14 @@ def read_trace(fh: IO[str]) -> Trace:
         initial = state_from_doc(header["initial"], space, r)
         seed_state = None
         prelude = []
-        if "seed_state" in header:
+        if "seed_state" in header or "prelude" in header:
+            # converge writes both or neither, and a prelude only when it
+            # drained something
+            if "seed_state" not in header or not header.get("prelude"):
+                raise TraceFormatError("header must carry 'seed_state' and a non-empty "
+                                       "'prelude' together, or neither")
             seed_state = state_from_doc(header["seed_state"], space, r)
-            prelude = [_record_from_doc(d) for d in header.get("prelude", [])]
+            prelude = [_record_from_doc(d) for d in header["prelude"]]
         records = []
         closing = None
         for i, doc in enumerate(docs[1:], start=2):
@@ -377,8 +382,15 @@ def read_trace(fh: IO[str]) -> Trace:
                 if rec.index != pos:
                     raise TraceFormatError(f"{where}[{pos}] carries index {rec.index}; "
                                            f"indices must run 0..{len(recs) - 1}")
-        verdict = str(closing.get("verdict"))
-        meta = dict(closing.get("meta", {}))
+        verdict = closing.get("verdict")
+        meta = closing.get("meta", {})
+        kind = header.get("kind", "run")
+        if not isinstance(verdict, str):
+            raise TraceFormatError(f"the verdict line must carry a string 'verdict', got {verdict!r}")
+        if not isinstance(meta, dict):
+            raise TraceFormatError(f"the verdict line's 'meta' must be an object, got {meta!r}")
+        if not isinstance(kind, str):
+            raise TraceFormatError(f"header 'kind' must be a string, got {kind!r}")
     except TraceFormatError:
         raise
     except (KeyError, TypeError, ValueError, ScenarioFormatError) as exc:
@@ -387,7 +399,7 @@ def read_trace(fh: IO[str]) -> Trace:
         initial=initial,
         records=records,
         verdict=verdict,
-        kind=str(header.get("kind", "run")),
+        kind=kind,
         meta=meta,
         seed_state=seed_state,
         prelude=prelude,

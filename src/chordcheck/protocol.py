@@ -104,10 +104,12 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
     the state is unchanged (the node must retry later)."""
     if state.is_member(joiner):
         raise AlreadyMemberError(f"identifier {joiner} is already a member")
+    if not state.space.contains(joiner):
+        raise NoCandidateError(f"identifier {joiner} is outside the identifier space")
     target = state.get(new_prdc)
     if target is None:
         return state  # abort: chosen predecessor died before the step
-    return state.with_node(NodeState(joiner, new_prdc, target.succ_list))
+    return state.evolve(NodeState(joiner, new_prdc, target.succ_list))
 
 
 def _fail_strands_someone(state: GlobalState, member: int) -> bool:

@@ -8,11 +8,29 @@ is the protocol's job, not the data model's.
 A :class:`GlobalState` is an immutable value of a slotted class. Its
 members and pending entries are kept sorted, and it carries an integer
 bitmask of its member identifiers (bit ``i`` set iff ``i`` is live) and
-a hash computed once, when it is built. Steps produce new snapshots;
-snapshots can be hashed, compared, and used as dictionary keys. The
-public constructor validates and sorts its input; ``evolve`` and the
-``with_*``/``without_*`` updates build the next snapshot directly in
-canonical order from one that already is.
+one canonical integer ``key`` that packs the whole snapshot. Hash and
+equality come from ``key`` (with ``space`` and ``r``), so snapshots can
+be hashed, compared and used as dictionary keys, and a visited set can
+hold the keys alone: :meth:`GlobalState.from_key` decodes one back.
+
+With ``m`` bits per identifier, ``key`` holds, from the lowest bit up:
+
+- the member mask, ``2**m`` bits;
+- per member in ascending order, one field of ``(r + 2) * m + 1`` bits:
+  its ``prdc``, then its ``r`` successor-list entries, then a flag bit
+  that is set when the member has a stabilize in flight, then that
+  continuation's candidate (0 when the flag is clear);
+- the sorted pending notifications, ``2 * m`` bits each (target, then
+  new predecessor), under a sentinel bit, so that a trailing ``(0, 0)``
+  entry still counts.
+
+Steps produce new snapshots. The public constructor validates and sorts
+its input and packs the key; ``evolve`` and the ``with_*``/``without_*``
+updates build the next snapshot directly in canonical order from one
+that already is, and splice its key from the parent's: a changed member
+field is XORed in, a joining member's field shifted in, a failing
+member's shifted out, and only the notification bits are packed anew
+when the notifications change.
 """
 
 from __future__ import annotations
@@ -33,12 +51,46 @@ class NodeState(NamedTuple):
     succ_list: tuple[int, ...]
 
 
-def _check_list_length(node: NodeState, r: int) -> None:
+def _check_node(node: NodeState, r: int, size: int) -> None:
     if len(node.succ_list) != r:
         raise ValueError(
             f"member {node.ident} has a successor list of length "
             f"{len(node.succ_list)}, expected exactly r={r}"
         )
+    if not all(0 <= i < size for i in (node.ident, node.prdc, *node.succ_list)):
+        raise ValueError(f"member {node.ident} holds an identifier outside [0, {size})")
+
+
+def _pack_lists(node: NodeState, m: int) -> int:
+    """A member's ``prdc`` and successor-list entries, ``m`` bits each:
+    the low ``(r + 1) * m`` bits of its key field."""
+    bits = node.prdc
+    shift = m
+    for entry in node.succ_list:
+        bits |= entry << shift
+        shift += m
+    return bits
+
+
+def _with_notify_bits(key: int, at: int, entries: Iterable[tuple[int, int]], m: int) -> int:
+    """``key`` with its bits from ``at`` up replaced by the sorted pending
+    notifications ``entries``, ``2 * m`` bits each, under a sentinel bit."""
+    bits = 0
+    shift = 0
+    for target, new_prdc in entries:
+        bits |= (target | new_prdc << m) << shift
+        shift += 2 * m
+    return key & ((1 << at) - 1) | (bits | 1 << shift) << at
+
+
+def _decode_field(ident: int, field: int, m: int, r: int) -> tuple[NodeState, int | None]:
+    """A member and its continuation's candidate (or None), from its key field."""
+    ids = (1 << m) - 1
+    continuation = field >> (r + 1) * m
+    if continuation and not continuation & 1:
+        raise ValueError(f"member {ident}: a candidate without its continuation flag")
+    node = NodeState(ident, field & ids, tuple(field >> j * m & ids for j in range(1, r + 1)))
+    return node, continuation >> 1 if continuation else None
 
 
 class _Fields:
@@ -47,7 +99,30 @@ class _Fields:
     by a class swap, which costs far less than ``object.__setattr__`` per
     field."""
 
-    __slots__ = ("space", "r", "members", "pending_stabilize", "pending_notify", "mask", "_hash")
+    __slots__ = ("space", "r", "members", "pending_stabilize", "pending_notify", "mask", "key")
+
+
+def _frozen(
+    space: IdSpace,
+    r: int,
+    members: tuple[NodeState, ...],
+    pending_stabilize: tuple[tuple[int, int], ...],
+    pending_notify: tuple[tuple[int, int], ...],
+    mask: int,
+    key: int,
+) -> GlobalState:
+    """A snapshot of the given fields, which the caller guarantees are
+    canonical and agree with ``mask`` and ``key``: no validation, no sort."""
+    new = object.__new__(_Fields)
+    new.space = space
+    new.r = r
+    new.members = members
+    new.pending_stabilize = pending_stabilize
+    new.pending_notify = pending_notify
+    new.mask = mask
+    new.key = key
+    new.__class__ = GlobalState
+    return new
 
 
 class GlobalState(_Fields):
@@ -56,7 +131,8 @@ class GlobalState(_Fields):
     ``pending_stabilize`` maps a member to the candidate successor it
     captured in a stabilize-from-successor step; the entry lives until the
     follow-up stabilize-from-predecessor step consumes it or the member
-    fails. While it exists, the member cannot begin another stabilize.
+    fails. While it exists, the member cannot begin another stabilize, so
+    a member owns at most one entry, and only a member owns one.
 
     ``pending_notify`` holds undelivered ``(target, new_prdc)``
     notifications as a set: at-most-once, unordered, arbitrarily delayed.
@@ -64,7 +140,9 @@ class GlobalState(_Fields):
     stale notification is deliverable); entries targeting a member are
     discarded when that member fails.
 
-    ``mask`` has bit ``i`` set exactly when ``i`` is a member.
+    ``mask`` has bit ``i`` set exactly when ``i`` is a member. ``key`` is
+    the packed snapshot (see the module docstring): two snapshots of one
+    space and ``r`` are equal exactly when their keys are.
     """
 
     __slots__ = ()
@@ -83,9 +161,7 @@ class GlobalState(_Fields):
         size = space.size
         mask = 0
         for node in members:
-            _check_list_length(node, r)
-            if not all(0 <= i < size for i in (node.ident, node.prdc, *node.succ_list)):
-                raise ValueError(f"member {node.ident} holds an identifier outside [0, {size})")
+            _check_node(node, r, size)
             if mask >> node.ident & 1:
                 raise ValueError(f"duplicate member identifier {node.ident}")
             mask |= 1 << node.ident
@@ -93,30 +169,71 @@ class GlobalState(_Fields):
         pending_notify = tuple(sorted(pending_notify))
         if not all(0 <= i < size for entry in pending_stabilize + pending_notify for i in entry):
             raise ValueError(f"a pending entry holds an identifier outside [0, {size})")
-        values = (space, r, members, pending_stabilize, pending_notify, mask,
-                  hash((r, members, pending_stabilize, pending_notify)))
+        candidates = dict(pending_stabilize)
+        if len(candidates) != len(pending_stabilize):
+            raise ValueError("a member owns more than one stabilize in flight")
+        if not all(mask >> owner & 1 for owner in candidates):
+            raise ValueError("a stabilize in flight is owned by a non-member")
+        m = space.m
+        lists = (r + 1) * m
+        key = mask
+        at = size
+        for node in members:
+            field = _pack_lists(node, m)
+            if node.ident in candidates:
+                field |= (1 | candidates[node.ident] << 1) << lists
+            key |= field << at
+            at += lists + 1 + m
+        key = _with_notify_bits(key, at, pending_notify, m)
+        values = (space, r, members, pending_stabilize, pending_notify, mask, key)
         for name, value in zip(_Fields.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _derive(
-        self,
-        members: tuple[NodeState, ...],
-        pending_stabilize: tuple[tuple[int, int], ...],
-        pending_notify: tuple[tuple[int, int], ...],
-        mask: int,
+    @classmethod
+    def from_key(
+        cls,
+        space: IdSpace,
+        r: int,
+        key: int,
+        nodes: dict[int, tuple[NodeState, int | None]] | None = None,
     ) -> GlobalState:
-        """A snapshot with this one's space and r and the given fields,
-        which the caller guarantees are canonical: no validation, no sort."""
-        new = object.__new__(_Fields)
-        new.space = self.space
-        new.r = r = self.r
-        new.members = members
-        new.pending_stabilize = pending_stabilize
-        new.pending_notify = pending_notify
-        new.mask = mask
-        new._hash = hash((r, members, pending_stabilize, pending_notify))
-        new.__class__ = GlobalState
-        return new
+        """Decode the ``key`` of a snapshot of this ``space`` and ``r`` back
+        into that snapshot. ``nodes`` memoizes decoded members across calls
+        (a caller that decodes many keys passes one dict to each call).
+        Raises ValueError on a key that no snapshot has."""
+        m = space.m
+        size = space.size
+        width = (r + 2) * m + 1
+        field_mask = (1 << width) - 1
+        if nodes is None:
+            nodes = {}
+        mask = key & ((1 << size) - 1)
+        rest = key >> size
+        members = []
+        pending_stabilize = []
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            ident = low.bit_length() - 1
+            memo = (rest & field_mask) << m | ident
+            rest >>= width
+            decoded = nodes.get(memo)
+            if decoded is None:
+                decoded = nodes[memo] = _decode_field(ident, memo >> m, m, r)
+            node, candidate = decoded
+            members.append(node)
+            if candidate is not None:
+                pending_stabilize.append((ident, candidate))
+        ids = (1 << m) - 1
+        pending_notify = []
+        while rest > 1:
+            pending_notify.append((rest & ids, rest >> m & ids))
+            rest >>= 2 * m
+        if rest != 1 or pending_notify != sorted(pending_notify):
+            raise ValueError("not the key of a snapshot: bad notification bits")
+        return _frozen(space, r, tuple(members), tuple(pending_stabilize),
+                       tuple(pending_notify), mask, key)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"GlobalState is immutable; cannot set {name!r}")
@@ -125,19 +242,12 @@ class GlobalState(_Fields):
         raise AttributeError(f"GlobalState is immutable; cannot delete {name!r}")
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalState):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.members == other.members
-            and self.pending_stabilize == other.pending_stabilize
-            and self.pending_notify == other.pending_notify
-            and self.r == other.r
-            and self.space == other.space
-        )
+        return self.key == other.key and self.r == other.r and self.space == other.space
 
     def __repr__(self) -> str:
         return (
@@ -192,24 +302,54 @@ class GlobalState(_Fields):
     ) -> GlobalState:
         """The next snapshot, built once: ``node`` added or put in place of
         the member with its identifier, and the given pending tuples, which
-        the caller keeps sorted, in place of this snapshot's."""
+        the caller keeps sorted, in place of this snapshot's. A new
+        ``pending_stabilize`` may differ from this snapshot's only in the
+        entry of ``node``'s member, and a joining member owns none."""
+        space = self.space
         members = self.members
         mask = self.mask
+        key = self.key
+        m = space.m
+        lists = (self.r + 1) * m
+        width = lists + 1 + m
         if node is not None:
             ident = node.ident
             i = (mask & ((1 << ident) - 1)).bit_count()
-            members = members[:i] + (node,) + members[i + (mask >> ident & 1):]
-            mask |= 1 << ident
-        return self._derive(
+            at = space.size + i * width
+            field = _pack_lists(node, m)
+            if mask >> ident & 1:
+                members = members[:i] + (node,) + members[i + 1:]
+                old = key >> at & ((1 << width) - 1)
+                if pending_stabilize is None:
+                    field |= old >> lists << lists  # the continuation stays
+                else:
+                    for owner, candidate in pending_stabilize:
+                        if owner == ident:
+                            field |= (1 | candidate << 1) << lists
+                            break
+                key ^= (old ^ field) << at
+            else:
+                members = members[:i] + (node,) + members[i:]
+                mask |= 1 << ident
+                # lift the fields from position i up by one width; the gap takes the join
+                key = (key >> at << width | field) << at | key & ((1 << at) - 1) | 1 << ident
+        if pending_notify is None:
+            pending_notify = self.pending_notify
+        elif pending_notify is not self.pending_notify:
+            key = _with_notify_bits(key, space.size + len(members) * width, pending_notify, m)
+        return _frozen(
+            space,
+            self.r,
             members,
             self.pending_stabilize if pending_stabilize is None else pending_stabilize,
-            self.pending_notify if pending_notify is None else pending_notify,
+            pending_notify,
             mask,
+            key,
         )
 
     def with_node(self, node: NodeState) -> GlobalState:
         """Add ``node``, or replace the member with its identifier."""
-        _check_list_length(node, self.r)
+        _check_node(node, self.r, self.space.size)
         return self.evolve(node)
 
     def without_member(self, ident: int) -> GlobalState:
@@ -217,16 +357,22 @@ class GlobalState(_Fields):
         that target it."""
         members = self.members
         mask = self.mask
+        key = self.key
+        pending_stabilize = self.pending_stabilize
+        m = self.space.m
+        width = (self.r + 2) * m + 1
         if self.is_member(ident):
             i = (mask & ((1 << ident) - 1)).bit_count()
+            at = self.space.size + i * width
             members = members[:i] + members[i + 1:]
-            mask &= ~(1 << ident)
-        return self._derive(
-            members,
-            tuple(e for e in self.pending_stabilize if e[0] != ident),
-            tuple(e for e in self.pending_notify if e[0] != ident),
-            mask,
-        )
+            mask ^= 1 << ident
+            # drop the member's field, lowering the fields above it by one width
+            key = (key >> (at + width) << at | key & ((1 << at) - 1)) ^ 1 << ident
+            pending_stabilize = tuple(e for e in pending_stabilize if e[0] != ident)
+        pending_notify = tuple(e for e in self.pending_notify if e[0] != ident)
+        if len(pending_notify) != len(self.pending_notify):
+            key = _with_notify_bits(key, self.space.size + len(members) * width, pending_notify, m)
+        return _frozen(self.space, self.r, members, pending_stabilize, pending_notify, mask, key)
 
     def with_notify(self, target: int, new_prdc: int) -> GlobalState:
         entries = with_entry(self.pending_notify, (target, new_prdc))

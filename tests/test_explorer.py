@@ -1,6 +1,8 @@
 """Exploration, simulation, convergence, and replay."""
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -150,10 +152,35 @@ class TestExplore:
             rebuilt = GlobalState(state.space, state.r, state.members,
                                   state.pending_stabilize, state.pending_notify)
             assert rebuilt == state
+            assert rebuilt.key == state.key
             assert hash(rebuilt) == hash(state)
             assert rebuilt.mask == state.mask
             assert [state.get(i) for i in space3.idents()] == \
                 [rebuilt.get(i) for i in space3.idents()]
+
+    def test_parents_link_keys(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        result = explore(s, ExploreConfig(max_depth=3, collect_states=True))
+        assert result.parents[s.key] is None
+        assert list(result.parents) == [state.key for state in result.states]
+        for state in result.states[1:]:
+            parent, step = result.parents[state.key]
+            assert apply_step(GlobalState.from_key(space3, 2, parent), step) == state
+
+    def test_memory_per_visited_state(self, space3):
+        # the visited set holds one packed key and one parent link per
+        # state, not a snapshot: about 250 bytes a state, where keeping
+        # snapshots took about 900
+        s = ideal_ring(space3, 2, [0, 2, 3, 5, 7])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = explore(s, ExploreConfig(max_depth=5, churn="full"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.verdict, result.states_visited) == ("ok", 4752)
+        assert peak / result.states_visited < 400
 
     def test_hook_sees_every_transition(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
@@ -175,6 +202,24 @@ class TestExplore:
         [record] = result.trace.records
         assert record.step == Step(StepKind.JOIN, 0, 62)
         assert record.digest == "ca23e9fc43fbf27db4633f57637938f045f5124633f11c9b40051124ef3202c2"
+
+    def test_deep_counterexample_pinned(self, space3):
+        # a continuation whose candidate lies outside the owner's arc to its
+        # head breaks the invariant three steps later; the two states before
+        # the violation are decoded from their keys to build the trace
+        ring = ideal_ring(space3, 2, [0, 2, 4, 6])
+        s = GlobalState(space3, 2, ring.members, pending_stabilize=[(0, 3)])
+        result = explore(s, ExploreConfig(max_depth=6, require_valid_initial=False))
+        assert (result.verdict, result.states_visited, result.transitions) == \
+            ("invariant-violated", 180, 331)
+        assert [r.step for r in result.trace.records] == [
+            Step(StepKind.JOIN, 3, 2),
+            Step(StepKind.FAIL, 4),
+            Step(StepKind.STABILIZE_FROM_PREDECESSOR, 0, 3),
+        ]
+        assert [r.digest[:12] for r in result.trace.records] == \
+            ["9520ae45dfee", "75052839f929", "3806c46e5ec8"]
+        replay(result.trace)
 
     def test_violating_initial_state_is_checked_when_revisited(self, space3):
         # stabilizing the lone member changes nothing (the notification it

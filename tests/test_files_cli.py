@@ -68,6 +68,7 @@ class TestScenarioFormat:
             (lambda d: d["init"][0].update(id=8), "outside"),
             (lambda d: d["init"].append(dict(d["init"][0])), "duplicates"),
             (lambda d: d.update(version="9"), "version"),
+            (lambda d: d.update(version=1), "unsupported scenario version 1"),
             (lambda d: d.update(events=[{"kind": "warp", "actor": 0}]), "kind"),
             (lambda d: d.update(events=[{"kind": "join", "actor": 1}]), "require an 'arg'"),
             (lambda d: d.update(events=[{"kind": "fail", "actor": 0, "arg": 2}]), "no 'arg'"),
@@ -173,6 +174,11 @@ class TestTraceFormat:
             doc.update(fields)
             return lines[:line] + [json.dumps(doc)] + lines[line + 1:]
 
+        def without(lines, line, field):
+            doc = json.loads(lines[line])
+            del doc[field]
+            return lines[:line] + [json.dumps(doc)] + lines[line + 1:]
+
         def with_flag(value):
             doc = json.loads(run[2])
             doc["flags"]["ideal"] = value
@@ -202,6 +208,16 @@ class TestTraceFormat:
             with_flag(1),
             with_flag("true"),
             with_flag(None),
+            without(run, len(run) - 1, "verdict"),
+            edited(run, len(run) - 1, verdict=None),
+            edited(run, 0, kind=7),
+            edited(run, len(run) - 1, meta=[["seed", 8]]),
+        ]
+        # converge headers carry seed_state and a non-empty prelude together
+        cases += [
+            without(drained, 0, "seed_state"),
+            without(drained, 0, "prelude"),
+            edited(drained, 0, prelude=[]),
         ]
         cases += [
             [],

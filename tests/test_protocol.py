@@ -115,6 +115,12 @@ class TestJoin:
         with pytest.raises(AlreadyMemberError):
             step_join(ring4, 19, 7)
 
+    @pytest.mark.parametrize("joiner", [8, -1])
+    def test_rejects_joiner_outside_the_space(self, space3, joiner):
+        # a member outside [0, 2**m) has no place in the packed key
+        with pytest.raises(NoCandidateError, match="outside"):
+            step_join(ideal_ring(space3, 2, [0, 2, 5]), joiner, 0)
+
     def test_new_member_not_yet_anyones_successor(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         s2 = step_join(s, 4, 2)

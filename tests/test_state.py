@@ -7,11 +7,17 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chordcheck import (
+    GlobalState,
     IdSpace,
+    Step,
+    StepKind,
+    apply_step,
     appendage_members,
     best_successors,
+    enabled_steps,
     esl,
     ideal_ring,
     make_state,
@@ -98,6 +104,13 @@ class TestGlobalState:
         with pytest.raises(ValueError, match="outside"):
             make_state(space3, 2, nodes, pending_notify=pending_notify)
 
+    @pytest.mark.parametrize("pending_stabilize", [[(1, 2)], [(0, 1), (0, 2)]])
+    def test_rejects_continuations_a_member_cannot_own(self, space3, pending_stabilize):
+        # a continuation belongs to a live member, one at a time
+        with pytest.raises(ValueError, match="stabilize in flight"):
+            make_state(space3, 2, [(0, 0, (2, 2)), (2, 0, (0, 0))],
+                       pending_stabilize=pending_stabilize)
+
     def test_pickle_roundtrip(self, space3):
         s = make_state(space3, 2, [(0, 5, (2, 5)), (5, 0, (0, 2))], pending_notify=[(0, 2)])
         assert pickle.loads(pickle.dumps(s)) == s
@@ -120,6 +133,94 @@ class TestGlobalState:
     def test_snapshots_usable_as_dict_keys(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         assert {s: 1}[ideal_ring(space3, 2, [0, 2, 5])] == 1
+
+
+def fields(state):
+    return (state.space, state.r, state.members, state.pending_stabilize, state.pending_notify)
+
+
+# every (m, r) with m = 1..6 and r = 1..3, with pending entries
+any_scope_states = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda mr: global_states(m=mr[0], r=mr[1], with_pending=True))
+# two states of one scope, to compare
+scope_pairs = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda mr: st.tuples(*[global_states(m=mr[0], r=mr[1], max_members=3, with_pending=True)] * 2))
+
+
+def zero_field_states():
+    """States that differ only in fields whose packed bits are all zero:
+    member 0 pointing at itself, a continuation to 0, a (0, 0)
+    notification, and the empty network."""
+    space = IdSpace(3)
+    zero = (0, 0, (0, 0))
+    return [
+        GlobalState(space, 2, ()),
+        GlobalState(space, 2, (), pending_notify=[(0, 0)]),
+        make_state(space, 2, [zero]),
+        make_state(space, 2, [zero], pending_stabilize=[(0, 0)]),
+        make_state(space, 2, [zero], pending_notify=[(0, 0)]),
+        make_state(space, 2, [zero], pending_notify=[(0, 0), (0, 1)]),
+        make_state(space, 2, [zero], pending_stabilize=[(0, 0)], pending_notify=[(0, 0)]),
+        make_state(space, 2, [zero, (1, 0, (0, 0))]),
+        make_state(IdSpace(1), 1, [(0, 0, (0,))], pending_notify=[(0, 0)]),
+    ]
+
+
+class TestKey:
+    @settings(max_examples=300, deadline=None)
+    @given(any_scope_states)
+    @example(zero_field_states()[0])  # the empty network
+    @example(zero_field_states()[2])  # member 0, every pointer 0
+    @example(zero_field_states()[4])  # a (0, 0) notification
+    def test_decodes_to_the_same_snapshot(self, s):
+        decoded = GlobalState.from_key(s.space, s.r, s.key)
+        assert decoded == s
+        assert fields(decoded) == fields(s)
+        assert decoded.mask == s.mask
+
+    @settings(max_examples=300, deadline=None)
+    @given(scope_pairs)
+    def test_equal_exactly_when_keys_are(self, pair):
+        a, b = pair
+        assert (a.key == b.key) == (fields(a) == fields(b))
+        assert (a == b) == (fields(a) == fields(b))
+        # the same state given in another order packs to the same key
+        shuffled = GlobalState(a.space, a.r, a.members[::-1], a.pending_stabilize[::-1],
+                               a.pending_notify[::-1])
+        assert shuffled.key == a.key
+
+    def test_all_zero_fields_still_count(self):
+        states = zero_field_states()
+        assert len({s.key for s in states}) == len(states)
+        for s in states:
+            assert GlobalState.from_key(s.space, s.r, s.key) == s
+            assert fields(GlobalState.from_key(s.space, s.r, s.key)) == fields(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_scope_states)
+    def test_step_results_match_their_rebuild(self, s):
+        # steps splice the key from the parent's; the constructor packs it
+        # from scratch, and the two must agree
+        steps = enabled_steps(s, churn="full")
+        steps += [Step(StepKind.FAIL, ident, forced=True) for ident in s.idents()]
+        for step in steps:
+            post = apply_step(s, step)
+            rebuilt = GlobalState(*fields(post))
+            assert rebuilt.key == post.key
+            assert rebuilt == post
+        for target in range(s.space.size):
+            post = s.with_notify(target, s.idents()[0])
+            assert GlobalState(*fields(post)).key == post.key
+
+    def test_rejects_keys_no_snapshot_has(self, space3):
+        s = make_state(space3, 2, [(0, 0, (2, 2)), (2, 0, (0, 0))])
+        at = s.key.bit_length() - 1  # the sentinel bit
+        with pytest.raises(ValueError):
+            GlobalState.from_key(space3, 2, s.key ^ 1 << at)  # no sentinel
+        with pytest.raises(ValueError):
+            # member 0's field starts above the 8-bit mask; its flag bit
+            # follows prdc and two entries (9 bits), its candidate the flag
+            GlobalState.from_key(space3, 2, s.key ^ 1 << (8 + 9 + 1))
 
 
 class TestEsl:
