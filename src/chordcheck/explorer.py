@@ -26,6 +26,7 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import InvalidInitialStateError, ReplayMismatchError
 from .properties import (
     ErrorMetric,
+    Facts,
     check_all,
     error_metric,
     invariant_holds,
@@ -80,9 +81,11 @@ class Trace:
         return state
 
 
-def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, ErrorMetric]:
-    """The trace record of one resulting state, and its error metric."""
-    report = check_all(state)
+def _record(index: int, step: Step, state: GlobalState,
+            facts: Facts) -> tuple[TraceRecord, ErrorMetric]:
+    """The trace record of one resulting state, and its error metric;
+    ``facts`` is the run's member-facts dict (see :func:`check_all`)."""
+    report = check_all(state, facts)
     metric = report.metric
     record = TraceRecord(
         index=index,
@@ -102,10 +105,11 @@ def run_script(
 ) -> Trace:
     """Apply a fixed step sequence, recording each resulting state."""
     records = []
+    facts: Facts = {}
     state = initial
     for i, step in enumerate(steps):
         state = apply_step(state, step)
-        records.append(_record(i, step, state)[0])
+        records.append(_record(i, step, state, facts)[0])
     return Trace(initial=initial, records=records, verdict="ok", kind=kind, meta=meta or {})
 
 
@@ -189,9 +193,10 @@ def _violation_trace(parents: Parents, initial: GlobalState, pre: int, step: Ste
     space, r = initial.space, initial.r
     path = [(s, GlobalState.from_key(space, r, key)) for s, key in _path(parents, pre)]
     path.append((step, post))
+    facts: Facts = {}
     return Trace(
         initial=initial,
-        records=[_record(i, s, st)[0] for i, (s, st) in enumerate(path)],
+        records=[_record(i, s, st, facts)[0] for i, (s, st) in enumerate(path)],
         verdict="invariant-violated",
         kind="explore",
     )
@@ -231,6 +236,7 @@ def explore(
     # require_valid_initial=False leaves open
     initial_checked = sufficient_principals(initial)[0] and one_live_successor(initial)[0]
     nodes: dict = {}  # decoded members, shared by every expansion of this call
+    shared: dict[Step, Step] = {}  # one Step object per distinct step in parents
     frontier: list[int] = [root]
     transitions = 0
     depth = 0
@@ -255,7 +261,7 @@ def explore(
                 if not (enough and one_live_successor(post)[0]):
                     trace = _violation_trace(parents, initial, key, step, post)
                     break
-                parents[post_key] = (key, step)
+                parents[post_key] = (key, shared.setdefault(step, step))
                 next_frontier.append(post_key)
                 if states is not None:
                     states.append(post)
@@ -389,13 +395,14 @@ def simulate(
     sched = _FairScheduler(initial, schedule, churn, join_candidate_cap)
     state = initial
     records = []
+    facts: Facts = {}
     for i in range(steps):
         step = sched.pick(state)
         if step is None:
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        records.append(_record(i, step, state)[0])
+        records.append(_record(i, step, state, facts)[0])
     return Trace(
         initial=initial,
         records=records,
@@ -410,7 +417,7 @@ def simulate(
     )
 
 
-def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
+def _drain_prelude(state: GlobalState, facts: Facts) -> tuple[GlobalState, list[TraceRecord]]:
     """Deliver the seed state's in-flight continuations and notifications.
 
     Messages queued before a churn-free run began may reference nodes that
@@ -425,14 +432,14 @@ def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
             continue
         step = Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
-        records.append(_record(index, step, state)[0])
+        records.append(_record(index, step, state, facts)[0])
         index += 1
     for target, new_prdc in sorted(state.pending_notify):
         if not state.is_member(target):
             continue
         step = Step(StepKind.RECTIFY, target, new_prdc)
         state = apply_step(state, step)
-        records.append(_record(index, step, state)[0])
+        records.append(_record(index, step, state, facts)[0])
         index += 1
     return state, records
 
@@ -456,11 +463,12 @@ def converge(
     if not invariant_holds(initial):
         raise InvalidInitialStateError("convergence requires the invariant to hold")
     seed_state = initial
-    state, prelude = _drain_prelude(initial)
+    facts: Facts = {}
+    state, prelude = _drain_prelude(initial, facts)
     post_drain = state
     sched = _FairScheduler(state, schedule, churn="none")
     records: list[TraceRecord] = []
-    metrics: list[ErrorMetric] = [error_metric(state)]
+    metrics: list[ErrorMetric] = [error_metric(state, facts)]
     steps_to_ideal: int | None = 0 if metrics[0].ideal else None
     # until ideal, run up to step_cap steps; from then on, one more window
     limit = step_cap if steps_to_ideal is None else sched.window
@@ -472,7 +480,7 @@ def converge(
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        record, metric = _record(index, step, state)
+        record, metric = _record(index, step, state, facts)
         records.append(record)
         metrics.append(metric)
         index += 1
@@ -502,12 +510,17 @@ def converge(
 
 
 def replay(trace: Trace) -> list:
-    """Re-execute a trace and re-check every digest and flag set.
+    """Re-execute a trace and re-check every digest and flag set, with a
+    member-facts dict of its own, so no flag is taken from the run that
+    wrote the trace. A converge trace's ``steps_to_ideal`` and verdict are
+    re-derived from the re-checked ideal flags too (see
+    :func:`_check_outcome`).
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
     Returns the per-step property reports.
     """
+    facts: Facts = {}
     reports = []
     if trace.prelude:
         if trace.seed_state is None:
@@ -515,24 +528,26 @@ def replay(trace: Trace) -> list:
         state = trace.seed_state
         for rec in trace.prelude:
             state = apply_step(state, rec.step)
-            _check_record(state, rec, where="prelude")
+            _check_record(state, rec, "prelude", facts)
         if state != trace.initial:
             raise ReplayMismatchError("prelude does not reproduce the initial state")
     state = trace.initial
     for rec in trace.records:
         state = apply_step(state, rec.step)
-        reports.append(_check_record(state, rec, where="records"))
+        reports.append(_check_record(state, rec, "records", facts))
+    if trace.kind == "converge":
+        _check_outcome(trace, error_metric(trace.initial, facts).ideal, reports)
     return reports
 
 
-def _check_record(state: GlobalState, rec: TraceRecord, where: str):
+def _check_record(state: GlobalState, rec: TraceRecord, where: str, facts: Facts):
     digest = state_digest(state)
     if digest != rec.digest:
         raise ReplayMismatchError(
             f"{where}[{rec.index}]: state digest {digest[:12]}... does not match "
             f"recorded {rec.digest[:12]}..."
         )
-    report = check_all(state)
+    report = check_all(state, facts)
     if dict(report.flags) != dict(rec.flags):
         raise ReplayMismatchError(f"{where}[{rec.index}]: property flags diverge")
     cumulative = report.metric.cumulative
@@ -542,3 +557,25 @@ def _check_record(state: GlobalState, rec: TraceRecord, where: str):
             f"{rec.cumulative_error}"
         )
     return report
+
+
+def _check_outcome(trace: Trace, initial_ideal: bool, reports: list) -> None:
+    """Refuse a converge trace whose ``steps_to_ideal`` or verdict is not
+    the one its re-checked ideal flags give: ``steps_to_ideal`` is 0 when
+    the initial state is ideal, else one past the first ideal record, else
+    None; the run converged iff it is set and every record from there on
+    is ideal."""
+    ideal = [report.flags["ideal"] for report in reports]
+    if initial_ideal:
+        steps_to_ideal = 0
+    else:
+        steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
+    converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
+    recorded = trace.meta.get("steps_to_ideal")
+    if recorded != steps_to_ideal or type(recorded) is not type(steps_to_ideal):
+        raise ReplayMismatchError(
+            f"steps_to_ideal {recorded!r} != {steps_to_ideal!r} re-derived from the records")
+    verdict = "converged" if converged else "not-converged"
+    if trace.verdict != verdict:
+        raise ReplayMismatchError(
+            f"verdict {trace.verdict!r} != {verdict!r} re-derived from the records")

@@ -1,14 +1,24 @@
 """Named global properties, the inductive invariant, ideality, and the
 pointer error metric.
 
-Every property is read from one evaluation of the state. The ring
-properties (at least one ring, at most one ring, an ordered ring,
-connected appendages) all come from one table of best successors
-(:func:`~chordcheck.state.best_successors`). Ideality is zero pointer
-error: :func:`error_metric` is its one definition, and the ideal flag,
-its witness and :func:`is_ideal` read the metric. :func:`check_all`
-returns the metric with the flags, so a caller that needs both computes
-it once.
+Every property is read from one evaluation of each member. A member's
+facts (:class:`MemberFacts`: its best successor, the live identifiers its
+extended successor list skips, whether that list repeats an identifier
+or is out of order, and its pointer errors) depend only on the member's
+own variables and the live set, so they are computed once per
+``(mask, node)`` and kept in a dict that one run passes to every
+:func:`check_all` and :func:`error_metric` call. They do not depend on
+the width of the identifier space either: circular order among
+identifiers below ``2**m`` is the same in every wider space. One step
+changes at most one member, so along a run almost every member is looked
+up, not recomputed. Without a dict, each call uses a fresh one.
+
+The ring properties (at least one ring, at most one ring, an ordered
+ring, connected appendages) all come from the table of best successors
+that the facts give. Ideality is zero pointer error: :func:`error_metric`
+is its one definition, and the ideal flag, its witness and
+:func:`is_ideal` read the metric. :func:`check_all` returns the metric
+with the flags, so a caller that needs both computes it once.
 
 ``Invariant`` is the conjunction of just two properties: every member has
 a live successor, and at least r + 1 members are principal. The other
@@ -21,8 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from .state import GlobalState, best_successors, cycle_members, principals
+from .idspace import IdSpace
+from .state import GlobalState, NodeState, cycle_members, first_live, principals, skipped_mask
 
 FLAG_NAMES = (
     "one_live_successor",
@@ -64,10 +76,7 @@ def one_live_successor(state: GlobalState) -> tuple[bool, tuple[int, ...]]:
     mask = state.mask
     offenders = []
     for node in state.members:
-        for e in node.succ_list:
-            if mask >> e & 1:
-                break
-        else:
+        if first_live(node, mask) is None:
             offenders.append(node.ident)
     return (not offenders, tuple(offenders))
 
@@ -81,30 +90,12 @@ def invariant_holds(state: GlobalState) -> bool:
     return one_live_successor(state)[0] and sufficient_principals(state)[0]
 
 
-def no_duplicates(state: GlobalState) -> tuple[bool, tuple[int, ...]]:
-    offenders = tuple(
-        node.ident for node in state.members if len({node.ident, *node.succ_list}) != state.r + 1
-    )
-    return (not offenders, offenders)
-
-
-def ordered_successor_lists(state: GlobalState) -> tuple[bool, tuple | None]:
-    """Every sublist [x, y, z] of every ESL, contiguous or not, satisfies
-    between(x, y, z)."""
-    between = state.space.between
-    for node in state.members:
-        for x, y, z in combinations((node.ident,) + node.succ_list, 3):
-            if not between(x, y, z):
-                return (False, (node.ident, (x, y, z)))
-    return (True, None)
-
-
-def _ring_flags(state: GlobalState) -> list[tuple[str, bool, object]]:
-    """The four ring properties as (name, flag, witness), all read from one
-    best-successor table. Every best-successor cycle is made of ring
-    members, so a chain that starts off the ring ends on it or at a member
-    with no live successor."""
-    succ = best_successors(state)
+def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:
+    """The four ring properties as (name, flag, witness), all read from the
+    best-successor table ``succ`` (see
+    :func:`~chordcheck.state.best_successors`). Every best-successor cycle
+    is made of ring members, so a chain that starts off the ring ends on it
+    or at a member with no live successor."""
     ring = cycle_members(succ)
 
     at_most_witness = None
@@ -154,22 +145,44 @@ def is_ideal(state: GlobalState) -> bool:
     return error_metric(state).ideal
 
 
-def check_all(state: GlobalState) -> PropertyReport:
-    """Evaluate every named property and collect witnesses for failures."""
-    metric = error_metric(state)
-    live_ok, stranded = one_live_successor(state)
-    enough, prins = sufficient_principals(state)
+def check_all(state: GlobalState, facts: Facts | None = None) -> PropertyReport:
+    """Evaluate every named property and collect witnesses for failures.
+
+    ``facts`` is the member-facts dict of the run this state belongs to
+    (see the module docstring); None means a fresh one."""
+    rows = _rows(state, {} if facts is None else facts)
+    metric = _metric(state, rows)
+    required = state.r + 1
+    stranded = []
+    duplicated = []
+    disorder = None
+    succ = {}
+    skipped = 0
+    for node, (head, skips, repeats, triple, _, _, _) in zip(state.members, rows):
+        ident = node.ident
+        succ[ident] = head
+        if head is None:
+            stranded.append(ident)
+        skipped |= skips
+        if repeats:
+            duplicated.append(ident)
+        if disorder is None and triple is not None:
+            disorder = (ident, triple)
+    principal = state.mask & ~skipped
+    enough = principal.bit_count() >= required
     checks = [
-        ("one_live_successor", live_ok, stranded),
-        ("sufficient_principals", enough,
-         {"principals": tuple(sorted(prins)), "required": state.r + 1}),
-        ("no_duplicates", *no_duplicates(state)),
-        ("ordered_successor_lists", *ordered_successor_lists(state)),
-        *_ring_flags(state),
+        ("one_live_successor", not stranded, tuple(stranded)),
+        ("sufficient_principals", enough, None if enough else {
+            "principals": tuple(n.ident for n in state.members if principal >> n.ident & 1),
+            "required": required,
+        }),
+        ("no_duplicates", not duplicated, tuple(duplicated)),
+        ("ordered_successor_lists", disorder is None, disorder),
+        *_ring_flags(state, succ),
         ("ideal", metric.ideal, metric.witness),
     ]
     flags = {name: ok for name, ok, _ in checks}
-    flags["invariant"] = live_ok and enough
+    flags["invariant"] = not stranded and enough
     return PropertyReport(
         flags={name: flags[name] for name in FLAG_NAMES},
         metric=metric,
@@ -214,38 +227,124 @@ class ErrorMetric:
         return self.s > 0 and self.witness is None
 
 
-def error_metric(state: GlobalState) -> ErrorMetric:
-    live = state.idents()
-    s = len(live)
-    r = state.r
-    index = {ident: i for i, ident in enumerate(live)}
+def error_metric(state: GlobalState, facts: Facts | None = None) -> ErrorMetric:
+    """The error metric of ``state``; ``facts`` as for :func:`check_all`."""
+    return _metric(state, _rows(state, {} if facts is None else facts))
+
+
+class MemberFacts(NamedTuple):
+    """What the properties read of one member, for one live set.
+
+    ``head`` is its first live successor-list entry (None if all are
+    dead) and ``skipped`` the live identifiers its extended successor list
+    (ESL) skips, as a bitmask. ``duplicated`` is whether its ESL repeats an
+    identifier, and ``disorder`` the first ESL triple ``(x, y, z)``, in
+    ``combinations`` order, with ``not between(x, y, z)``, or None. The
+    errors are its terms of the :class:`ErrorMetric`.
+    """
+
+    head: int | None
+    skipped: int
+    duplicated: bool
+    disorder: tuple[int, int, int] | None
+    successor_error: int
+    predecessor_error: int
+    list_error: int
+
+
+# (live mask, member) -> that member's facts; one dict per run
+Facts = dict[tuple[int, NodeState], MemberFacts]
+
+
+def _next_live(mask: int, ident: int) -> int:
+    """The first live identifier clockwise after ``ident``, cycling; a lone
+    live identifier is its own next."""
+    above = mask >> ident + 1 << ident + 1
+    low = above & -above or mask & -mask
+    return low.bit_length() - 1
+
+
+def _disorder(space: IdSpace, node: NodeState) -> tuple[int, int, int] | None:
+    """The first triple of the member's ESL, in ``combinations`` order,
+    that is out of clockwise order; None if there is none."""
+    ident = node.ident
+    size = space.size
+    last = 0
+    for entry in node.succ_list:
+        offset = (entry - ident) % size
+        if offset <= last:
+            break
+        last = offset
+    else:
+        # offsets from the owner strictly increase: the ESL runs clockwise
+        # within one turn, so every triple of it is in order
+        return None
+    between = space.between
+    for x, y, z in combinations((ident,) + node.succ_list, 3):
+        if not between(x, y, z):
+            return (x, y, z)
+    return None
+
+
+def _member_facts(space: IdSpace, mask: int, node: NodeState) -> MemberFacts:
+    """The facts of member ``node`` when exactly the identifiers in
+    ``mask`` are live (the errors are defined at :class:`ErrorMetric`)."""
+    ident, prdc, succ_list = node
+    r = len(succ_list)
+    s = mask.bit_count()
+    arc = space.arc
+    head = succ_list[0]
+    # a live pointer scores the live members strictly inside its arc
+    succ_err = (arc(ident, head) & mask).bit_count() if mask >> head & 1 else s
+    pred_err = (arc(prdc, ident) & mask).bit_count() if mask >> prdc & 1 else s
+    list_err = 0
+    expected = ident
+    for i, entry in enumerate(succ_list):
+        expected = _next_live(mask, expected)
+        if entry != expected:
+            list_err = r - i
+            break
+    return MemberFacts(
+        first_live(node, mask),
+        skipped_mask(space, (node,)) & mask,
+        len({ident, *succ_list}) != r + 1,
+        _disorder(space, node),
+        succ_err,
+        pred_err,
+        list_err,
+    )
+
+
+def _rows(state: GlobalState, facts: Facts) -> list[MemberFacts]:
+    """The facts of every member of ``state``, in member order, looked up
+    in ``facts`` and computed into it when missing."""
+    space = state.space
+    mask = state.mask
+    rows = []
+    for node in state.members:
+        key = (mask, node)
+        row = facts.get(key)
+        if row is None:
+            row = facts[key] = _member_facts(space, mask, node)
+        rows.append(row)
+    return rows
+
+
+def _metric(state: GlobalState, rows: list[MemberFacts]) -> ErrorMetric:
     succ_err: dict[int, int] = {}
     pred_err: dict[int, int] = {}
     list_err: dict[int, int] = {}
     witness = None
-    for my, node in enumerate(state.members):
+    for node, (_, _, _, _, succ_error, pred_error, list_error) in zip(state.members, rows):
         ident = node.ident
-        head = node.succ_list[0]
-        if head in index:
-            succ_err[ident] = s - 1 if head == ident else (index[head] - my) % s - 1
-        else:
-            succ_err[ident] = s
-        if node.prdc in index:
-            pred_err[ident] = s - 1 if node.prdc == ident else (my - index[node.prdc]) % s - 1
-        else:
-            pred_err[ident] = s
-        # the globally correct list is the next r live members, cycling
-        err = 0
-        for i, entry in enumerate(node.succ_list):
-            if entry != live[(my + 1 + i) % s]:
-                err = r - i
-                break
-        list_err[ident] = err
+        succ_err[ident] = succ_error
+        pred_err[ident] = pred_error
+        list_err[ident] = list_error
         # a zero predecessor error is exactly a globally correct predecessor
-        if witness is None and (err or pred_err[ident]):
-            witness = (ident, "succ_list" if err else "prdc")
+        if witness is None and (list_error or pred_error):
+            witness = (ident, "succ_list" if list_error else "prdc")
     return ErrorMetric(
-        s=s,
+        s=len(rows),
         successor_error=succ_err,
         predecessor_error=pred_err,
         list_error=list_err,

@@ -24,7 +24,7 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .state import GlobalState, NodeState, principals, skipped_mask, with_entry
+from .state import GlobalState, NodeState, first_live, principals, skipped_mask, with_entry
 
 
 class StepKind(IntEnum):
@@ -115,12 +115,7 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
 def _fail_strands_someone(state: GlobalState, member: int) -> bool:
     survivors = state.mask & ~(1 << member)
     for node in state.members:
-        if node.ident == member:
-            continue
-        for e in node.succ_list:
-            if survivors >> e & 1:
-                break
-        else:
+        if node.ident != member and first_live(node, survivors) is None:
             return True
     return False
 

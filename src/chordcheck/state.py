@@ -166,7 +166,7 @@ class GlobalState(_Fields):
                 raise ValueError(f"duplicate member identifier {node.ident}")
             mask |= 1 << node.ident
         pending_stabilize = tuple(sorted(pending_stabilize))
-        pending_notify = tuple(sorted(pending_notify))
+        pending_notify = tuple(sorted(set(pending_notify)))  # duplicates collapse
         if not all(0 <= i < size for entry in pending_stabilize + pending_notify for i in entry):
             raise ValueError(f"a pending entry holds an identifier outside [0, {size})")
         candidates = dict(pending_stabilize)
@@ -424,21 +424,22 @@ def esl(state: GlobalState, member: int) -> tuple[int, ...]:
     return (node.ident,) + node.succ_list
 
 
+def first_live(node: NodeState, mask: int) -> int | None:
+    """The member's first successor-list entry that is live under ``mask``
+    (bit ``i`` set iff ``i`` is live), or None if every entry is dead."""
+    for entry in node.succ_list:
+        if mask >> entry & 1:
+            return entry
+    return None
+
+
 def best_successors(state: GlobalState) -> dict[int, int | None]:
     """Every member's best successor, keyed in ascending identifier order:
     the first live entry of its successor list, or None if every entry is
     dead (a state that violates OneLiveSuccessor but must remain
     representable for flaw reproduction)."""
     mask = state.mask
-    table: dict[int, int | None] = {}
-    for node in state.members:
-        for entry in node.succ_list:
-            if mask >> entry & 1:
-                break
-        else:
-            entry = None
-        table[node.ident] = entry
-    return table
+    return {node.ident: first_live(node, mask) for node in state.members}
 
 
 def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
@@ -449,7 +450,8 @@ def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
     with ``between(x, p, y)``. Padding entries synthesized during
     stabilization count as ordinary entries. The mask is the union of the
     arc masks of every contiguous ESL pair, so each pair costs one mask
-    operation rather than one ``between`` test per member.
+    operation rather than one ``between`` test per member. One member's
+    mask is ``skipped_mask(space, (node,))``.
     """
     arc = space.arc
     skipped = 0

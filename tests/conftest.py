@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState
+from chordcheck import GlobalState, IdSpace, NodeState, esl
 
 
 @pytest.fixture
@@ -41,6 +41,33 @@ def scan_best_successor(state, member):
     entry found among the member identifiers, or None."""
     live = set(state.idents())
     return next((e for e in state.node(member).succ_list if e in live), None)
+
+
+def brute_force_principals(state):
+    """Literal definition: p is principal iff no contiguous ESL pair
+    skips it, checked pair by pair for every candidate."""
+    result = set()
+    for p in state.idents():
+        skipped = False
+        for node in state.members:
+            entries = esl(state, node.ident)
+            for x, y in zip(entries, entries[1:]):
+                if state.space.between(x, p, y):
+                    skipped = True
+        if not skipped:
+            result.add(p)
+    return frozenset(result)
+
+
+def scan_one_live_successor(state):
+    """Literal definition: the members with no live successor-list entry,
+    found by looking every entry up among the member identifiers."""
+    live = set(state.idents())
+    offenders = tuple(
+        node.ident for node in state.members
+        if not any(e in live for e in node.succ_list)
+    )
+    return (not offenders, offenders)
 
 
 @st.composite

@@ -182,6 +182,15 @@ class TestExplore:
         assert (result.verdict, result.states_visited) == ("ok", 4752)
         assert peak / result.states_visited < 400
 
+    def test_parents_share_equal_steps(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 3, 5, 7])
+        result = explore(s, ExploreConfig(max_depth=4, churn="full", collect_states=True))
+        first: dict = {}
+        links = [link for link in result.parents.values() if link is not None]
+        for _, step in links:
+            assert first.setdefault(step, step) is step
+        assert len(first) < len(links)
+
     def test_hook_sees_every_transition(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
         seen = []
@@ -400,6 +409,53 @@ class TestReplay:
         trace.records[2] = trace.records[2]._replace(flags=flags)
         with pytest.raises(ReplayMismatchError, match="flags"):
             replay(trace)
+
+
+def converged_trace(space3):
+    """A converge trace on the m=3 ring (0, 2, 5) just after 1 joined."""
+    trace = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1))
+    assert (trace.verdict, trace.meta["steps_to_ideal"]) == ("converged", 9)
+    return trace
+
+
+class TestReplayOutcome:
+    """Replay re-derives a converge trace's ``steps_to_ideal`` and verdict
+    from the ideal flags it re-checks."""
+
+    def test_flipped_verdict_detected(self, space3):
+        trace = converged_trace(space3)
+        trace.verdict = "not-converged"
+        with pytest.raises(ReplayMismatchError, match="verdict"):
+            replay(trace)
+
+    @pytest.mark.parametrize("steps_to_ideal", [0, 8, 10, None, True, 9.0])
+    def test_tampered_steps_to_ideal_detected(self, space3, steps_to_ideal):
+        trace = converged_trace(space3)
+        trace.meta["steps_to_ideal"] = steps_to_ideal
+        with pytest.raises(ReplayMismatchError, match="steps_to_ideal"):
+            replay(trace)
+
+    def test_not_converged_verdict_checked(self, space3):
+        trace = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1),
+                         step_cap=4)
+        assert (trace.verdict, trace.meta["steps_to_ideal"]) == ("not-converged", None)
+        replay(trace)
+        trace.verdict = "converged"
+        with pytest.raises(ReplayMismatchError, match="verdict"):
+            replay(trace)
+
+    def test_every_converge_trace_replays(self, space3):
+        # explored states carry continuations and notifications in flight;
+        # a small step cap gives not-converged traces too
+        result = explore(ideal_ring(space3, 2, [0, 2, 4, 6]),
+                         ExploreConfig(max_depth=3, churn="full", collect_states=True))
+        verdicts = set()
+        for seed, state in enumerate(result.states[::15]):
+            for step_cap in (200, 3):
+                trace = converge(state, Schedule(seed=seed), step_cap=step_cap)
+                verdicts.add(trace.verdict)
+                replay(trace)
+        assert verdicts == {"converged", "not-converged"}
 
 
 class TestDigest:

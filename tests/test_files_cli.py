@@ -249,6 +249,43 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["flags"]["sufficient_principals"] is False
 
+    @pytest.mark.parametrize("name, code, stdout", [
+        ("ideal_ring_m3.json", EXIT_OK,
+         '{"flags": {"at_least_one_ring": true, "at_most_one_ring": true, '
+         '"connected_appendages": true, "ideal": true, "invariant": true, '
+         '"no_duplicates": true, "one_live_successor": true, "ordered_ring": true, '
+         '"ordered_successor_lists": true, "sufficient_principals": true}, '
+         '"m": 3, "r": 2, "valid_initial": true, "witnesses": {}}'),
+        ("join_lifecycle_m6.json", EXIT_OK,
+         '{"flags": {"at_least_one_ring": true, "at_most_one_ring": true, '
+         '"connected_appendages": true, "ideal": false, "invariant": true, '
+         '"no_duplicates": true, "one_live_successor": true, "ordered_ring": true, '
+         '"ordered_successor_lists": true, "sufficient_principals": true}, '
+         '"m": 6, "r": 2, "valid_initial": true, "witnesses": {"ideal": [7, "succ_list"]}}'),
+        ("size_one_m6.json", EXIT_VIOLATION,
+         '{"flags": {"at_least_one_ring": true, "at_most_one_ring": true, '
+         '"connected_appendages": true, "ideal": true, "invariant": false, '
+         '"no_duplicates": false, "one_live_successor": true, "ordered_ring": true, '
+         '"ordered_successor_lists": false, "sufficient_principals": false}, '
+         '"m": 6, "r": 2, "valid_initial": false, "witnesses": {"no_duplicates": [48], '
+         '"ordered_successor_lists": [48, [48, 48, 48]], '
+         '"sufficient_principals": {"principals": [48], "required": 3}}}'),
+        ("stranded_appendages_m6.json", EXIT_VIOLATION,
+         '{"flags": {"at_least_one_ring": false, "at_most_one_ring": true, '
+         '"connected_appendages": false, "ideal": false, "invariant": false, '
+         '"no_duplicates": false, "one_live_successor": false, "ordered_ring": true, '
+         '"ordered_successor_lists": false, "sufficient_principals": false}, '
+         '"m": 6, "r": 2, "valid_initial": false, "witnesses": {"at_least_one_ring": [37, 62], '
+         '"connected_appendages": [37, 62], "ideal": [37, "succ_list"], '
+         '"no_duplicates": [37, 62], "one_live_successor": [37, 62], '
+         '"ordered_successor_lists": [37, [37, 48, 48]], '
+         '"sufficient_principals": {"principals": [], "required": 3}}}'),
+    ])
+    def test_check_output_pinned(self, capsys, name, code, stdout):
+        assert main(["check", str(SCENARIOS / name)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (stdout + "\n", "")
+
     def test_check_schema_error(self, tmp_path):
         # a removed explore setting fails loudly rather than being ignored
         doc = json.loads(json.dumps(IDEAL3))
@@ -339,6 +376,19 @@ class TestCli:
         lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         out.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(out)]) == EXIT_VIOLATION
+
+    def test_replay_rederives_converge_outcome(self, tmp_path, capsys):
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        assert main(["replay", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        closing = json.loads(lines[-1])
+        closing["verdict"] = "not-converged"
+        lines[-1] = json.dumps(closing)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_VIOLATION
+        assert "replay mismatch: verdict" in capsys.readouterr().err
 
     def test_replay_rejects_truncated_trace(self, tmp_path):
         out = tmp_path / "join.trace"

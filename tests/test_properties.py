@@ -3,12 +3,14 @@ invariant-implication checks (the exhaustive versions live in the
 acceptance suite)."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordcheck import (
+    ErrorMetric,
     GlobalState,
     IdSpace,
     StepKind,
@@ -22,8 +24,15 @@ from chordcheck import (
     make_state,
     valid_initial,
 )
+from chordcheck.properties import FLAG_NAMES
 
-from conftest import global_states, random_global_state, scan_best_successor
+from conftest import (
+    brute_force_principals,
+    global_states,
+    random_global_state,
+    scan_best_successor,
+    scan_one_live_successor,
+)
 
 
 def literal_ring_flags(state):
@@ -104,6 +113,93 @@ def literal_ideal_witness(state):
         if node.prdc != nearest_live(state, node.ident, reverse=True):
             return (node.ident, "prdc")
     return None
+
+
+def literal_no_duplicates(state):
+    """The members whose extended successor list repeats an identifier."""
+    return tuple(
+        node.ident for node in state.members if len({node.ident, *node.succ_list}) != state.r + 1
+    )
+
+
+def literal_ordered_successor_lists(state):
+    """The lowest member with a sublist [x, y, z] of its ESL, contiguous or
+    not, that fails between(x, y, z), and the first such sublist; None
+    when every ESL is ordered."""
+    between = state.space.between
+    for node in state.members:
+        for x, y, z in combinations((node.ident,) + node.succ_list, 3):
+            if not between(x, y, z):
+                return (node.ident, (x, y, z))
+    return None
+
+
+def literal_list_error(state, node):
+    """The length of the suffix of the member's list from its first entry
+    that is not its next clockwise live neighbour in turn."""
+    cur = node.ident
+    for i, entry in enumerate(node.succ_list):
+        cur = nearest_live(state, cur)
+        if entry != cur:
+            return state.r - i
+    return 0
+
+
+def literal_report(state):
+    """Every flag, the witnesses of the false ones in ``check_all``'s
+    order, and the error metric's fields, from the literal definitions."""
+    witnesses = {}
+    live_ok, stranded = scan_one_live_successor(state)
+    if not live_ok:
+        witnesses["one_live_successor"] = stranded
+    prins = brute_force_principals(state)
+    if len(prins) < state.r + 1:
+        witnesses["sufficient_principals"] = {"principals": tuple(sorted(prins)),
+                                              "required": state.r + 1}
+    if literal_no_duplicates(state):
+        witnesses["no_duplicates"] = literal_no_duplicates(state)
+    if literal_ordered_successor_lists(state) is not None:
+        witnesses["ordered_successor_lists"] = literal_ordered_successor_lists(state)
+    witnesses.update(literal_ring_flags(state)[1])
+    ideal = literal_ideal_witness(state)
+    if ideal is not None or not state.members:
+        witnesses["ideal"] = ideal
+    successor_error = {n.ident: oracle_pointer_error(state, n.ident, n.succ_list[0])
+                       for n in state.members}
+    predecessor_error = {n.ident: oracle_pointer_error(state, n.ident, n.prdc, reverse=True)
+                         for n in state.members}
+    metric = {
+        "s": state.live_count,
+        "successor_error": successor_error,
+        "predecessor_error": predecessor_error,
+        "list_error": {n.ident: literal_list_error(state, n) for n in state.members},
+        "cumulative": sum(successor_error.values()) + sum(predecessor_error.values()),
+        "witness": ideal,
+    }
+    flags = {name: name not in witnesses for name in FLAG_NAMES}
+    flags["invariant"] = flags["one_live_successor"] and flags["sufficient_principals"]
+    return flags, witnesses, metric
+
+
+def related_states(state):
+    """``state``, then its members under other live sets (each member
+    failed in turn), then the same state in the next wider space, whose
+    members share its facts."""
+    yield state
+    for node in state.members:
+        yield state.without_member(node.ident)
+    if state.space.m < 6:
+        yield GlobalState(IdSpace(state.space.m + 1), state.r, state.members,
+                          state.pending_stabilize, state.pending_notify)
+
+
+# m = 1..6 and r = 1..3, the empty network among them
+any_states = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda mr: st.one_of(
+        global_states(m=mr[0], r=mr[1], max_members=6, with_pending=True),
+        st.just(GlobalState(IdSpace(mr[0]), mr[1], ())),
+    )
+)
 
 
 # m = 3..5 and r = 1..3, with in-flight continuations and notifications
@@ -205,6 +301,60 @@ class TestCheckAll:
             for name in a:
                 if name != "ideal":
                     assert a[name] == b[name]
+
+
+class TestMemberFacts:
+    """``check_all`` and ``error_metric`` read per-member facts from a dict
+    that one run shares across its states."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(any_states, min_size=1, max_size=5))
+    def test_shared_facts_match_fresh_and_literal(self, stream):
+        facts = {}
+        for drawn in stream:
+            for s in related_states(drawn):
+                shared = check_all(s, facts)
+                fresh = check_all(s)
+                assert shared.flags == fresh.flags
+                assert list(shared.witnesses.items()) == list(fresh.witnesses.items())
+                assert shared.metric == fresh.metric == error_metric(s, facts)
+                flags, witnesses, metric = literal_report(s)
+                assert shared.flags == flags
+                assert list(shared.witnesses.items()) == list(witnesses.items())
+                assert shared.metric == ErrorMetric(**metric)
+
+    @pytest.mark.parametrize("nodes, r, witnesses", [
+        # an ESL holding its owner last: duplicated, yet in order
+        ([(0, 5, (2, 0)), (2, 0, (5, 0)), (5, 2, (0, 2))], 2,
+         {"sufficient_principals": {"principals": (0, 2), "required": 3},
+          "no_duplicates": (0,), "ideal": (0, "succ_list")}),
+        # an ESL holding its owner midway: the first triple out of order,
+        # in combinations order, is the witness
+        ([(0, 5, (3, 0, 5)), (3, 0, (5, 0, 3)), (5, 3, (0, 3, 5))], 3,
+         {"sufficient_principals": {"principals": (0,), "required": 4},
+          "no_duplicates": (0, 3, 5), "ordered_successor_lists": (0, (0, 0, 5)),
+          "ideal": (0, "succ_list")}),
+        # the ESLs (0, 3, 0) and (3, 0, 3) wrap a whole turn: in order
+        ([(0, 3, (3, 0)), (3, 0, (0, 3))], 2,
+         {"sufficient_principals": {"principals": (0, 3), "required": 3},
+          "no_duplicates": (0, 3)}),
+        # offsets 5 then 3 from the owner: out of order
+        ([(0, 5, (5, 3)), (3, 0, (5, 0)), (5, 3, (0, 3))], 2,
+         {"sufficient_principals": {"principals": (5,), "required": 3},
+          "ordered_successor_lists": (0, (0, 5, 3)), "ideal": (0, "succ_list")}),
+        # r = 1: an ESL of two entries is never out of order
+        ([(0, 6, (0,)), (2, 0, (6,)), (6, 2, (0,))], 1,
+         {"sufficient_principals": {"principals": (0,), "required": 2},
+          "no_duplicates": (0,), "ideal": (0, "succ_list")}),
+        ([(0, 6, (1,)), (2, 0, (6,)), (6, 2, (0,))], 1,
+         {"one_live_successor": (0,), "at_least_one_ring": (0, 2, 6),
+          "connected_appendages": (0, 2, 6), "ideal": (0, "succ_list")}),
+    ])
+    def test_boundary_witnesses_pinned(self, space3, nodes, r, witnesses):
+        s = make_state(space3, r, nodes)
+        report = check_all(s)
+        assert list(report.witnesses.items()) == list(witnesses.items())
+        assert list(literal_report(s)[1].items()) == list(witnesses.items())
 
 
 class TestIsIdeal:

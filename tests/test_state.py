@@ -28,34 +28,13 @@ from chordcheck import (
 from chordcheck.errors import UnknownMemberError
 from chordcheck.properties import one_live_successor
 
-from conftest import global_states, random_global_state, scan_best_successor
-
-
-def brute_force_principals(state):
-    """Literal definition: p is principal iff no contiguous ESL pair
-    skips it, checked pair by pair for every candidate."""
-    result = set()
-    for p in state.idents():
-        skipped = False
-        for node in state.members:
-            entries = esl(state, node.ident)
-            for x, y in zip(entries, entries[1:]):
-                if state.space.between(x, p, y):
-                    skipped = True
-        if not skipped:
-            result.add(p)
-    return frozenset(result)
-
-
-def scan_one_live_successor(state):
-    """Literal definition: the members with no live successor-list entry,
-    found by looking every entry up among the member identifiers."""
-    live = set(state.idents())
-    offenders = tuple(
-        node.ident for node in state.members
-        if not any(e in live for e in node.succ_list)
-    )
-    return (not offenders, offenders)
+from conftest import (
+    brute_force_principals,
+    global_states,
+    random_global_state,
+    scan_best_successor,
+    scan_one_live_successor,
+)
 
 
 def literal_safely_failable(state, member):
@@ -129,6 +108,15 @@ class TestGlobalState:
                        pending_notify=[(5, 0), (0, 2)])
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_duplicate_notifications_collapse(self, space3):
+        nodes = [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (0, 2))]
+        doubled = make_state(space3, 2, nodes, pending_notify=[(0, 2), (0, 2)])
+        single = make_state(space3, 2, nodes, pending_notify=[(0, 2)])
+        assert doubled.pending_notify == ((0, 2),)
+        assert doubled == single
+        assert doubled.key == single.key
+        assert apply_step(doubled, Step(StepKind.RECTIFY, 0, 2)).pending_notify == ()
 
     def test_snapshots_usable_as_dict_keys(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
