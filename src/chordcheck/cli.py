@@ -166,16 +166,27 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _given(block: dict, **flags) -> dict:
+    """The settings named by ``flags`` that a flag (any value but None) or
+    the scenario's config ``block`` gives, a flag over the block. A
+    setting neither gives is left out, so the library's default applies."""
+    given = {}
+    for name, value in flags.items():
+        if value is not None:
+            given[name] = value
+        elif name in block:
+            given[name] = block[name]
+    return given
+
+
 def cmd_explore(args) -> int:
     scenario = _load(args)
     block = scenario.explore_config
     try:
         cfg = ExploreConfig(
-            max_depth=args.depth if args.depth is not None else block.get("max_depth", 6),
-            max_states=args.max_states if args.max_states is not None else block.get("max_states", 1_000_000),
-            churn=args.churn or block.get("churn", "full"),
-            join_candidate_cap=args.join_cap if args.join_cap is not None else block.get("join_candidate_cap"),
             require_valid_initial=not (args.allow_invalid_initial or block.get("allow_invalid_initial", False)),
+            **_given(block, max_depth=args.depth, max_states=args.max_states, churn=args.churn,
+                     join_candidate_cap=args.join_cap),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -199,9 +210,8 @@ def cmd_explore(args) -> int:
 
 
 def _schedule(args, block: dict, state: GlobalState) -> Schedule:
-    window = args.fairness_window if args.fairness_window is not None else block.get("fairness_window")
-    schedule = Schedule(seed=args.seed if args.seed is not None else block.get("seed", 0),
-                        fairness_window=window)
+    # a schedule needs a seed, and the library has no default for it
+    schedule = Schedule(**{"seed": 0, **_given(block, seed=args.seed, fairness_window=args.fairness_window)})
     try:
         schedule.window_for(state)
     except ValueError as exc:
@@ -213,14 +223,11 @@ def cmd_simulate(args) -> int:
     scenario = _load(args)
     block = scenario.simulate_config
     state = scenario.starting_state()
+    # a run needs a length, and the library has no default for it
+    settings = {"steps": 100, **_given(block, steps=args.steps, churn=args.churn,
+                                       join_candidate_cap=None)}
     try:
-        trace = simulate(
-            state,
-            _schedule(args, block, state),
-            steps=args.steps if args.steps is not None else block.get("steps", 100),
-            churn=args.churn or block.get("churn", "full"),
-            join_candidate_cap=block.get("join_candidate_cap"),
-        )
+        trace = simulate(state, _schedule(args, block, state), **settings)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)
@@ -235,11 +242,7 @@ def cmd_converge(args) -> int:
         return EXIT_VIOLATION
     block = scenario.converge_config
     try:
-        trace = converge(
-            state,
-            _schedule(args, block, state),
-            step_cap=args.steps if args.steps is not None else block.get("step_cap", 200),
-        )
+        trace = converge(state, _schedule(args, block, state), **_given(block, step_cap=args.steps))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)

@@ -14,7 +14,7 @@ class AlreadyMemberError(ProtocolError):
 
 
 class FailUnsafeError(ProtocolError):
-    """An unforced fail would leave another member with no live successor."""
+    """An unforced fail would break the invariant among the survivors."""
 
 
 class NoCandidateError(ProtocolError):

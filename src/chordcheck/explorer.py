@@ -30,8 +30,6 @@ from .properties import (
     check_all,
     error_metric,
     invariant_holds,
-    one_live_successor,
-    sufficient_principals,
     valid_initial,
 )
 from .protocol import Step, StepKind, apply_step, enabled_steps
@@ -234,7 +232,7 @@ def explore(
     # every other visited state passed the check when it was reached; the
     # initial state did only if it satisfies the invariant, which
     # require_valid_initial=False leaves open
-    initial_checked = sufficient_principals(initial)[0] and one_live_successor(initial)[0]
+    initial_checked = invariant_holds(initial)
     nodes: dict = {}  # decoded members, shared by every expansion of this call
     shared: dict[Step, Step] = {}  # one Step object per distinct step in parents
     frontier: list[int] = [root]
@@ -251,14 +249,11 @@ def explore(
                 post = apply_step(state, step)
                 transitions += 1
                 post_key = post.key
-                if post_key in parents and (initial_checked or post_key != root):
-                    if on_transition is not None:
-                        on_transition(state, step, post, prins, principals(post))
-                    continue
-                enough, post_prins = sufficient_principals(post)
                 if on_transition is not None:
-                    on_transition(state, step, post, prins, post_prins)
-                if not (enough and one_live_successor(post)[0]):
+                    on_transition(state, step, post, prins, principals(post))
+                if post_key in parents and (initial_checked or post_key != root):
+                    continue
+                if not invariant_holds(post):
                     trace = _violation_trace(parents, initial, key, step, post)
                     break
                 parents[post_key] = (key, shared.setdefault(step, step))
@@ -380,7 +375,6 @@ def simulate(
     steps: int,
     churn: str = "full",
     join_candidate_cap: int | None = None,
-    require_valid_initial: bool = True,
 ) -> Trace:
     """Run a pseudorandom, fairness-window-respecting interleaving.
 
@@ -390,7 +384,7 @@ def simulate(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_join_cap(join_candidate_cap)
-    if require_valid_initial and not valid_initial(initial):
+    if not valid_initial(initial):
         raise InvalidInitialStateError("initial state is not a valid initial network")
     sched = _FairScheduler(initial, schedule, churn, join_candidate_cap)
     state = initial

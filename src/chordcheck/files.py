@@ -60,6 +60,11 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
+def _expect(cond: bool, message: str) -> None:
+    if not cond:
+        raise ScenarioFormatError(message)
+
+
 def step_from_doc(doc: dict) -> Step:
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"a step must be an object, got {doc!r}")
@@ -83,26 +88,51 @@ def step_from_doc(doc: dict) -> Step:
     return Step(kind, actor, arg, forced=forced)
 
 
+def _member_to_doc(node: NodeState) -> dict:
+    return {"id": node.ident, "prdc": node.prdc, "succ_list": list(node.succ_list)}
+
+
+def _members_from_doc(recs: object, where: str, space: IdSpace, r: int) -> tuple[NodeState, ...]:
+    """The member records of a scenario's ``init`` list or of a trace
+    state, checked field by field; ``where`` names the list in errors."""
+    _expect(isinstance(recs, list), f"field {where!r} must be a list of member records")
+    nodes = []
+    seen: set[int] = set()
+    for i, rec in enumerate(recs):
+        at = f"{where}[{i}]"
+        _expect(isinstance(rec, dict), f"{at} must be an object")
+        for key in ("id", "prdc", "succ_list"):
+            _expect(key in rec, f"{at} is missing field {key!r}")
+        ident, prdc, succ = rec["id"], rec["prdc"], rec["succ_list"]
+        _expect(_is_int(ident) and space.contains(ident),
+                f"{at}.id {ident!r} outside [0, {space.size})")
+        _expect(ident not in seen, f"{at}.id {ident} duplicates an earlier member")
+        seen.add(ident)
+        _expect(_is_int(prdc) and space.contains(prdc),
+                f"{at}.prdc {prdc!r} outside [0, {space.size})")
+        _expect(isinstance(succ, list) and len(succ) == r,
+                f"{at}.succ_list must have exactly r={r} entries, got {succ!r}")
+        for e in succ:
+            _expect(_is_int(e) and space.contains(e),
+                    f"{at}.succ_list entry {e!r} outside [0, {space.size})")
+        nodes.append(NodeState(ident, prdc, tuple(succ)))
+    return tuple(nodes)
+
+
 def state_to_doc(state: GlobalState) -> dict:
     return {
-        "members": [
-            {"id": n.ident, "prdc": n.prdc, "succ_list": list(n.succ_list)}
-            for n in state.members
-        ],
+        "members": [_member_to_doc(n) for n in state.members],
         "pending_stabilize": [list(e) for e in state.pending_stabilize],
         "pending_notify": [list(e) for e in state.pending_notify],
     }
 
 
-def state_from_doc(doc: dict, space: IdSpace, r: int) -> GlobalState:
-    members = tuple(
-        NodeState(m["id"], m["prdc"], tuple(m["succ_list"])) for m in doc["members"]
-    )
+def state_from_doc(doc: dict, space: IdSpace, r: int, where: str) -> GlobalState:
+    """The snapshot that a trace header's field ``where`` holds."""
+    members = _members_from_doc(doc["members"], f"{where}.members", space, r)
     pending_stabilize = tuple(tuple(e) for e in doc.get("pending_stabilize", ()))
     pending_notify = tuple(tuple(e) for e in doc.get("pending_notify", ()))
-    idents = [i for node in members for i in (node.ident, node.prdc, *node.succ_list)]
-    idents += [i for entry in pending_stabilize + pending_notify for i in entry]
-    for ident in idents:
+    for ident in (i for entry in pending_stabilize + pending_notify for i in entry):
         if not _is_int(ident):
             raise ValueError(f"identifiers must be integers, got {ident!r}")
     return GlobalState(space, r, members, pending_stabilize, pending_notify)
@@ -135,11 +165,6 @@ class Scenario:
 
 def scenario_digest(doc: dict) -> str:
     return hashlib.sha256(_dump(doc).encode("ascii")).hexdigest()
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScenarioFormatError(message)
 
 
 # Per-command configuration blocks: setting -> expected JSON type. The
@@ -183,25 +208,7 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
 
     init = doc.get("init")
     _expect(isinstance(init, list) and init, "field 'init' must be a non-empty list of member records")
-    seen: set[int] = set()
-    nodes = []
-    for i, rec in enumerate(init):
-        _expect(isinstance(rec, dict), f"init[{i}] must be an object")
-        for key in ("id", "prdc", "succ_list"):
-            _expect(key in rec, f"init[{i}] is missing field {key!r}")
-        ident, prdc, succ = rec["id"], rec["prdc"], rec["succ_list"]
-        _expect(_is_int(ident) and space.contains(ident),
-                f"init[{i}].id {ident!r} outside [0, {space.size})")
-        _expect(ident not in seen, f"init[{i}].id {ident} duplicates an earlier member")
-        seen.add(ident)
-        _expect(_is_int(prdc) and space.contains(prdc),
-                f"init[{i}].prdc {prdc!r} outside [0, {space.size})")
-        _expect(isinstance(succ, list) and len(succ) == r,
-                f"init[{i}].succ_list must have exactly r={r} entries, got {succ!r}")
-        for e in succ:
-            _expect(_is_int(e) and space.contains(e),
-                    f"init[{i}].succ_list entry {e!r} outside [0, {space.size})")
-        nodes.append(NodeState(ident, prdc, tuple(succ)))
+    nodes = _members_from_doc(init, "init", space, r)
 
     allow_forced = doc.get("allow_forced_fail", False)
     _expect(type(allow_forced) is bool,
@@ -225,7 +232,7 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
     return Scenario(
         space=space,
         r=r,
-        initial=GlobalState(space, r, tuple(nodes)),
+        initial=GlobalState(space, r, nodes),
         events=events,
         allow_forced_fail=allow_forced,
         explore_config=_config_block(doc, "explore"),
@@ -240,10 +247,7 @@ def scenario_to_doc(scenario: Scenario) -> dict:
         "version": SCENARIO_VERSION,
         "m": scenario.space.m,
         "r": scenario.r,
-        "init": [
-            {"id": n.ident, "prdc": n.prdc, "succ_list": list(n.succ_list)}
-            for n in scenario.initial.members
-        ],
+        "init": [_member_to_doc(n) for n in scenario.initial.members],
     }
     if scenario.events:
         doc["events"] = [step_to_doc(s) for s in scenario.events]
@@ -353,7 +357,7 @@ def read_trace(fh: IO[str]) -> Trace:
         if not (_is_int(m) and _is_int(r)):
             raise TraceFormatError(f"header 'm' and 'r' must be integers, got {m!r} and {r!r}")
         space = IdSpace(m)
-        initial = state_from_doc(header["initial"], space, r)
+        initial = state_from_doc(header["initial"], space, r, "initial")
         seed_state = None
         prelude = []
         if "seed_state" in header or "prelude" in header:
@@ -362,7 +366,7 @@ def read_trace(fh: IO[str]) -> Trace:
             if "seed_state" not in header or not header.get("prelude"):
                 raise TraceFormatError("header must carry 'seed_state' and a non-empty "
                                        "'prelude' together, or neither")
-            seed_state = state_from_doc(header["seed_state"], space, r)
+            seed_state = state_from_doc(header["seed_state"], space, r, "seed_state")
             prelude = [_record_from_doc(d) for d in header["prelude"]]
         records = []
         closing = None

@@ -21,7 +21,8 @@ is its one definition, and the ideal flag, its witness and
 with the flags, so a caller that needs both computes it once.
 
 ``Invariant`` is the conjunction of just two properties: every member has
-a live successor, and at least r + 1 members are principal. The other
+a live successor, and at least r + 1 members are principal.
+:func:`invariant_among` is its one test outside :func:`check_all`. The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .idspace import IdSpace
-from .state import GlobalState, NodeState, cycle_members, first_live, principals, skipped_mask
+from .state import GlobalState, NodeState, chain_cycles, first_live, skipped_mask
 
 FLAG_NAMES = (
     "one_live_successor",
@@ -72,49 +73,47 @@ class PropertyReport:
         return self.flags["ideal"]
 
 
-def one_live_successor(state: GlobalState) -> tuple[bool, tuple[int, ...]]:
-    mask = state.mask
-    offenders = []
-    for node in state.members:
-        if first_live(node, mask) is None:
-            offenders.append(node.ident)
-    return (not offenders, tuple(offenders))
-
-
-def sufficient_principals(state: GlobalState) -> tuple[bool, frozenset[int]]:
-    prins = principals(state)
-    return (len(prins) >= state.r + 1, prins)
+def invariant_among(space: IdSpace, r: int, live: int, members: Sequence[NodeState]) -> bool:
+    """The invariant among ``members`` when exactly the identifiers in
+    ``live`` are live: every member has a live successor, and at least
+    r + 1 live identifiers are principal (see
+    :func:`~chordcheck.state.skipped_mask`). :func:`invariant_holds` asks
+    it of a snapshot, :func:`~chordcheck.protocol.safely_failable` of the
+    survivors of a fail, without building the post-fail snapshot."""
+    for node in members:
+        if first_live(node, live) is None:
+            return False
+    return (live & ~skipped_mask(space, members)).bit_count() >= r + 1
 
 
 def invariant_holds(state: GlobalState) -> bool:
-    return one_live_successor(state)[0] and sufficient_principals(state)[0]
+    """Whether ``state`` satisfies the invariant (see :func:`invariant_among`)."""
+    return invariant_among(state.space, state.r, state.mask, state.members)
 
 
 def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:
-    """The four ring properties as (name, flag, witness), all read from the
-    best-successor table ``succ`` (see
-    :func:`~chordcheck.state.best_successors`). Every best-successor cycle
-    is made of ring members, so a chain that starts off the ring ends on it
-    or at a member with no live successor."""
-    ring = cycle_members(succ)
+    """The four ring properties as (name, flag, witness), all read from one
+    walk of the best-successor table ``succ`` (see
+    :func:`~chordcheck.state.best_successors` and
+    :func:`~chordcheck.state.chain_cycles`): the ring is the members on
+    a cycle, and a member is stranded when its chain ends at a member with
+    no live successor."""
+    ends = chain_cycles(succ)
+    ring = [member for member, cycle in ends.items() if cycle and member in cycle]
 
     at_most_witness = None
     if ring:
         # all ring members must lie on one best-successor cycle
-        start = min(ring)
-        cycle = {start}
-        cur = succ[start]
-        while cur != start:
-            cycle.add(cur)
-            cur = succ[cur]
-        stray = min(ring - cycle, default=None)
+        start = ring[0]
+        cycle = ends[start]
+        stray = next((member for member in ring if member not in cycle), None)
         if stray is not None:
             at_most_witness = (start, stray)
 
     ordered_witness = None
     arc = state.space.arc
     ring_mask = sum(1 << n for n in ring)
-    for n1 in sorted(ring):
+    for n1 in ring:
         n2 = succ[n1]
         inside = arc(n1, n2) & ring_mask
         if inside:
@@ -122,18 +121,12 @@ def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[s
             ordered_witness = (n1, (inside & -inside).bit_length() - 1, n2)
             break
 
-    stranded = []
-    for start in succ:
-        cur = start
-        while cur is not None and cur not in ring:
-            cur = succ[cur]
-        if cur is None:
-            stranded.append(start)
+    stranded = tuple(member for member, cycle in ends.items() if cycle is None)
     return [
         ("at_least_one_ring", bool(ring), None if ring else state.idents()),
         ("at_most_one_ring", at_most_witness is None, at_most_witness),
         ("ordered_ring", ordered_witness is None, ordered_witness),
-        ("connected_appendages", not stranded, tuple(stranded)),
+        ("connected_appendages", not stranded, stranded),
     ]
 
 

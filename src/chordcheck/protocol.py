@@ -24,7 +24,8 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .state import GlobalState, NodeState, first_live, principals, skipped_mask, with_entry
+from .properties import invariant_among
+from .state import GlobalState, NodeState, with_entry
 
 
 class StepKind(IntEnum):
@@ -112,26 +113,21 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
     return state.evolve(NodeState(joiner, new_prdc, target.succ_list))
 
 
-def _fail_strands_someone(state: GlobalState, member: int) -> bool:
-    survivors = state.mask & ~(1 << member)
-    for node in state.members:
-        if node.ident != member and first_live(node, survivors) is None:
-            return True
-    return False
-
-
 def step_fail(state: GlobalState, member: int, forced: bool = False) -> GlobalState:
     """Fail: the member deletes its state and ceases to respond.
 
-    Unforced fails respect the operating assumption that no other member
-    may be left without a live successor; ``forced`` exists solely to
-    script flaw reproductions that violate it deliberately.
+    An unforced fail must respect both operating assumptions, which keep
+    the invariant inductive: the survivors satisfy the invariant (see
+    :func:`safely_failable`), so no member is left without a live
+    successor and at least r + 1 members stay principal. ``forced`` exists
+    solely to script flaw reproductions that violate them deliberately.
     """
     if not state.is_member(member):
         raise UnknownMemberError(f"identifier {member} is not a member")
-    if not forced and _fail_strands_someone(state, member):
+    if not forced and not safely_failable(state, member):
         raise FailUnsafeError(
-            f"fail of {member} would leave another member with no live successor"
+            f"fail of {member} would leave a member with no live successor "
+            f"or fewer than r + 1 = {state.r + 1} principal members"
         )
     return state.without_member(member)
 
@@ -220,21 +216,14 @@ def apply_step(state: GlobalState, step: Step) -> GlobalState:
     raise ValueError(f"unknown step kind {step.kind!r}")
 
 
-def safely_failable(state: GlobalState, member: int, pre_principals: frozenset[int] | None = None) -> bool:
+def safely_failable(state: GlobalState, member: int) -> bool:
     """Whether an unforced fail of ``member`` respects both operating
-    assumptions: nobody is stranded without a live successor, and at least
-    r + 1 principal members remain afterwards."""
-    if _fail_strands_someone(state, member):
-        return False
-    required = state.r + 1
-    if pre_principals is not None and len(pre_principals - {member}) >= required:
-        # removing an ESL never makes another node skipped, so surviving
-        # principals stay principal; no recount needed
-        return True
-    # count the survivors' principals without building the post-fail snapshot
+    assumptions: the invariant holds among the survivors, so nobody is
+    left without a live successor and at least r + 1 members stay
+    principal. Asked of the survivors' lists, without building the
+    post-fail snapshot."""
     survivors = [node for node in state.members if node.ident != member]
-    live = state.mask & ~(1 << member)
-    return (live & ~skipped_mask(state.space, survivors)).bit_count() >= required
+    return invariant_among(state.space, state.r, state.mask & ~(1 << member), survivors)
 
 
 def enabled_steps(
@@ -271,9 +260,8 @@ def enabled_steps(
                 steps.append(Step(StepKind.JOIN, ident, target))
 
     if churn in ("fails_only", "full"):
-        pre = principals(state)
         for node in state.members:
-            if safely_failable(state, node.ident, pre):
+            if safely_failable(state, node.ident):
                 steps.append(Step(StepKind.FAIL, node.ident))
 
     blocked = {member for member, _ in state.pending_stabilize}

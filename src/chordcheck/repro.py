@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from .explorer import Trace, run_script
 from .idspace import IdSpace
-from .properties import check_all, principals, valid_initial
+from .properties import check_all, valid_initial
 from .protocol import Step, StepKind
-from .state import GlobalState, make_state
+from .state import GlobalState, make_state, principals
 
 SCENARIO_NAMES = ("fig3", "fig4")
 

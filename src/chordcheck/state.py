@@ -470,23 +470,29 @@ def principals(state: GlobalState) -> frozenset[int]:
     return frozenset(node.ident for node in state.members if not skipped >> node.ident & 1)
 
 
-def cycle_members(succ: dict[int, int | None]) -> frozenset[int]:
-    """The members on cycles of a best-successor table (see
-    :func:`best_successors`): the ones that reach themselves."""
-    ring: set[int] = set()
-    done: set[int] = set()
+def chain_cycles(succ: dict[int, int | None]) -> dict[int, frozenset[int] | None]:
+    """One walk of a best-successor table (see :func:`best_successors`):
+    for every member, keyed in the table's order, the cycle its chain of
+    best successors ends on, or None when the chain ends at a member with
+    no live successor. A member is on a cycle exactly when it is in the
+    cycle its own chain ends on."""
+    ends: dict[int, frozenset[int] | None] = {}
     for start in succ:
-        walk: dict[int, None] = {}  # this chain's members, in order
+        walk: dict[int, None] = {}  # this chain's new members, in order
         cur = start
-        while cur is not None and cur not in done and cur not in walk:
+        while cur is not None and cur not in ends and cur not in walk:
             walk[cur] = None
             cur = succ[cur]
         if cur in walk:
             # the chain closed on itself: the part from ``cur`` on is a cycle
             chain = list(walk)
-            ring.update(chain[chain.index(cur):])
-        done.update(walk)
-    return frozenset(ring)
+            cycle = frozenset(chain[chain.index(cur):])
+        else:
+            # the chain joined one walked before, or ended (``cur`` is None)
+            cycle = ends.get(cur)
+        for member in walk:
+            ends[member] = cycle
+    return {member: ends[member] for member in succ}
 
 
 def ring_members(state: GlobalState) -> frozenset[int]:
@@ -495,7 +501,8 @@ def ring_members(state: GlobalState) -> frozenset[int]:
     A chain that hits a member with no live successor classifies its start
     as an appendage; so does a chain that enters a cycle elsewhere.
     """
-    return cycle_members(best_successors(state))
+    ends = chain_cycles(best_successors(state))
+    return frozenset(member for member, cycle in ends.items() if cycle and member in cycle)
 
 
 def appendage_members(state: GlobalState) -> frozenset[int]:

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from chordcheck import IdSpace, Schedule, converge, ideal_ring, run_fig3, simulate
+from chordcheck import (
+    ExploreConfig,
+    IdSpace,
+    Schedule,
+    converge,
+    explore,
+    ideal_ring,
+    run_fig3,
+    simulate,
+)
 from chordcheck.cli import (
     EXIT_CAP_HIT,
     EXIT_NOT_CONVERGED,
@@ -191,6 +200,10 @@ class TestTraceFormat:
         bool_id["members"][1]["id"] = True
         float_entry = json.loads(run[0])["initial"]
         float_entry["members"][0]["succ_list"][1] = 5.0
+        no_succ_list = json.loads(run[0])["initial"]
+        del no_succ_list["members"][2]["succ_list"]
+        bool_seed_id = json.loads(drained[0])["seed_state"]
+        bool_seed_id["members"][0]["id"] = False
         cases = [
             edited(run, 0, m=3.9),
             edited(run, 0, m="3"),
@@ -233,6 +246,11 @@ class TestTraceFormat:
         for lines in cases:
             with pytest.raises(TraceFormatError):
                 read_trace(io.StringIO("\n".join(lines) + "\n"))
+        # trace members go through the scenario's member-record checks
+        with pytest.raises(TraceFormatError, match=r"initial\.members\[2\] is missing field 'succ_list'"):
+            read_trace(io.StringIO("\n".join(edited(run, 0, initial=no_succ_list)) + "\n"))
+        with pytest.raises(TraceFormatError, match=r"seed_state\.members\[0\]\.id False outside"):
+            read_trace(io.StringIO("\n".join(edited(drained, 0, seed_state=bool_seed_id)) + "\n"))
 
 
 class TestCli:
@@ -286,6 +304,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (stdout + "\n", "")
 
+    def test_check_refuses_unforced_fail_breaking_principals(self, tmp_path, capsys):
+        # failing 0 strands nobody but leaves 2 principals where 3 are required
+        doc = dict(IDEAL3, events=[{"kind": "fail", "actor": 0}])
+        path = write_scenario(tmp_path, doc)
+        assert main(["check", path]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chordcheck: protocol error: fail of 0 ")
+
     def test_check_schema_error(self, tmp_path):
         # a removed explore setting fails loudly rather than being ignored
         doc = json.loads(json.dumps(IDEAL3))
@@ -298,6 +325,36 @@ class TestCli:
         assert main(["explore", path, "--depth", "3"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "ok"
+
+    def test_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        # with no flag and no config block, the CLI adds no setting of its own
+        path = write_scenario(tmp_path, IDEAL3)
+        scenario = load_scenario(path)
+        assert main(["explore", path]) == EXIT_OK
+        result = explore(scenario.initial, ExploreConfig())
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": result.verdict,
+            "states_visited": result.states_visited,
+            "transitions": result.transitions,
+            "depth_reached": result.depth_reached,
+            "frontier_size": result.frontier_size,
+        }
+
+        def undated(text):
+            header, *rest = text.splitlines()
+            header = json.loads(header)
+            header.pop("created_at")
+            return [header] + rest
+
+        # the library has no default seed or simulate length: the CLI's are 0 and 100
+        for command, trace in [
+            ("converge", converge(scenario.initial, Schedule(seed=0))),
+            ("simulate", simulate(scenario.initial, Schedule(seed=0), steps=100)),
+        ]:
+            assert main([command, path]) == EXIT_OK
+            buf = io.StringIO()
+            write_trace(trace, buf, scenario.digest)
+            assert undated(capsys.readouterr().out) == undated(buf.getvalue()), command
 
     def test_explore_depth_zero(self, tmp_path, capsys):
         path = write_scenario(tmp_path, IDEAL3)

@@ -11,6 +11,7 @@ from chordcheck import (
     Step,
     StepKind,
     apply_step,
+    check_all,
     enabled_steps,
     ideal_ring,
     lookup_predecessor,
@@ -143,6 +144,29 @@ class TestFail:
         s = make_state(space6, 2, [(48, 37, (62, 37)), (62, 48, (48, 48)), (37, 62, (48, 48))])
         with pytest.raises(FailUnsafeError):
             step_fail(s, 48)
+
+    def test_fail_leaving_too_few_principals_rejected(self, space3):
+        # nobody is stranded, but only 2 of the r + 1 = 3 principals remain
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(FailUnsafeError, match="principal"):
+            step_fail(s, 0)
+        with pytest.raises(FailUnsafeError):
+            apply_step(s, Step(StepKind.FAIL, 0))
+        assert step_fail(s, 0, forced=True).idents() == (2, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(global_states(m=3, r=2, with_pending=True))
+    def test_fail_precondition_is_the_survivors_invariant(self, s):
+        assert invariant_holds(s) == check_all(s).flags["invariant"]
+        for member in s.idents():
+            safe = safely_failable(s, member)
+            assert safe == invariant_holds(s.without_member(member)), member
+            try:
+                step_fail(s, member)
+            except FailUnsafeError:
+                assert not safe, member
+            else:
+                assert safe, member
 
     def test_forced_fail_overrides(self, space6):
         s = make_state(space6, 2, [(48, 37, (62, 37)), (62, 48, (48, 48)), (37, 62, (48, 48))])
@@ -399,8 +423,5 @@ class TestStepProperties:
             for node in s.members:
                 if node.ident in pre:
                     continue
-                try:
-                    post = step_fail(s, node.ident)
-                except FailUnsafeError:
-                    continue
+                post = step_fail(s, node.ident, forced=True)
                 assert principals(post) >= pre

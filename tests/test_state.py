@@ -17,6 +17,7 @@ from chordcheck import (
     apply_step,
     appendage_members,
     best_successors,
+    check_all,
     enabled_steps,
     esl,
     ideal_ring,
@@ -26,7 +27,6 @@ from chordcheck import (
     safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
-from chordcheck.properties import one_live_successor
 
 from conftest import (
     brute_force_principals,
@@ -284,12 +284,11 @@ class TestPrincipals:
     @example(make_state(IdSpace(3), 2, [(0, 6, (1, 3)), (1, 0, (2, 4)), (2, 1, (4, 6)),
                                         (4, 2, (6, 0)), (6, 4, (0, 2))]))
     def test_mask_queries_match_literal_definitions(self, s):
-        assert one_live_successor(s) == scan_one_live_successor(s)
-        pre = principals(s)
+        report = check_all(s)
+        live_ok = report.flags["one_live_successor"]
+        assert (live_ok, report.witnesses.get("one_live_successor", ())) == scan_one_live_successor(s)
         for member in s.idents():
-            expected = literal_safely_failable(s, member)
-            assert safely_failable(s, member) == expected, member
-            assert safely_failable(s, member, pre) == expected, member
+            assert safely_failable(s, member) == literal_safely_failable(s, member), member
 
     def test_padding_entry_counts_as_ordinary(self, space3):
         # (4, 5) skips nothing even though 5 may be nobody: entries are
