@@ -22,7 +22,9 @@ with the flags, so a caller that needs both computes it once.
 
 ``Invariant`` is the conjunction of just two properties: every member has
 a live successor, and at least r + 1 members are principal.
-:func:`invariant_among` is its one test outside :func:`check_all`. The other
+:func:`invariant_among` is its one test outside :func:`check_all`, and
+:func:`failable_mask` gives, in one pass, its verdict on the survivors of
+every member's fail. The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -35,7 +37,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .idspace import IdSpace
-from .state import GlobalState, NodeState, chain_cycles, first_live, skipped_mask
+from .state import GlobalState, NodeState, chain_cycles, first_live, member_masks
 
 FLAG_NAMES = (
     "one_live_successor",
@@ -77,18 +79,60 @@ def invariant_among(space: IdSpace, r: int, live: int, members: Sequence[NodeSta
     """The invariant among ``members`` when exactly the identifiers in
     ``live`` are live: every member has a live successor, and at least
     r + 1 live identifiers are principal (see
-    :func:`~chordcheck.state.skipped_mask`). :func:`invariant_holds` asks
+    :func:`~chordcheck.state.member_masks`). :func:`invariant_holds` asks
     it of a snapshot, :func:`~chordcheck.protocol.safely_failable` of the
     survivors of a fail, without building the post-fail snapshot."""
+    skipped = 0
     for node in members:
-        if first_live(node, live) is None:
+        node_skipped, entries = member_masks(space, node)
+        if not entries & live:
             return False
-    return (live & ~skipped_mask(space, members)).bit_count() >= r + 1
+        skipped |= node_skipped
+    return (live & ~skipped).bit_count() >= r + 1
 
 
 def invariant_holds(state: GlobalState) -> bool:
     """Whether ``state`` satisfies the invariant (see :func:`invariant_among`)."""
     return invariant_among(state.space, state.r, state.mask, state.members)
+
+
+def failable_mask(state: GlobalState) -> int:
+    """Every fail verdict of ``state`` at once: bit x is set iff x is a
+    member and :func:`invariant_among` holds for the survivors of x
+    failing, which is what :func:`~chordcheck.protocol.safely_failable`
+    asks of one member.
+
+    One pass over the members' masks (see
+    :func:`~chordcheck.state.member_masks`) finds who a fail would strand:
+    failing x strands every other member whose only live entry is x, and a
+    member with no live entry already is stranded unless it is the one
+    that fails. The survivors' skip union for each x comes from prefix and
+    suffix ORs of the members' skip masks."""
+    space = state.space
+    live = state.mask
+    rows = [member_masks(space, node) for node in state.members]
+    candidates = live
+    for node, (_, entries) in zip(state.members, rows):
+        heads = entries & live
+        own = 1 << node.ident
+        if not heads:
+            candidates &= own  # already stranded: only its own fail unstrands it
+        elif heads & (heads - 1) == 0 and heads != own:
+            candidates &= ~heads  # its one live entry is another member
+    if not candidates:
+        return 0
+    after = [0] * (len(rows) + 1)
+    for i in range(len(rows) - 1, -1, -1):
+        after[i] = after[i + 1] | rows[i][0]
+    required = state.r + 1
+    failable = 0
+    before = 0
+    for i, node in enumerate(state.members):
+        own = 1 << node.ident
+        if candidates & own and (live & ~own & ~(before | after[i + 1])).bit_count() >= required:
+            failable |= own
+        before |= rows[i][0]
+    return failable
 
 
 def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:
@@ -299,7 +343,7 @@ def _member_facts(space: IdSpace, mask: int, node: NodeState) -> MemberFacts:
             break
     return MemberFacts(
         first_live(node, mask),
-        skipped_mask(space, (node,)) & mask,
+        member_masks(space, node)[0] & mask,
         len({ident, *succ_list}) != r + 1,
         _disorder(space, node),
         succ_err,

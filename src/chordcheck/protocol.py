@@ -24,7 +24,7 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .properties import invariant_among
+from .properties import failable_mask, invariant_among
 from .state import GlobalState, NodeState, with_entry
 
 
@@ -221,7 +221,9 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     assumptions: the invariant holds among the survivors, so nobody is
     left without a live successor and at least r + 1 members stay
     principal. Asked of the survivors' lists, without building the
-    post-fail snapshot."""
+    post-fail snapshot. This is the guard of one fail in :func:`step_fail`;
+    :func:`enabled_steps` reads every member's verdict from
+    :func:`~chordcheck.properties.failable_mask`."""
     survivors = [node for node in state.members if node.ident != member]
     return invariant_among(state.space, state.r, state.mask & ~(1 << member), survivors)
 
@@ -237,9 +239,11 @@ def enabled_steps(
     first, up to ``join_candidate_cap`` (None means all); each joins at
     the predecessor :func:`lookup_predecessor` would pick, and a candidate
     no member covers gets no step. Unforced fails are offered only for
-    safely-failable members. The list is deterministic for a given state
-    and configuration, and is built in ``Step.sort_key`` order (by kind,
-    then actor, then argument), so it is never sorted.
+    safely-failable members, all found in one pass (see
+    :func:`~chordcheck.properties.failable_mask`). The list is
+    deterministic for a given state and configuration, and is built in
+    ``Step.sort_key`` order (by kind, then actor, then argument), so it is
+    never sorted.
     """
     if churn not in CHURN_POLICIES:
         raise ValueError(f"unknown churn policy {churn!r}")
@@ -260,8 +264,9 @@ def enabled_steps(
                 steps.append(Step(StepKind.JOIN, ident, target))
 
     if churn in ("fails_only", "full"):
+        failable = failable_mask(state)
         for node in state.members:
-            if safely_failable(state, node.ident):
+            if failable >> node.ident & 1:
                 steps.append(Step(StepKind.FAIL, node.ident))
 
     blocked = {member for member, _ in state.pending_stabilize}

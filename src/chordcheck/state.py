@@ -442,24 +442,50 @@ def best_successors(state: GlobalState) -> dict[int, int | None]:
     return {node.ident: first_live(node, mask) for node in state.members}
 
 
-def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
-    """The identifiers skipped by the extended successor lists of
-    ``members``, as a bitmask.
+# bounds the memo of a space that sees many distinct members, as a sweep
+# over random states does; an exploration holds a few hundred
+MEMBER_MASKS_CEILING = 4096
 
-    An identifier p is skipped when some ESL has a contiguous pair (x, y)
-    with ``between(x, p, y)``. Padding entries synthesized during
-    stabilization count as ordinary entries. The mask is the union of the
-    arc masks of every contiguous ESL pair, so each pair costs one mask
-    operation rather than one ``between`` test per member. One member's
-    mask is ``skipped_mask(space, (node,))``.
+
+def member_masks(space: IdSpace, node: NodeState) -> tuple[int, int]:
+    """The member's ``(skipped, entries)`` masks in ``space``.
+
+    ``skipped`` holds the identifiers its extended successor list (ESL)
+    skips: p is skipped when the ESL has a contiguous pair (x, y) with
+    ``between(x, p, y)``, so the mask is the union of the arc masks of
+    those pairs. Padding entries synthesized during stabilization count as
+    ordinary entries. ``entries`` has bit e set for each successor-list
+    entry e, so ``entries & live`` is empty exactly when the member has no
+    live successor.
+
+    The pair depends on the member and the width of the space (an arc that
+    wraps covers different identifiers in a wider space), so it is
+    memoized on ``space``, keyed by ``node``. The memo is cleared when it
+    reaches :data:`MEMBER_MASKS_CEILING` entries.
     """
-    arc = space.arc
-    skipped = 0
-    for node in members:
+    memo = space._member_masks
+    masks = memo.get(node)
+    if masks is None:
+        if len(memo) >= MEMBER_MASKS_CEILING:
+            memo.clear()
+        arc = space.arc
+        skipped = entries = 0
         x = node.ident
         for y in node.succ_list:
             skipped |= arc(x, y)
+            entries |= 1 << y
             x = y
+        masks = memo[node] = (skipped, entries)
+    return masks
+
+
+def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
+    """The identifiers skipped by the extended successor lists of
+    ``members``, as a bitmask: the union of their ``skipped`` masks (see
+    :func:`member_masks`)."""
+    skipped = 0
+    for node in members:
+        skipped |= member_masks(space, node)[0]
     return skipped
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from chordcheck import (
     ExploreConfig,
     GlobalState,
+    IdSpace,
     Schedule,
     Step,
     StepKind,
@@ -28,6 +30,7 @@ from chordcheck import (
     state_digest,
     step_join,
 )
+from chordcheck import protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError
 from chordcheck.explorer import _FairScheduler
 from chordcheck.files import load_scenario
@@ -103,6 +106,29 @@ class TestExplore:
         result = explore(s, ExploreConfig(max_depth=4, churn="full"))
         assert result.ok
         assert result.states_visited > 100
+
+    def test_each_fail_transition_asks_safely_failable_once(self, monkeypatch):
+        # enabled_steps reads every fail verdict from one failable_mask pass;
+        # only step_fail's guard asks safely_failable, once per fail applied
+        callers = []
+        real = protocol.safely_failable
+
+        def counting(state, member):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(state, member)
+
+        monkeypatch.setattr(protocol, "safely_failable", counting)
+        fails = []
+
+        def on_transition(state, step, post, pre_principals, post_principals):
+            if step.kind == StepKind.FAIL:
+                fails.append(step)
+
+        s = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        result = explore(s, ExploreConfig(max_depth=4, churn="full"), on_transition)
+        assert result.ok and fails
+        assert len(callers) == len(fails)
+        assert set(callers) == {"step_fail"}
 
     def test_requires_valid_initial_unless_waived(self):
         s = build_fig3_state()

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordcheck import (
+    ExploreConfig,
+    IdSpace,
+    NodeState,
     Step,
     StepKind,
     apply_step,
     check_all,
     enabled_steps,
+    explore,
     ideal_ring,
     lookup_predecessor,
     make_state,
@@ -33,7 +37,7 @@ from chordcheck.errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from chordcheck.properties import invariant_holds
+from chordcheck.properties import failable_mask, invariant_holds
 
 from conftest import global_states, random_global_state
 
@@ -187,6 +191,71 @@ class TestFail:
     def test_unknown_member(self, space3):
         with pytest.raises(UnknownMemberError):
             step_fail(ideal_ring(space3, 2, [0, 2, 5]), 1)
+
+
+def per_member_enabled_steps(state, churn):
+    """Reference: the joins, then a fail step for each member that
+    safely_failable accepts, asked one member at a time, then the repair
+    steps."""
+    repairs = enabled_steps(state, churn="none")
+    joins = []
+    if churn == "full":
+        with_joins = enabled_steps(state, churn="joins_only")
+        joins = with_joins[:len(with_joins) - len(repairs)]
+    fails = [Step(StepKind.FAIL, x) for x in state.idents() if safely_failable(state, x)]
+    return joins + fails + repairs
+
+
+# any m in 3..5 and r in 1..3, invariant-violating states included
+varied_states = st.integers(3, 5).flatmap(lambda m: st.integers(1, 3).flatmap(
+    lambda r: global_states(m=m, r=r, max_members=6, with_pending=True)))
+
+
+class TestFailableMask:
+    @settings(max_examples=300, deadline=None)
+    @given(varied_states)
+    def test_every_bit_is_the_single_fail_verdict(self, s):
+        failable = failable_mask(s)
+        assert failable & ~s.mask == 0
+        for x in s.idents():
+            bit = failable >> x & 1 == 1
+            assert bit == safely_failable(s, x) == invariant_holds(s.without_member(x)), x
+
+    def test_member_listing_only_itself_live_is_not_stranded_by_its_fail(self):
+        ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
+        # 1's only live entry is 1 itself; its list skips every other member
+        s = ring.with_node(NodeState(1, 0, (1, 2)))
+        assert failable_mask(s) == 1 << 1
+        assert safely_failable(s, 1)
+
+    def test_one_stranded_member_may_fail_and_blocks_every_other_fail(self):
+        ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
+        assert failable_mask(ring) == sum(1 << x for x in (0, 4, 8, 12))
+        # 1 has no live entry and skips no one
+        s = ring.with_node(NodeState(1, 0, (2, 3)))
+        assert not invariant_holds(s)
+        assert failable_mask(s) == 1 << 1
+        assert safely_failable(s, 1)
+        # failing 4 leaves enough principals; only 1's stranding refuses it
+        assert len(principals(s.without_member(4))) >= 3
+        assert not safely_failable(s, 4)
+
+    def test_two_stranded_members_leave_no_fail(self):
+        ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
+        s = ring.with_node(NodeState(1, 0, (2, 3))).with_node(NodeState(5, 4, (6, 7)))
+        assert failable_mask(s) == 0
+        assert not any(safely_failable(s, x) for x in s.idents())
+        assert [st for st in enabled_steps(s) if st.kind == StepKind.FAIL] == []
+
+    def test_enabled_steps_match_per_member_fail_tests(self):
+        explored = explore(ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7]),
+                           ExploreConfig(max_depth=3, churn="full", collect_states=True))
+        rng = random.Random(23)
+        randoms = [random_global_state(rng, m=rng.randint(1, 6), r=rng.randint(1, 3),
+                                       min_members=1) for _ in range(500)]
+        for s in explored.states + randoms:
+            for churn in ("full", "fails_only"):
+                assert enabled_steps(s, churn=churn) == per_member_enabled_steps(s, churn)
 
 
 class TestStabilizeFromSuccessor:

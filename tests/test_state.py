@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from chordcheck import (
     GlobalState,
     IdSpace,
+    NodeState,
     Step,
     StepKind,
     apply_step,
@@ -27,6 +28,7 @@ from chordcheck import (
     safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
+from chordcheck.state import MEMBER_MASKS_CEILING, member_masks, skipped_mask
 
 from conftest import (
     brute_force_principals,
@@ -297,6 +299,63 @@ class TestPrincipals:
             (0, 6, (2, 4)), (2, 0, (4, 5)), (4, 2, (6, 0)), (6, 4, (0, 2)),
         ])
         assert 6 in principals(s)
+
+
+def scan_skipped(space, node):
+    """Literal definition: the identifiers some contiguous pair of the
+    member's ESL skips, found with one between test per identifier."""
+    entries = (node.ident,) + node.succ_list
+    return sum(1 << p for p in space.idents()
+               if any(space.between(x, p, y) for x, y in zip(entries, entries[1:])))
+
+
+SHARED_SPACE4 = IdSpace(4)  # its memo fills across examples
+
+
+class TestMemberMasks:
+    def test_wrapped_pair_depends_on_the_space(self):
+        node = NodeState(6, 0, (1, 2))
+        small, large = IdSpace(3), IdSpace(4)
+        # the pair (6, 1) wraps: it skips 7 and 0 at m=3, and 7..15 and 0 at m=4
+        assert member_masks(small, node) == (1 << 7 | 1 << 0, 0b110)
+        assert member_masks(large, node) == (sum(1 << p for p in (*range(7, 16), 0)), 0b110)
+        for space in (small, large):
+            assert member_masks(space, node)[0] == scan_skipped(space, node)
+
+    @settings(max_examples=200)
+    @given(global_states(m=4, r=3, max_members=6))
+    def test_skipped_mask_matches_between_scan_fresh_and_filled(self, s):
+        expected = 0
+        for node in s.members:
+            expected |= scan_skipped(s.space, node)
+            assert member_masks(SHARED_SPACE4, node)[1] == sum(1 << e for e in set(node.succ_list))
+        fresh = IdSpace(4)
+        assert skipped_mask(fresh, s.members) == expected  # fills the memo
+        assert skipped_mask(fresh, s.members) == expected  # reads it
+        assert skipped_mask(SHARED_SPACE4, s.members) == expected
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        a, b = IdSpace(4), IdSpace(4)
+        principals(ideal_ring(a, 2, [0, 5, 9]))
+        assert a._member_masks and not b._member_masks
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "IdSpace(m=4)"
+        assert ideal_ring(a, 2, [0, 5]) == ideal_ring(b, 2, [0, 5])
+        assert pickle.dumps(a) == pickle.dumps(b)
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        space = IdSpace(6)
+        rng = random.Random(31)
+        seen = set()
+        while len(seen) <= 2 * MEMBER_MASKS_CEILING:
+            node = NodeState(rng.randrange(64), rng.randrange(64),
+                             (rng.randrange(64), rng.randrange(64)))
+            if node in seen:
+                continue
+            seen.add(node)
+            skipped, _ = member_masks(space, node)
+            assert 0 < len(space._member_masks) <= MEMBER_MASKS_CEILING
+            if len(seen) % 64 == 0:
+                assert skipped == scan_skipped(space, node)
 
 
 class TestRingMembers:
