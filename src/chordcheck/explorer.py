@@ -82,7 +82,7 @@ class Trace:
 def _record(index: int, step: Step, state: GlobalState,
             facts: Facts) -> tuple[TraceRecord, ErrorMetric]:
     """The trace record of one resulting state, and its error metric;
-    ``facts`` is the run's member-facts dict (see :func:`check_all`)."""
+    ``facts`` is the run's facts dict (see :func:`check_all`)."""
     report = check_all(state, facts)
     metric = report.metric
     record = TraceRecord(
@@ -208,8 +208,9 @@ def explore(
     """Breadth-first search over atomic-step interleavings.
 
     Checks the invariant on every distinct post-state, when it is first
-    reached, and returns the first (hence minimal) violating trace, else a
-    summary. A transition to a state already visited, and so already
+    reached (the guard of an unforced fail has already checked it among
+    the survivors), and returns the first (hence minimal) violating trace,
+    else a summary. A transition to a state already visited, and so already
     checked, is counted but not checked again; ``on_transition`` still
     sees every transition, with both states and their principals.
     Hitting the visited-state cap yields an inconclusive ``cap-hit``
@@ -253,7 +254,9 @@ def explore(
                     on_transition(state, step, post, prins, principals(post))
                 if post_key in parents and (initial_checked or post_key != root):
                     continue
-                if not invariant_holds(post):
+                # enabled_steps offers only unforced fails, and step_fail's
+                # guard has just found the invariant among the survivors
+                if step.kind != StepKind.FAIL and not invariant_holds(post):
                     trace = _violation_trace(parents, initial, key, step, post)
                     break
                 parents[post_key] = (key, shared.setdefault(step, step))
@@ -505,8 +508,9 @@ def converge(
 
 def replay(trace: Trace) -> list:
     """Re-execute a trace and re-check every digest and flag set, with a
-    member-facts dict of its own, so no flag is taken from the run that
-    wrote the trace. A converge trace's ``steps_to_ideal`` and verdict are
+    facts dict of its own, so no flag is taken from the run that wrote the
+    trace: each member table's report is derived once and every record is
+    compared with it. A converge trace's ``steps_to_ideal`` and verdict are
     re-derived from the re-checked ideal flags too (see
     :func:`_check_outcome`).
 

@@ -13,6 +13,16 @@ identifiers below ``2**m`` is the same in every wider space. One step
 changes at most one member, so along a run almost every member is looked
 up, not recomputed. Without a dict, each call uses a fresh one.
 
+The same dict holds one :class:`PropertyReport` per distinct
+``(r, members)``. No property reads the pending entries, and most steps
+change only those (a rectify that keeps the predecessor, a stabilize
+whose adopted list equals the old one, every step once the network is
+ideal), so along a run most reports are looked up, not rebuilt. ``r`` is
+in the key because the empty network's ``sufficient_principals`` witness
+reads it; the width of the space is not, for the reason above. A
+memoized report, and its metric, is shared by every state with those
+members: callers must not mutate it.
+
 The ring properties (at least one ring, at most one ring, an ordered
 ring, connected appendages) all come from the table of best successors
 that the facts give. Ideality is zero pointer error: :func:`error_metric`
@@ -185,9 +195,24 @@ def is_ideal(state: GlobalState) -> bool:
 def check_all(state: GlobalState, facts: Facts | None = None) -> PropertyReport:
     """Evaluate every named property and collect witnesses for failures.
 
-    ``facts`` is the member-facts dict of the run this state belongs to
-    (see the module docstring); None means a fresh one."""
-    rows = _rows(state, {} if facts is None else facts)
+    ``facts`` is the facts dict of the run this state belongs to (see the
+    module docstring); None means a fresh one. The report is kept there
+    under ``(state.r, state.members)``, so a later state with the same
+    members, whatever its pending entries, gets the same object back:
+    callers must not mutate the report or its metric."""
+    if facts is None:
+        facts = {}
+    key = (state.r, state.members)
+    report = facts.get(key)
+    if report is None:
+        report = facts[key] = _report(state, facts)
+    return report
+
+
+def _report(state: GlobalState, facts: Facts) -> PropertyReport:
+    """Every flag, witness and the metric of ``state``, from its member
+    rows (see :func:`check_all`)."""
+    rows = _rows(state, facts)
     metric = _metric(state, rows)
     required = state.r + 1
     stranded = []
@@ -265,8 +290,14 @@ class ErrorMetric:
 
 
 def error_metric(state: GlobalState, facts: Facts | None = None) -> ErrorMetric:
-    """The error metric of ``state``; ``facts`` as for :func:`check_all`."""
-    return _metric(state, _rows(state, {} if facts is None else facts))
+    """The error metric of ``state``; ``facts`` as for :func:`check_all`,
+    whose report, when the dict holds one for these members, gives it."""
+    if facts is None:
+        facts = {}
+    report = facts.get((state.r, state.members))
+    if report is not None:
+        return report.metric
+    return _metric(state, _rows(state, facts))
 
 
 class MemberFacts(NamedTuple):
@@ -289,8 +320,10 @@ class MemberFacts(NamedTuple):
     list_error: int
 
 
-# (live mask, member) -> that member's facts; one dict per run
-Facts = dict[tuple[int, NodeState], MemberFacts]
+# one dict per run: (live mask, member) -> that member's facts, and
+# (r, members) -> the report of every snapshot with those members
+Facts = dict[tuple[int, NodeState] | tuple[int, tuple[NodeState, ...]],
+             MemberFacts | PropertyReport]
 
 
 def _next_live(mask: int, ident: int) -> int:

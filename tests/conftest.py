@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState, esl
+from chordcheck import GlobalState, IdSpace, NodeState, apply_step, esl
 
 
 @pytest.fixture
@@ -68,6 +68,22 @@ def scan_one_live_successor(state):
         if not any(e in live for e in node.succ_list)
     )
     return (not offenders, offenders)
+
+
+def repeated_table_record(trace):
+    """The index of the first record of a converge trace's retention
+    window whose state has the same members as the record before it, so
+    that a shared facts dict answers its check from the earlier report."""
+    start = trace.meta["steps_to_ideal"]
+    assert start is not None
+    state = trace.initial
+    before = None
+    for i, rec in enumerate(trace.records):
+        state = apply_step(state, rec.step)
+        if i >= start and state.members == before:
+            return i
+        before = state.members
+    raise AssertionError("no record repeats its predecessor's members")
 
 
 @st.composite

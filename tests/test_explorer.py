@@ -30,10 +30,12 @@ from chordcheck import (
     state_digest,
     step_join,
 )
-from chordcheck import protocol
+from chordcheck import explorer, protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError
 from chordcheck.explorer import _FairScheduler
 from chordcheck.files import load_scenario
+
+from conftest import repeated_table_record
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -129,6 +131,27 @@ class TestExplore:
         assert result.ok and fails
         assert len(callers) == len(fails)
         assert set(callers) == {"step_fail"}
+
+    def test_fail_post_states_are_not_rechecked(self, monkeypatch):
+        # step_fail's guard has already tested the survivors, so explore
+        # checks the initial state and each new state reached otherwise
+        checked = []
+        real = explorer.invariant_holds
+
+        def counting(state):
+            checked.append(state.key)
+            return real(state)
+
+        monkeypatch.setattr(explorer, "invariant_holds", counting)
+        s = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        result = explore(s, ExploreConfig(max_depth=4, churn="full", collect_states=True))
+        assert result.ok
+        reached = [(state.key, result.parents[state.key]) for state in result.states[1:]]
+        fail_posts = {key for key, (_, step) in reached if step.kind == StepKind.FAIL}
+        assert fail_posts
+        assert checked == [s.key] + [key for key, (_, step) in reached
+                                     if step.kind != StepKind.FAIL]
+        assert not fail_posts & set(checked)
 
     def test_requires_valid_initial_unless_waived(self):
         s = build_fig3_state()
@@ -434,6 +457,25 @@ class TestReplay:
         flags["ideal"] = not flags["ideal"]
         trace.records[2] = trace.records[2]._replace(flags=flags)
         with pytest.raises(ReplayMismatchError, match="flags"):
+            replay(trace)
+
+    @pytest.mark.parametrize("field", ["ideal", "cumulative_error"])
+    def test_tampering_on_a_repeated_member_table_detected(self, space3, field):
+        # the record's report comes from the shared facts dict, built for
+        # the record before it, and is still compared with the record
+        trace = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1))
+        replay(trace)
+        i = repeated_table_record(trace)
+        rec = trace.records[i]
+        if field == "ideal":
+            flags = dict(rec.flags)
+            flags["ideal"] = not flags["ideal"]
+            trace.records[i] = rec._replace(flags=flags)
+            match = "property flags"
+        else:
+            trace.records[i] = rec._replace(cumulative_error=rec.cumulative_error + 1)
+            match = "cumulative error"
+        with pytest.raises(ReplayMismatchError, match=rf"records\[{i}\]: {match}"):
             replay(trace)
 
 

@@ -39,6 +39,8 @@ from chordcheck.files import (
     write_trace,
 )
 
+from conftest import repeated_table_record
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -446,6 +448,24 @@ class TestCli:
         capsys.readouterr()
         assert main(["replay", str(out)]) == EXIT_VIOLATION
         assert "replay mismatch: verdict" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["ideal", "cumulative_error"])
+    def test_replay_detects_tampering_on_repeated_member_table(self, tmp_path, capsys, field):
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        i = repeated_table_record(load_trace(str(out)))
+        lines = out.read_text().splitlines()
+        rec = json.loads(lines[1 + i])
+        assert rec["index"] == i
+        if field == "ideal":
+            rec["flags"]["ideal"] = not rec["flags"]["ideal"]
+        else:
+            rec["cumulative_error"] += 1
+        lines[1 + i] = json.dumps(rec)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_VIOLATION
+        assert f"replay mismatch: records[{i}]" in capsys.readouterr().err
 
     def test_replay_rejects_truncated_trace(self, tmp_path):
         out = tmp_path / "join.trace"

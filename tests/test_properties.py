@@ -357,6 +357,69 @@ class TestMemberFacts:
         assert list(literal_report(s)[1].items()) == list(witnesses.items())
 
 
+def same_report(a, b):
+    """Equal flags, equal witnesses in the same order, and an equal metric."""
+    assert a.flags == b.flags
+    assert list(a.witnesses.items()) == list(b.witnesses.items())
+    assert a.metric == b.metric
+
+
+@st.composite
+def other_pending(draw, state):
+    """``state``'s members with other in-flight entries: a continuation for
+    some members, any candidate, and any notifications."""
+    space = state.space
+    anywhere = st.integers(0, space.size - 1)
+    owners = draw(st.lists(st.sampled_from(state.idents()), unique=True)) if state.members else []
+    stabilize = [(owner, draw(anywhere)) for owner in owners]
+    notify = draw(st.lists(st.tuples(anywhere, anywhere), max_size=3))
+    return GlobalState(space, state.r, state.members, stabilize, notify)
+
+
+class TestReportMemo:
+    """A run's facts dict keeps one report per ``(r, members)``: no
+    property reads the pending entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_report_ignores_pending_entries(self, data):
+        s = data.draw(any_states)
+        bare = GlobalState(s.space, s.r, s.members)
+        other = data.draw(other_pending(s))
+        report = check_all(s)
+        for variant in (bare, other):
+            same_report(check_all(variant), report)
+
+    def test_pending_only_difference_shares_the_report(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        busy = GlobalState(space3, 2, s.members, [(0, 1)], [(2, 0), (5, 4)])
+        facts = {}
+        report = check_all(s, facts)
+        assert check_all(busy, facts) is report
+        assert error_metric(s, facts) is report.metric
+        assert error_metric(busy, facts) is report.metric
+        assert report.metric == error_metric(busy)
+
+    def test_empty_network_keyed_by_r(self, space3):
+        facts = {}
+        for r in (1, 2):
+            report = check_all(GlobalState(space3, r, ()), facts)
+            assert report.witnesses["sufficient_principals"] == {"principals": (), "required": r + 1}
+
+    def test_wider_space_shares_the_report(self):
+        # the best-successor cycle 1 -> 6 -> 4 -> 1 runs against the
+        # identifier order; its arcs 6 -> 4 and 4 -> 1 wrap past 0
+        nodes = [(1, 4, (6, 4)), (4, 6, (1, 6)), (6, 1, (4, 1))]
+        facts = {}
+        narrow = make_state(IdSpace(3), 2, nodes)
+        wide = make_state(IdSpace(4), 2, nodes)
+        report = check_all(narrow, facts)
+        assert not report.flags["ordered_ring"]
+        assert check_all(wide, facts) is report
+        same_report(report, check_all(narrow))
+        same_report(report, check_all(wide))
+
+
 class TestIsIdeal:
     def test_construction_is_ideal(self, space3):
         assert is_ideal(ideal_ring(space3, 2, [0, 2, 5]))
