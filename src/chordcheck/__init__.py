@@ -3,8 +3,8 @@
 The package models the ring-maintenance protocol as atomic, interleaved
 steps over immutable global snapshots, and layers on top of it:
 
-- structural queries (extended successor lists, best successors,
-  principal members, ring membership),
+- structural queries (best successors, principal members, ring
+  membership),
 - every named global property, the two-part inductive invariant, ideality,
   and a pointer error metric,
 - a bounded breadth-first explorer for invariant checking with minimal
@@ -20,9 +20,7 @@ from .idspace import IdSpace
 from .state import (
     GlobalState,
     NodeState,
-    appendage_members,
     best_successors,
-    esl,
     ideal_ring,
     make_state,
     principals,
@@ -78,7 +76,6 @@ __all__ = [
     "TraceRecord",
     "PropertyReport",
     "ErrorMetric",
-    "appendage_members",
     "apply_step",
     "best_successors",
     "build_fig3_state",
@@ -87,7 +84,6 @@ __all__ = [
     "converge",
     "enabled_steps",
     "error_metric",
-    "esl",
     "explore",
     "ideal_ring",
     "invariant_holds",

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .explorer import ExploreConfig, Schedule, Trace, converge, explore, replay, simulate
 from .files import Scenario, load_scenario, load_trace, save_trace, write_trace
+from .idspace import MAX_BITS
 from .properties import check_all, valid_initial
 from .protocol import CHURN_POLICIES
 from .repro import SCENARIO_NAMES, run_scenario
@@ -96,6 +97,10 @@ def _output_trace(trace: Trace, out: str | None, scenario_digest: str | None = N
 
 
 def _load(args) -> Scenario:
+    if args.m is not None and not 1 <= args.m <= MAX_BITS:
+        raise _UsageError(f"--m must be in 1..{MAX_BITS}, got {args.m}")
+    if args.r is not None and args.r < 1:
+        raise _UsageError(f"--r must be >= 1, got {args.r}")
     return load_scenario(args.scenario, m_override=args.m, r_override=args.r)
 
 
@@ -117,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None, help="maximum interleaving depth")
     p.add_argument("--max-states", type=int, default=None, help="visited-state cap")
     p.add_argument("--churn", choices=CHURN_POLICIES, default=None)
-    p.add_argument("--join-cap", type=int, default=None, help="cap on join candidates per state")
     p.add_argument("--allow-invalid-initial", action="store_true",
                    help="explore even if the scenario is not a valid initial network")
     p.add_argument("--out", default=None, help="write the counterexample trace here")
@@ -185,8 +189,7 @@ def cmd_explore(args) -> int:
     try:
         cfg = ExploreConfig(
             require_valid_initial=not (args.allow_invalid_initial or block.get("allow_invalid_initial", False)),
-            **_given(block, max_depth=args.depth, max_states=args.max_states, churn=args.churn,
-                     join_candidate_cap=args.join_cap),
+            **_given(block, max_depth=args.depth, max_states=args.max_states, churn=args.churn),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -224,8 +227,7 @@ def cmd_simulate(args) -> int:
     block = scenario.simulate_config
     state = scenario.starting_state()
     # a run needs a length, and the library has no default for it
-    settings = {"steps": 100, **_given(block, steps=args.steps, churn=args.churn,
-                                       join_candidate_cap=None)}
+    settings = {"steps": 100, **_given(block, steps=args.steps, churn=args.churn)}
     try:
         trace = simulate(state, _schedule(args, block, state), **settings)
     except ValueError as exc:

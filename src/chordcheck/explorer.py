@@ -114,24 +114,17 @@ def run_script(
 # -- bounded breadth-first exploration ---------------------------------------
 
 
-def _check_join_cap(join_candidate_cap: int | None) -> None:
-    if join_candidate_cap is not None and join_candidate_cap < 0:
-        raise ValueError(f"join_candidate_cap must be >= 0 or None, got {join_candidate_cap}")
-
-
 @dataclass(frozen=True)
 class ExploreConfig:
     max_depth: int = 6
     max_states: int = 1_000_000
     churn: str = "full"
-    join_candidate_cap: int | None = None
     require_valid_initial: bool = True
     collect_states: bool = False
 
     def __post_init__(self) -> None:
         if self.max_depth < 0 or self.max_states < 1:
             raise ValueError("max_depth must be >= 0 and max_states positive")
-        _check_join_cap(self.join_candidate_cap)
 
 
 Parents = dict[int, tuple[int, Step] | None]
@@ -246,7 +239,7 @@ def explore(
         for key in frontier:
             state = GlobalState.from_key(space, r, key, nodes)
             prins = principals(state) if on_transition is not None else None
-            for step in enabled_steps(state, churn=cfg.churn, join_candidate_cap=cfg.join_candidate_cap):
+            for step in enabled_steps(state, churn=cfg.churn):
                 post = apply_step(state, step)
                 transitions += 1
                 post_key = post.key
@@ -325,12 +318,10 @@ class _FairScheduler:
     enumerates the enabled steps.
     """
 
-    def __init__(self, state: GlobalState, schedule: Schedule, churn: str,
-                 join_candidate_cap: int | None = None):
+    def __init__(self, state: GlobalState, schedule: Schedule, churn: str):
         self.rng = random.Random(schedule.seed)
         self.window = schedule.window_for(state)
         self.churn = churn
-        self.cap = join_candidate_cap
         self.idle = {ident: i for i, ident in enumerate(state.idents())}
         self.notify_age = {entry: 0 for entry in state.pending_notify}
 
@@ -360,7 +351,7 @@ class _FairScheduler:
         if stale:
             target, new_prdc = min(stale)
             return Step(StepKind.RECTIFY, target, new_prdc)
-        return self.rng.choice(enabled_steps(state, churn=self.churn, join_candidate_cap=self.cap))
+        return self.rng.choice(enabled_steps(state, churn=self.churn))
 
     def account(self, step: Step, post: GlobalState) -> None:
         self.idle = {ident: self.idle.get(ident, -1) + 1 for ident in post.idents()}
@@ -377,7 +368,6 @@ def simulate(
     schedule: Schedule,
     steps: int,
     churn: str = "full",
-    join_candidate_cap: int | None = None,
 ) -> Trace:
     """Run a pseudorandom, fairness-window-respecting interleaving.
 
@@ -386,10 +376,9 @@ def simulate(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    _check_join_cap(join_candidate_cap)
     if not valid_initial(initial):
         raise InvalidInitialStateError("initial state is not a valid initial network")
-    sched = _FairScheduler(initial, schedule, churn, join_candidate_cap)
+    sched = _FairScheduler(initial, schedule, churn)
     state = initial
     records = []
     facts: Facts = {}
@@ -510,9 +499,11 @@ def replay(trace: Trace) -> list:
     """Re-execute a trace and re-check every digest and flag set, with a
     facts dict of its own, so no flag is taken from the run that wrote the
     trace: each member table's report is derived once and every record is
-    compared with it. A converge trace's ``steps_to_ideal`` and verdict are
-    re-derived from the re-checked ideal flags too (see
-    :func:`_check_outcome`).
+    compared with it. The verdict is re-derived too: a converge trace's
+    ``steps_to_ideal`` and verdict from the re-checked ideal flags (see
+    :func:`_check_outcome`), an explore trace's from the invariant flags
+    (see :func:`_check_violation`), and a simulate or script trace must
+    say ``ok``.
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
@@ -535,6 +526,10 @@ def replay(trace: Trace) -> list:
         reports.append(_check_record(state, rec, "records", facts))
     if trace.kind == "converge":
         _check_outcome(trace, error_metric(trace.initial, facts).ideal, reports)
+    elif trace.kind == "explore":
+        _check_violation(trace, reports)
+    elif trace.kind in ("simulate", "script") and trace.verdict != "ok":
+        raise ReplayMismatchError(f"verdict {trace.verdict!r} != 'ok' for a {trace.kind} trace")
     return reports
 
 
@@ -577,3 +572,16 @@ def _check_outcome(trace: Trace, initial_ideal: bool, reports: list) -> None:
     if trace.verdict != verdict:
         raise ReplayMismatchError(
             f"verdict {trace.verdict!r} != {verdict!r} re-derived from the records")
+
+
+def _check_violation(trace: Trace, reports: list) -> None:
+    """Refuse an explore trace that is not a counterexample as
+    :func:`explore` writes one: verdict ``invariant-violated``, the last
+    record violating the invariant and every earlier record satisfying it."""
+    holds = [report.flags["invariant"] for report in reports]
+    if trace.verdict != "invariant-violated":
+        raise ReplayMismatchError(
+            f"verdict {trace.verdict!r} != 'invariant-violated' for an explore trace")
+    if not holds or holds[-1] or not all(holds[:-1]):
+        raise ReplayMismatchError(
+            "an explore trace must end at its first record that violates the invariant")

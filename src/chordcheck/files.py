@@ -167,16 +167,14 @@ def scenario_digest(doc: dict) -> str:
     return hashlib.sha256(_dump(doc).encode("ascii")).hexdigest()
 
 
-# Per-command configuration blocks: setting -> expected JSON type. The
-# settings in _NULLABLE may also be null, meaning "no cap" / "default".
+# Per-command configuration blocks: setting -> expected JSON type.
+# fairness_window may also be null, meaning "default".
 _CONFIG_FIELDS = {
     "explore": {"max_depth": int, "max_states": int, "churn": str,
-                "join_candidate_cap": int, "allow_invalid_initial": bool},
-    "simulate": {"steps": int, "seed": int, "fairness_window": int, "churn": str,
-                 "join_candidate_cap": int},
+                "allow_invalid_initial": bool},
+    "simulate": {"steps": int, "seed": int, "fairness_window": int, "churn": str},
     "converge": {"step_cap": int, "seed": int, "fairness_window": int},
 }
-_NULLABLE = {"join_candidate_cap", "fairness_window"}
 
 
 def _config_block(doc: dict, name: str) -> dict:
@@ -186,7 +184,7 @@ def _config_block(doc: dict, name: str) -> dict:
     for key, value in block.items():
         _expect(key in fields, f"unknown {name} setting {key!r}")
         # type(...) is, not isinstance: JSON true/false must not pass as integers
-        _expect(type(value) is fields[key] or (value is None and key in _NULLABLE),
+        _expect(type(value) is fields[key] or (value is None and key == "fairness_window"),
                 f"{name}.{key} must be {fields[key].__name__}, got {value!r}")
         _expect(key != "churn" or value in CHURN_POLICIES,
                 f"{name}.churn must be one of {list(CHURN_POLICIES)}, got {value!r}")
@@ -199,8 +197,8 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
             f"unsupported scenario version {doc.get('version')!r}")
     m = m_override if m_override is not None else doc.get("m")
     r = r_override if r_override is not None else doc.get("r")
-    _expect(_is_int(m), f"field 'm' must be an integer, got {doc.get('m')!r}")
-    _expect(_is_int(r) and r >= 1, f"field 'r' must be a positive integer, got {doc.get('r')!r}")
+    _expect(_is_int(m), f"field 'm' must be an integer, got {m!r}")
+    _expect(_is_int(r) and r >= 1, f"field 'r' must be a positive integer, got {r!r}")
     try:
         space = IdSpace(m)
     except ValueError as exc:
@@ -240,26 +238,6 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
         converge_config=_config_block(doc, "converge"),
         digest=scenario_digest(doc),
     )
-
-
-def scenario_to_doc(scenario: Scenario) -> dict:
-    doc: dict[str, Any] = {
-        "version": SCENARIO_VERSION,
-        "m": scenario.space.m,
-        "r": scenario.r,
-        "init": [_member_to_doc(n) for n in scenario.initial.members],
-    }
-    if scenario.events:
-        doc["events"] = [step_to_doc(s) for s in scenario.events]
-    if scenario.allow_forced_fail:
-        doc["allow_forced_fail"] = True
-    if scenario.explore_config:
-        doc["explore"] = scenario.explore_config
-    if scenario.simulate_config:
-        doc["simulate"] = scenario.simulate_config
-    if scenario.converge_config:
-        doc["converge"] = scenario.converge_config
-    return doc
 
 
 def load_scenario(path: str, m_override: int | None = None, r_override: int | None = None) -> Scenario:

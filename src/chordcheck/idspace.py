@@ -12,10 +12,6 @@ it in one operation.
 Identifiers are not quantities; no distance metric is defined on the
 circle. The only arithmetic exposed is ``next_ident``, which successor
 lists use to synthesize a padding entry.
-
-Each space also carries a private memo of per-member arc masks, filled
-by :func:`~chordcheck.state.member_masks`. It takes no part in equality,
-hashing, ``repr`` or pickling.
 """
 
 from __future__ import annotations
@@ -31,16 +27,11 @@ class IdSpace:
 
     m: int
     size: int = field(init=False, compare=False, repr=False)
-    # NodeState -> (skipped, entries); see chordcheck.state.member_masks
-    _member_masks: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or not 1 <= self.m <= MAX_BITS:
             raise ValueError(f"bit width m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
         object.__setattr__(self, "size", 1 << self.m)
-
-    def __reduce__(self):
-        return (IdSpace, (self.m,))  # the memo is not pickled
 
     def contains(self, n: int) -> bool:
         return 0 <= n < self.size

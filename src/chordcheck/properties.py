@@ -73,17 +73,6 @@ class PropertyReport:
     metric: ErrorMetric
     witnesses: dict[str, object] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return all(self.flags.values())
-
-    @property
-    def invariant(self) -> bool:
-        return self.flags["invariant"]
-
-    @property
-    def ideal(self) -> bool:
-        return self.flags["ideal"]
-
 
 def invariant_among(space: IdSpace, r: int, live: int, members: Sequence[NodeState]) -> bool:
     """The invariant among ``members`` when exactly the identifiers in

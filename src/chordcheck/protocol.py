@@ -13,7 +13,7 @@ lookup protocol is out of scope here.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     AlreadyMemberError,
@@ -228,20 +228,15 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     return invariant_among(state.space, state.r, state.mask & ~(1 << member), survivors)
 
 
-def enabled_steps(
-    state: GlobalState,
-    churn: str = "full",
-    join_candidate_cap: int | None = None,
-) -> list[Step]:
+def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     """Every step whose preconditions hold, in canonical order.
 
-    Join candidates are drawn from the non-member identifiers, lowest
-    first, up to ``join_candidate_cap`` (None means all); each joins at
-    the predecessor :func:`lookup_predecessor` would pick, and a candidate
-    no member covers gets no step. Unforced fails are offered only for
-    safely-failable members, all found in one pass (see
+    Every non-member identifier that some member covers joins, in
+    ascending order, at the predecessor :func:`lookup_predecessor` would
+    pick; a candidate no member covers gets no step. Unforced fails are
+    offered only for safely-failable members, all found in one pass (see
     :func:`~chordcheck.properties.failable_mask`). The list is
-    deterministic for a given state and configuration, and is built in
+    deterministic for a given state and churn policy, and is built in
     ``Step.sort_key`` order (by kind, then actor, then argument), so it is
     never sorted.
     """
@@ -249,19 +244,9 @@ def enabled_steps(
         raise ValueError(f"unknown churn policy {churn!r}")
     steps: list[Step] = []
 
-    if churn in ("joins_only", "full") and state.live_count:
-        predecessors = _join_predecessors(state)
-        count = 0
-        mask = state.mask
-        for ident in state.space.idents():
-            if mask >> ident & 1:
-                continue
-            if join_candidate_cap is not None and count >= join_candidate_cap:
-                break
-            count += 1
-            target = predecessors.get(ident)
-            if target is not None:
-                steps.append(Step(StepKind.JOIN, ident, target))
+    if churn in ("joins_only", "full"):
+        for ident, target in sorted(_join_predecessors(state).items()):
+            steps.append(Step(StepKind.JOIN, ident, target))
 
     if churn in ("fails_only", "full"):
         failable = failable_mask(state)

@@ -36,6 +36,7 @@ when the notifications change.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import UnknownMemberError
@@ -374,10 +375,6 @@ class GlobalState(_Fields):
             key = _with_notify_bits(key, self.space.size + len(members) * width, pending_notify, m)
         return _frozen(self.space, self.r, members, pending_stabilize, pending_notify, mask, key)
 
-    def with_notify(self, target: int, new_prdc: int) -> GlobalState:
-        entries = with_entry(self.pending_notify, (target, new_prdc))
-        return self if entries is self.pending_notify else self.evolve(pending_notify=entries)
-
 
 def with_entry(entries: tuple[tuple[int, int], ...], entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """A sorted tuple of pending entries with ``entry`` added; the same
@@ -417,13 +414,6 @@ def ideal_ring(space: IdSpace, r: int, idents: Iterable[int]) -> GlobalState:
 # -- derived structure ------------------------------------------------------
 
 
-def esl(state: GlobalState, member: int) -> tuple[int, ...]:
-    """The member's extended successor list: its own identifier prepended
-    to its successor list (length r + 1)."""
-    node = state.node(member)
-    return (node.ident,) + node.succ_list
-
-
 def first_live(node: NodeState, mask: int) -> int | None:
     """The member's first successor-list entry that is live under ``mask``
     (bit ``i`` set iff ``i`` is live), or None if every entry is dead."""
@@ -442,9 +432,10 @@ def best_successors(state: GlobalState) -> dict[int, int | None]:
     return {node.ident: first_live(node, mask) for node in state.members}
 
 
-# bounds the memo of a space that sees many distinct members, as a sweep
-# over random states does; an exploration holds a few hundred
-MEMBER_MASKS_CEILING = 4096
+# bounds the memo, which lives as long as the process: one run uses a few
+# hundred entries (an m=4 depth-5 exploration, 106), but many runs in one
+# process, or a sweep over random states, pass through many more
+MEMBER_MASKS_CEILING = 1024
 
 
 def member_masks(space: IdSpace, node: NodeState) -> tuple[int, int]:
@@ -458,25 +449,24 @@ def member_masks(space: IdSpace, node: NodeState) -> tuple[int, int]:
     entry e, so ``entries & live`` is empty exactly when the member has no
     live successor.
 
-    The pair depends on the member and the width of the space (an arc that
-    wraps covers different identifiers in a wider space), so it is
-    memoized on ``space``, keyed by ``node``. The memo is cleared when it
-    reaches :data:`MEMBER_MASKS_CEILING` entries.
+    The pair depends on the width of the space (an arc that wraps covers
+    different identifiers in a wider space), the member's identifier and
+    its successor list, but not its ``prdc``. It is memoized under those
+    three, keeping the :data:`MEMBER_MASKS_CEILING` most recently used.
     """
-    memo = space._member_masks
-    masks = memo.get(node)
-    if masks is None:
-        if len(memo) >= MEMBER_MASKS_CEILING:
-            memo.clear()
-        arc = space.arc
-        skipped = entries = 0
-        x = node.ident
-        for y in node.succ_list:
-            skipped |= arc(x, y)
-            entries |= 1 << y
-            x = y
-        masks = memo[node] = (skipped, entries)
-    return masks
+    return _masks(space.m, node.ident, node.succ_list)
+
+
+@lru_cache(maxsize=MEMBER_MASKS_CEILING)
+def _masks(m: int, ident: int, succ_list: tuple[int, ...]) -> tuple[int, int]:
+    arc = IdSpace(m).arc
+    skipped = entries = 0
+    x = ident
+    for y in succ_list:
+        skipped |= arc(x, y)
+        entries |= 1 << y
+        x = y
+    return skipped, entries
 
 
 def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
@@ -530,7 +520,3 @@ def ring_members(state: GlobalState) -> frozenset[int]:
     ends = chain_cycles(best_successors(state))
     return frozenset(member for member, cycle in ends.items() if cycle and member in cycle)
 
-
-def appendage_members(state: GlobalState) -> frozenset[int]:
-    """Members that are not ring members."""
-    return frozenset(state.idents()) - ring_members(state)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState, apply_step, esl
+from chordcheck import GlobalState, IdSpace, NodeState, apply_step
 
 
 @pytest.fixture
@@ -41,6 +41,13 @@ def scan_best_successor(state, member):
     entry found among the member identifiers, or None."""
     live = set(state.idents())
     return next((e for e in state.node(member).succ_list if e in live), None)
+
+
+def esl(state, member):
+    """Literal definition of an extended successor list: the member's own
+    identifier followed by its successor list."""
+    node = state.node(member)
+    return (node.ident,) + node.succ_list
 
 
 def brute_force_principals(state):

@@ -4,6 +4,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from chordcheck import (
     make_state,
     principals,
     replay,
+    run_script,
     simulate,
     state_digest,
     step_join,
@@ -46,16 +48,15 @@ class ReferenceScheduler:
     its deadline stabilizes, else the lowest over-age notification to a
     live member is delivered, else a seeded draw from the enabled list."""
 
-    def __init__(self, state, schedule, churn, join_candidate_cap=None):
+    def __init__(self, state, schedule, churn):
         self.rng = random.Random(schedule.seed)
         self.window = schedule.window_for(state)
         self.churn = churn
-        self.cap = join_candidate_cap
         self.idle = {ident: i for i, ident in enumerate(state.idents())}
         self.notify_age = {entry: 0 for entry in state.pending_notify}
 
     def pick(self, state):
-        enabled = enabled_steps(state, churn=self.churn, join_candidate_cap=self.cap)
+        enabled = enabled_steps(state, churn=self.churn)
         if not enabled:
             return None
         due = [m for m, idle in self.idle.items() if idle >= self.window - 1]
@@ -78,12 +79,12 @@ class ReferenceScheduler:
         self.notify_age = {e: self.notify_age.get(e, -1) + 1 for e in post.pending_notify}
 
 
-def picks_agree(state, seed, churn, rounds, cap=None):
+def picks_agree(state, seed, churn, rounds):
     """Run the fair scheduler and the reference side by side from
     ``state``; return the number of rounds both scheduled."""
     schedule = Schedule(seed=seed)
-    fair = _FairScheduler(state, schedule, churn, cap)
-    ref = ReferenceScheduler(state, schedule, churn, cap)
+    fair = _FairScheduler(state, schedule, churn)
+    ref = ReferenceScheduler(state, schedule, churn)
     for done in range(rounds):
         step = fair.pick(state)
         assert step == ref.pick(state), (done, state)
@@ -165,6 +166,27 @@ class TestExplore:
         s = build_fig3_state()
         result = explore(s, ExploreConfig(max_depth=2, require_valid_initial=False))
         replay(result.trace)
+
+    def test_replay_refuses_verdicts_its_records_do_not_give(self, space3):
+        run = simulate(ideal_ring(space3, 2, [0, 2, 5]), Schedule(seed=2), steps=10)
+        stranded = run_script(build_fig3_state(), [Step(StepKind.FAIL, 48, forced=True),
+                                                   Step(StepKind.STABILIZE_FROM_SUCCESSOR, 62)])
+        violation = explore(build_fig3_state(),
+                            ExploreConfig(max_depth=2, require_valid_initial=False)).trace
+        for trace in (run, stranded, violation):
+            replay(trace)
+        for trace in (
+            replace(run, verdict="invariant-violated"),
+            replace(stranded, verdict="unexpected-pass"),
+            replace(violation, verdict="ok"),
+            replace(violation, records=[]),
+            # the last record satisfies the invariant
+            replace(run, kind="explore", verdict="invariant-violated"),
+            # a record before the last violates it
+            replace(stranded, kind="explore", verdict="invariant-violated"),
+        ):
+            with pytest.raises(ReplayMismatchError):
+                replay(trace)
 
     def test_cap_hit_is_not_success(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
@@ -335,12 +357,8 @@ class TestSimulate:
 
     def test_negative_counts_rejected(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
-        with pytest.raises(ValueError, match="join_candidate_cap"):
-            ExploreConfig(join_candidate_cap=-1)
         with pytest.raises(ValueError, match="steps"):
             simulate(s, Schedule(seed=1), steps=-1)
-        with pytest.raises(ValueError, match="join_candidate_cap"):
-            simulate(s, Schedule(seed=1), steps=5, join_candidate_cap=-1)
         with pytest.raises(ValueError, match="step_cap"):
             converge(s, Schedule(seed=1), step_cap=-1)
 
@@ -356,7 +374,6 @@ class TestFairScheduler:
         state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
         for seed in range(6):
             assert picks_agree(state, seed, churn, rounds=150) == 150
-        assert picks_agree(state, 0, churn, rounds=150, cap=2) == 150
 
     @pytest.mark.parametrize("churn", ["full", "joins_only", "none"])
     def test_matches_reference_on_explored_states(self, space3, churn):

@@ -12,11 +12,13 @@ import pytest
 
 from chordcheck import (
     ExploreConfig,
+    GlobalState,
     IdSpace,
     Schedule,
     converge,
     explore,
     ideal_ring,
+    make_state,
     run_fig3,
     simulate,
 )
@@ -35,7 +37,6 @@ from chordcheck.files import (
     load_trace,
     read_trace,
     scenario_from_doc,
-    scenario_to_doc,
     write_trace,
 )
 
@@ -65,7 +66,8 @@ IDEAL3 = {
 class TestScenarioFormat:
     def test_roundtrip(self):
         scenario = scenario_from_doc(IDEAL3)
-        assert scenario_from_doc(scenario_to_doc(scenario)).initial == scenario.initial
+        members = [(rec["id"], rec["prdc"], rec["succ_list"]) for rec in IDEAL3["init"]]
+        assert scenario.initial == make_state(IdSpace(3), 2, members)
 
     def test_shipped_scenarios_load(self):
         for path in SCENARIOS.glob("*.json"):
@@ -173,7 +175,8 @@ class TestTraceFormat:
 
         ring = ideal_ring(space3, 2, [0, 2, 5])
         run = lines_of(simulate(ring, Schedule(seed=8), steps=6))  # header, 6 records, verdict
-        drained = lines_of(converge(ring.with_notify(2, 0), Schedule(seed=1)))
+        drained = lines_of(converge(GlobalState(space3, 2, ring.members, pending_notify=[(2, 0)]),
+                                    Schedule(seed=1)))
         header = json.loads(drained[0])
         assert [rec["index"] for rec in header["prelude"]] == [0]
         header["prelude"][0]["index"] = 1
@@ -449,6 +452,24 @@ class TestCli:
         assert main(["replay", str(out)]) == EXIT_VIOLATION
         assert "replay mismatch: verdict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,relabel", [
+        pytest.param(["explore", "stranded_appendages_m6.json"], "ok", id="explore"),
+        pytest.param(["simulate", "ideal_ring_m3.json", "--seed", "3"], "invariant-violated",
+                     id="simulate"),
+    ])
+    def test_replay_rederives_relabelled_verdict(self, tmp_path, capsys, argv, relabel):
+        out = tmp_path / "run.trace"
+        main([argv[0], str(SCENARIOS / argv[1]), *argv[2:], "--out", str(out)])
+        assert main(["replay", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        closing = json.loads(lines[-1])
+        closing["verdict"] = relabel
+        lines[-1] = json.dumps(closing)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_VIOLATION
+        assert "replay mismatch: verdict" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["ideal", "cumulative_error"])
     def test_replay_detects_tampering_on_repeated_member_table(self, tmp_path, capsys, field):
         out = tmp_path / "join.trace"
@@ -490,25 +511,38 @@ class TestCli:
             ["converge", "--fairness-window", "1"],
             ["simulate", "--fairness-window", "0"],
             ["converge", "--fairness-window", "0"],
-            ["explore", "--join-cap", "-1"],
             ["simulate", "--steps", "-1"],
             ["converge", "--steps", "-1"],
+            ["check", "--r", "0"],
+            ["check", "--m", "0"],
+            ["check", "--m", "20"],
         )],
         *[pytest.param([command], {command: {key: -1}}, id=f"scenario {command}.{key} -1")
-          for command, key in (("explore", "join_candidate_cap"), ("simulate", "steps"),
-                               ("simulate", "join_candidate_cap"), ("converge", "step_cap"))],
+          for command, key in (("simulate", "steps"), ("converge", "step_cap"))],
     ])
-    def test_out_of_range_values_are_usage_errors(self, tmp_path, argv, block):
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv, block):
         path = write_scenario(tmp_path, {**IDEAL3, **block})
         assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
+        if argv[1:2] in (["--m"], ["--r"]):
+            # the message gives the flag's own value, not the scenario's
+            err = capsys.readouterr().err
+            assert f"usage error: {argv[1]} must be" in err and err.endswith(f"got {argv[2]}\n")
+
+    @pytest.mark.parametrize("command", ["explore", "simulate"])
+    def test_join_candidate_cap_is_an_unknown_setting(self, tmp_path, capsys, command):
+        path = write_scenario(tmp_path, {**IDEAL3, command: {"join_candidate_cap": 2}})
+        assert main([command, path]) == EXIT_SCHEMA
+        assert f"unknown {command} setting 'join_candidate_cap'" in capsys.readouterr().err
 
     def test_usage_error_on_missing_command(self):
         assert main([]) == EXIT_USAGE
 
     def test_m_override_revalidates(self, tmp_path):
         path = write_scenario(tmp_path, IDEAL3)
-        # shrinking the space below the member identifiers must fail loudly
+        # shrinking the space below the member identifiers must fail loudly,
+        # and so must a list length the scenario's lists do not have
         assert main(["check", path, "--m", "2"]) == EXIT_SCHEMA
+        assert main(["check", path, "--r", "3"]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("argv,code", [
         pytest.param(["repro", "fig3"], EXIT_OK, id="repro"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chordcheck import (
     ExploreConfig,
+    GlobalState,
     IdSpace,
     NodeState,
     Step,
@@ -81,19 +82,17 @@ def literal_join_predecessor(state, joiner):
 class TestJoinEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 6).flatmap(
-               lambda m: global_states(m=m, r=2, max_members=6, with_pending=True)),
-           st.sampled_from([None, 0, 1, 3]))
-    def test_join_steps_match_literal_definition(self, s, cap):
+               lambda m: global_states(m=m, r=2, max_members=6, with_pending=True)))
+    def test_join_steps_match_literal_definition(self, s):
         free = [i for i in range(s.space.size) if not s.is_member(i)]
-        candidates = free if cap is None else free[:cap]
         for churn in ("joins_only", "full"):
-            steps = enabled_steps(s, churn=churn, join_candidate_cap=cap)
+            steps = enabled_steps(s, churn=churn)
             assert steps == sorted(steps, key=Step.sort_key)
             joins = {st.actor: st.arg for st in steps if st.kind == StepKind.JOIN}
             assert len(joins) == sum(st.kind == StepKind.JOIN for st in steps)
             # a candidate gets a step exactly when some member covers it,
             # and the step names the lowest covering member
-            expected = {j: literal_join_predecessor(s, j) for j in candidates}
+            expected = {j: literal_join_predecessor(s, j) for j in free}
             assert joins == {j: p for j, p in expected.items() if p is not None}
         for joiner in free:
             expected = literal_join_predecessor(s, joiner)
@@ -420,11 +419,6 @@ class TestEnabledSteps:
         assert (StepKind.STABILIZE_FROM_PREDECESSOR, 7) in kinds
         assert (StepKind.STABILIZE_FROM_SUCCESSOR, 7) not in kinds
 
-    def test_join_candidate_cap(self, space3):
-        s = ideal_ring(space3, 2, [0, 2, 5])
-        steps = enabled_steps(s, churn="joins_only", join_candidate_cap=2)
-        assert [st.actor for st in steps if st.kind == StepKind.JOIN] == [1, 3]
-
     def test_fail_enabled_only_when_invariant_preserved(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
         fails = [st for st in enabled_steps(s, churn="fails_only")]
@@ -459,6 +453,43 @@ class TestStepProperties:
                     assert node == s.node(node.ident)
             for member, _ in post1.pending_stabilize:
                 assert post1.is_member(member)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_prdc_and_notifications_decide_no_list(self, data):
+        # a sweep that pins every prdc and holds no notification relies on
+        # this: they add only RECTIFY steps, which change only a prdc, and
+        # they decide no other step and no successor list; prdc does decide
+        # which candidate a stabilize captures, but any captured candidate
+        # lies in its owner's arc
+        s = data.draw(st.integers(3, 5).flatmap(
+            lambda m: global_states(m=m, r=2, max_members=6, with_pending=True)))
+        ids = st.integers(0, s.space.size - 1)
+        varied = GlobalState(s.space, s.r, [node._replace(prdc=data.draw(ids)) for node in s.members],
+                             s.pending_stabilize, data.draw(st.lists(st.tuples(ids, ids), max_size=3)))
+
+        def lists(state):
+            return [(node.ident, node.succ_list) for node in state.members]
+
+        def split(state):
+            steps = enabled_steps(state)
+            return ([step for step in steps if step.kind != StepKind.RECTIFY],
+                    [step for step in steps if step.kind == StepKind.RECTIFY])
+
+        core, _ = split(s)
+        varied_core, rectifies = split(varied)
+        assert varied_core == core
+        for step in rectifies:
+            assert lists(apply_step(varied, step)) == lists(varied)
+        for step in core:
+            posts = [apply_step(s, step), apply_step(varied, step)]
+            assert lists(posts[0]) == lists(posts[1])
+            if step.kind == StepKind.STABILIZE_FROM_SUCCESSOR:
+                for post in posts:
+                    candidate = post.pending_stabilize_for(step.actor)
+                    if candidate is not None:
+                        head = post.node(step.actor).succ_list[0]
+                        assert s.space.between(step.actor, candidate, head)
 
     @settings(max_examples=150, deadline=None)
     @given(global_states(m=3, r=2, with_pending=True))

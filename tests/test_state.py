@@ -16,11 +16,9 @@ from chordcheck import (
     Step,
     StepKind,
     apply_step,
-    appendage_members,
     best_successors,
     check_all,
     enabled_steps,
-    esl,
     ideal_ring,
     make_state,
     principals,
@@ -28,7 +26,7 @@ from chordcheck import (
     safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
-from chordcheck.state import MEMBER_MASKS_CEILING, member_masks, skipped_mask
+from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks, skipped_mask, with_entry
 
 from conftest import (
     brute_force_principals,
@@ -199,7 +197,7 @@ class TestKey:
             assert rebuilt.key == post.key
             assert rebuilt == post
         for target in range(s.space.size):
-            post = s.with_notify(target, s.idents()[0])
+            post = s.evolve(pending_notify=with_entry(s.pending_notify, (target, s.idents()[0])))
             assert GlobalState(*fields(post)).key == post.key
 
     def test_rejects_keys_no_snapshot_has(self, space3):
@@ -214,20 +212,26 @@ class TestKey:
 
 
 class TestEsl:
+    """The extended successor list (ESL) is the owner's identifier followed
+    by its successor list; :func:`member_masks` reads its contiguous pairs."""
+
     def test_owner_prepended(self, space6):
         s = make_state(space6, 2, [(52, 45, (3, 45)), (45, 31, (20, 31)),
                                    (3, 52, (20, 31)), (20, 3, (31, 45)), (31, 20, (52, 3))])
-        assert esl(s, 52) == (52, 3, 45)
-        assert esl(s, 45) == (45, 20, 31)
+        arc = space6.arc
+        assert member_masks(space6, s.node(52))[0] == arc(52, 3) | arc(3, 45)
+        assert member_masks(space6, s.node(45))[0] == arc(45, 20) | arc(20, 31)
 
     def test_degenerate_duplicates_representable(self, space3):
         s = make_state(space3, 2, [(0, 0, (0, 0))])
-        assert esl(s, 0) == (0, 0, 0)
+        assert s.node(0) == NodeState(0, 0, (0, 0))
+        # the ESL (0, 0, 0) skips every identifier but 0
+        assert member_masks(space3, s.node(0)) == (0b11111110, 0b1)
 
     def test_unknown_member(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         with pytest.raises(UnknownMemberError):
-            esl(s, 1)
+            s.node(1)
 
 
 class TestBestSuccessor:
@@ -309,9 +313,6 @@ def scan_skipped(space, node):
                if any(space.between(x, p, y) for x, y in zip(entries, entries[1:])))
 
 
-SHARED_SPACE4 = IdSpace(4)  # its memo fills across examples
-
-
 class TestMemberMasks:
     def test_wrapped_pair_depends_on_the_space(self):
         node = NodeState(6, 0, (1, 2))
@@ -328,16 +329,14 @@ class TestMemberMasks:
         expected = 0
         for node in s.members:
             expected |= scan_skipped(s.space, node)
-            assert member_masks(SHARED_SPACE4, node)[1] == sum(1 << e for e in set(node.succ_list))
-        fresh = IdSpace(4)
-        assert skipped_mask(fresh, s.members) == expected  # fills the memo
-        assert skipped_mask(fresh, s.members) == expected  # reads it
-        assert skipped_mask(SHARED_SPACE4, s.members) == expected
+            assert member_masks(s.space, node)[1] == sum(1 << e for e in set(node.succ_list))
+        assert skipped_mask(s.space, s.members) == expected
+        assert skipped_mask(IdSpace(4), s.members) == expected  # an equal space reads the same entries
 
     def test_memo_leaves_equality_hash_and_repr_alone(self):
         a, b = IdSpace(4), IdSpace(4)
         principals(ideal_ring(a, 2, [0, 5, 9]))
-        assert a._member_masks and not b._member_masks
+        assert _masks.cache_info().currsize
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "IdSpace(m=4)"
         assert ideal_ring(a, 2, [0, 5]) == ideal_ring(b, 2, [0, 5])
         assert pickle.dumps(a) == pickle.dumps(b)
@@ -353,16 +352,25 @@ class TestMemberMasks:
                 continue
             seen.add(node)
             skipped, _ = member_masks(space, node)
-            assert 0 < len(space._member_masks) <= MEMBER_MASKS_CEILING
+            assert 0 < _masks.cache_info().currsize <= MEMBER_MASKS_CEILING
             if len(seen) % 64 == 0:
                 assert skipped == scan_skipped(space, node)
+
+    def test_nodes_differing_only_in_prdc_share_one_entry(self):
+        space = IdSpace(5)
+        node = NodeState(3, 1, (9, 20))
+        masks = member_masks(space, node)
+        before = _masks.cache_info()
+        assert member_masks(space, node._replace(prdc=30)) == masks
+        after = _masks.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert after.currsize == before.currsize
 
 
 class TestRingMembers:
     def test_ideal_ring_is_all_ring(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
-        assert ring_members(s) == {0, 2, 5}
-        assert appendage_members(s) == frozenset()
+        assert ring_members(s) == {0, 2, 5} == set(s.idents())
 
     def test_appendages_excluded(self, space6):
         # ring 1 -> 21 -> 40 -> 48 -> 1 with appendages hanging off it
@@ -375,7 +383,7 @@ class TestRingMembers:
             (53, 50, (50, 1)),   # appendage chain through 50
         ])
         assert ring_members(s) == {1, 21, 40, 48}
-        assert appendage_members(s) == {50, 53}
+        assert set(s.idents()) - ring_members(s) == {50, 53}
 
     def test_valid_network_with_four_appendages(self, space6):
         # an ordered ring holding the ring structure while members
@@ -392,12 +400,12 @@ class TestRingMembers:
             (9, 1, (21, 37)),
         ])
         assert ring_members(s) == {1, 21, 37, 48, 58}
-        assert appendage_members(s) == {9, 50, 53, 63}
+        assert set(s.idents()) - ring_members(s) == {9, 50, 53, 63}
 
     def test_dead_chains_make_empty_ring(self, space3):
         s = make_state(space3, 2, [(0, 1, (1, 1)), (4, 0, (1, 1))])
         assert ring_members(s) == frozenset()
-        assert appendage_members(s) == {0, 4}
+        assert set(s.idents()) - ring_members(s) == {0, 4}
 
     def test_self_loop_is_a_ring(self, space3):
         s = make_state(space3, 2, [(0, 0, (0, 0))])
