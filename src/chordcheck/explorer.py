@@ -27,6 +27,7 @@ from .errors import InvalidInitialStateError, ReplayMismatchError
 from .properties import (
     ErrorMetric,
     Facts,
+    PropertyReport,
     check_all,
     error_metric,
     invariant_holds,
@@ -66,7 +67,7 @@ class Trace:
     initial: GlobalState
     records: list[TraceRecord]
     verdict: str
-    kind: str = "run"
+    kind: str
     meta: dict = field(default_factory=dict)
     seed_state: GlobalState | None = None
     prelude: list[TraceRecord] = field(default_factory=list)
@@ -80,19 +81,82 @@ class Trace:
 
 
 def _record(index: int, step: Step, state: GlobalState,
-            facts: Facts) -> tuple[TraceRecord, ErrorMetric]:
-    """The trace record of one resulting state, and its error metric;
+            facts: Facts) -> tuple[TraceRecord, PropertyReport]:
+    """The trace record of one resulting state, and its property report;
     ``facts`` is the run's facts dict (see :func:`check_all`)."""
     report = check_all(state, facts)
-    metric = report.metric
-    record = TraceRecord(
-        index=index,
-        step=step,
-        digest=state_digest(state),
-        flags=dict(report.flags),
-        cumulative_error=metric.cumulative,
-    )
-    return record, metric
+    # positional: a keyword call costs about twice as much, and every
+    # record of a run and of its replay is built here
+    record = TraceRecord(index, step, state_digest(state), dict(report.flags),
+                         report.metric.cumulative)
+    return record, report
+
+
+_KINDS = ("script", "repro", "explore", "simulate", "converge")
+# the kinds whose traces can say ``ok`` are told apart by these meta entries
+_MARKS = {"script": set(), "simulate": {"steps_requested"}, "repro": {"violates"}}
+
+
+def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalState,
+             facts: Facts) -> tuple[str, dict]:
+    """The verdict of a trace of ``kind`` with these records, and the meta
+    entries derived with it; the one rule of each kind, applied by every
+    writer and by :func:`replay`.
+
+    - ``script`` and ``simulate``: ``ok``.
+    - ``repro``: ``ok`` if the last record violates the flag that
+      ``meta["violates"]`` names, else ``unexpected-pass``.
+    - ``explore``: ``invariant-violated``; the last record must violate the
+      invariant and every earlier record satisfy it.
+    - ``converge``: ``steps_to_ideal`` is 0 when ``initial`` is ideal, else
+      one past the first ideal record, else None; ``converged`` iff it is
+      set and every record from there on is ideal, else ``not-converged``.
+
+    The kinds that can say ``ok`` are told apart by their meta: of the
+    entries ``violates`` and ``steps_requested``, a repro trace carries the
+    first, a simulate trace the second and a script trace neither.
+
+    A trace that no rule judges (an unknown kind, meta that does not mark
+    its kind, a repro trace whose ``violates`` names no flag, an explore
+    trace that is no counterexample) raises :class:`ReplayMismatchError`.
+    """
+    marks = _MARKS.get(kind)
+    if marks is not None and marks != meta.keys() & {"violates", "steps_requested"}:
+        raise ReplayMismatchError(f"the meta of a {kind} trace must carry exactly {sorted(marks)} "
+                                  "of 'violates' and 'steps_requested'")
+    if kind in ("script", "simulate"):
+        return "ok", {}
+    if kind == "repro":
+        violates = meta.get("violates")
+        if not records or type(violates) is not str or violates not in records[-1].flags:
+            raise ReplayMismatchError(
+                f"a repro trace's meta 'violates' must name a flag of its last record, "
+                f"got {violates!r}")
+        return "unexpected-pass" if records[-1].flags[violates] else "ok", {}
+    if kind == "explore":
+        holds = [rec.flags["invariant"] for rec in records]
+        if not holds or holds[-1] or not all(holds[:-1]):
+            raise ReplayMismatchError(
+                "an explore trace must end at its first record that violates the invariant")
+        return "invariant-violated", {}
+    if kind == "converge":
+        ideal = [rec.flags["ideal"] for rec in records]
+        if error_metric(initial, facts).ideal:
+            steps_to_ideal = 0
+        else:
+            steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
+        converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
+        return "converged" if converged else "not-converged", {"steps_to_ideal": steps_to_ideal}
+    raise ReplayMismatchError(f"unknown trace kind {kind!r}; expected one of {list(_KINDS)}")
+
+
+def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], meta: dict,
+           facts: Facts, **fields) -> Trace:
+    """A writer's trace, with the verdict and derived meta of
+    :func:`_outcome`; ``fields`` are the other :class:`Trace` fields."""
+    verdict, derived = _outcome(kind, meta, records, initial, facts)
+    return Trace(initial=initial, records=records, verdict=verdict, kind=kind,
+                 meta={**meta, **derived}, **fields)
 
 
 def run_script(
@@ -101,14 +165,15 @@ def run_script(
     kind: str = "script",
     meta: dict | None = None,
 ) -> Trace:
-    """Apply a fixed step sequence, recording each resulting state."""
+    """Apply a fixed step sequence, recording each resulting state; the
+    verdict is ``kind``'s (see :func:`_outcome`)."""
     records = []
     facts: Facts = {}
     state = initial
     for i, step in enumerate(steps):
         state = apply_step(state, step)
         records.append(_record(i, step, state, facts)[0])
-    return Trace(initial=initial, records=records, verdict="ok", kind=kind, meta=meta or {})
+    return _trace(kind, initial, records, meta or {}, facts)
 
 
 # -- bounded breadth-first exploration ---------------------------------------
@@ -159,38 +224,21 @@ class ExploreResult:
         ``collect_states``)."""
         if self.parents is None:
             raise ValueError("exploration did not keep parent links")
-        return [step for step, _ in _path(self.parents, state.key)]
+        return _path(self.parents, state.key)
 
 
 TransitionHook = Callable[[GlobalState, Step, GlobalState, frozenset, frozenset], None]
 
 
-def _path(parents: Parents, key: int) -> list[tuple[Step, int]]:
-    """The (step, resulting state's key) pairs that lead from the initial
-    state to the state with ``key``."""
-    path: list[tuple[Step, int]] = []
+def _path(parents: Parents, key: int) -> list[Step]:
+    """The steps that lead from the initial state to the state with
+    ``key``."""
+    path: list[Step] = []
     while parents[key] is not None:
-        parent, step = parents[key]
-        path.append((step, key))
-        key = parent
+        key, step = parents[key]
+        path.append(step)
     path.reverse()
     return path
-
-
-def _violation_trace(parents: Parents, initial: GlobalState, pre: int, step: Step,
-                     post: GlobalState) -> Trace:
-    """The trace from ``initial`` through the visited state with key
-    ``pre`` to the violating ``post``; the states between are decoded."""
-    space, r = initial.space, initial.r
-    path = [(s, GlobalState.from_key(space, r, key)) for s, key in _path(parents, pre)]
-    path.append((step, post))
-    facts: Facts = {}
-    return Trace(
-        initial=initial,
-        records=[_record(i, s, st, facts)[0] for i, (s, st) in enumerate(path)],
-        verdict="invariant-violated",
-        kind="explore",
-    )
 
 
 def explore(
@@ -250,7 +298,7 @@ def explore(
                 # enabled_steps offers only unforced fails, and step_fail's
                 # guard has just found the invariant among the survivors
                 if step.kind != StepKind.FAIL and not invariant_holds(post):
-                    trace = _violation_trace(parents, initial, key, step, post)
+                    trace = run_script(initial, _path(parents, key) + [step], kind="explore")
                     break
                 parents[post_key] = (key, shared.setdefault(step, step))
                 next_frontier.append(post_key)
@@ -389,18 +437,9 @@ def simulate(
         state = apply_step(state, step)
         sched.account(step, state)
         records.append(_record(i, step, state, facts)[0])
-    return Trace(
-        initial=initial,
-        records=records,
-        verdict="ok",
-        kind="simulate",
-        meta={
-            "seed": schedule.seed,
-            "fairness_window": sched.window,
-            "churn": churn,
-            "steps_requested": steps,
-        },
-    )
+    meta = {"seed": schedule.seed, "fairness_window": sched.window, "churn": churn,
+            "steps_requested": steps}
+    return _trace("simulate", initial, records, meta, facts)
 
 
 def _drain_prelude(state: GlobalState, facts: Facts) -> tuple[GlobalState, list[TraceRecord]]:
@@ -448,17 +487,15 @@ def converge(
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not invariant_holds(initial):
         raise InvalidInitialStateError("convergence requires the invariant to hold")
-    seed_state = initial
     facts: Facts = {}
-    state, prelude = _drain_prelude(initial, facts)
-    post_drain = state
-    sched = _FairScheduler(state, schedule, churn="none")
+    start, prelude = _drain_prelude(initial, facts)
+    sched = _FairScheduler(start, schedule, churn="none")
     records: list[TraceRecord] = []
-    metrics: list[ErrorMetric] = [error_metric(state, facts)]
-    steps_to_ideal: int | None = 0 if metrics[0].ideal else None
+    metrics: list[ErrorMetric] = [error_metric(start, facts)]
+    ideal = metrics[0].ideal
     # until ideal, run up to step_cap steps; from then on, one more window
-    limit = step_cap if steps_to_ideal is None else sched.window
-    retained = True
+    limit = sched.window if ideal else step_cap
+    state = start
     index = 0
     while index < limit:
         step = sched.pick(state)
@@ -466,122 +503,74 @@ def converge(
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        record, metric = _record(index, step, state, facts)
+        record, report = _record(index, step, state, facts)
         records.append(record)
-        metrics.append(metric)
+        metrics.append(report.metric)
         index += 1
-        if steps_to_ideal is None:
-            if record.flags["ideal"]:
-                steps_to_ideal = index
-                limit = index + sched.window
-        elif not record.flags["ideal"]:
-            retained = False
+        if not ideal and record.flags["ideal"]:
+            ideal = True
+            limit = index + sched.window
+        elif ideal and not record.flags["ideal"]:
             break
-    verdict = "converged" if steps_to_ideal is not None and retained else "not-converged"
-    return Trace(
-        initial=post_drain,
-        records=records,
-        verdict=verdict,
-        kind="converge",
-        meta={
-            "seed": schedule.seed,
-            "fairness_window": sched.window,
-            "step_cap": step_cap,
-            "steps_to_ideal": steps_to_ideal,
-        },
-        seed_state=seed_state if prelude else None,
-        prelude=prelude,
-        metrics=metrics,
-    )
+    meta = {"seed": schedule.seed, "fairness_window": sched.window, "step_cap": step_cap}
+    return _trace("converge", start, records, meta, facts,
+                  seed_state=initial if prelude else None, prelude=prelude, metrics=metrics)
 
 
 def replay(trace: Trace) -> list:
-    """Re-execute a trace and re-check every digest and flag set, with a
-    facts dict of its own, so no flag is taken from the run that wrote the
-    trace: each member table's report is derived once and every record is
-    compared with it. The verdict is re-derived too: a converge trace's
-    ``steps_to_ideal`` and verdict from the re-checked ideal flags (see
-    :func:`_check_outcome`), an explore trace's from the invariant flags
-    (see :func:`_check_violation`), and a simulate or script trace must
-    say ``ok``.
+    """Re-execute a trace and re-derive every record with the writer's own
+    :func:`_record`, with a facts dict of its own, so no flag is taken from
+    the run that wrote the trace: each member table's report is derived
+    once and every record is compared with it. The verdict, and the meta
+    derived with it (a converge trace's ``steps_to_ideal``), are
+    re-derived by the writers' one rule, :func:`_outcome`, so a trace of
+    unknown kind is refused. Only a converge trace may carry a prelude.
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
     Returns the per-step property reports.
     """
     facts: Facts = {}
-    reports = []
     if trace.prelude:
+        if trace.kind != "converge":
+            raise ReplayMismatchError(f"a {trace.kind} trace carries a prelude; "
+                                      "only a converge trace has one")
         if trace.seed_state is None:
             raise ReplayMismatchError("trace has a prelude but no seed state")
-        state = trace.seed_state
-        for rec in trace.prelude:
-            state = apply_step(state, rec.step)
-            _check_record(state, rec, "prelude", facts)
+        state, _ = _rederive(trace.seed_state, trace.prelude, "prelude", facts)
         if state != trace.initial:
             raise ReplayMismatchError("prelude does not reproduce the initial state")
-    state = trace.initial
-    for rec in trace.records:
-        state = apply_step(state, rec.step)
-        reports.append(_check_record(state, rec, "records", facts))
-    if trace.kind == "converge":
-        _check_outcome(trace, error_metric(trace.initial, facts).ideal, reports)
-    elif trace.kind == "explore":
-        _check_violation(trace, reports)
-    elif trace.kind in ("simulate", "script") and trace.verdict != "ok":
-        raise ReplayMismatchError(f"verdict {trace.verdict!r} != 'ok' for a {trace.kind} trace")
-    return reports
-
-
-def _check_record(state: GlobalState, rec: TraceRecord, where: str, facts: Facts):
-    digest = state_digest(state)
-    if digest != rec.digest:
-        raise ReplayMismatchError(
-            f"{where}[{rec.index}]: state digest {digest[:12]}... does not match "
-            f"recorded {rec.digest[:12]}..."
-        )
-    report = check_all(state, facts)
-    if dict(report.flags) != dict(rec.flags):
-        raise ReplayMismatchError(f"{where}[{rec.index}]: property flags diverge")
-    cumulative = report.metric.cumulative
-    if cumulative != rec.cumulative_error:
-        raise ReplayMismatchError(
-            f"{where}[{rec.index}]: cumulative error {cumulative} != recorded "
-            f"{rec.cumulative_error}"
-        )
-    return report
-
-
-def _check_outcome(trace: Trace, initial_ideal: bool, reports: list) -> None:
-    """Refuse a converge trace whose ``steps_to_ideal`` or verdict is not
-    the one its re-checked ideal flags give: ``steps_to_ideal`` is 0 when
-    the initial state is ideal, else one past the first ideal record, else
-    None; the run converged iff it is set and every record from there on
-    is ideal."""
-    ideal = [report.flags["ideal"] for report in reports]
-    if initial_ideal:
-        steps_to_ideal = 0
-    else:
-        steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
-    converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
-    recorded = trace.meta.get("steps_to_ideal")
-    if recorded != steps_to_ideal or type(recorded) is not type(steps_to_ideal):
-        raise ReplayMismatchError(
-            f"steps_to_ideal {recorded!r} != {steps_to_ideal!r} re-derived from the records")
-    verdict = "converged" if converged else "not-converged"
+    _, reports = _rederive(trace.initial, trace.records, "records", facts)
+    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, facts)
+    for key, value in derived.items():
+        recorded = trace.meta.get(key)
+        # exact types: a recorded true or 9.0 is not the integer 1 or 9
+        if recorded != value or type(recorded) is not type(value):
+            raise ReplayMismatchError(
+                f"{key} {recorded!r} != {value!r} re-derived from the records")
     if trace.verdict != verdict:
         raise ReplayMismatchError(
             f"verdict {trace.verdict!r} != {verdict!r} re-derived from the records")
+    return reports
 
 
-def _check_violation(trace: Trace, reports: list) -> None:
-    """Refuse an explore trace that is not a counterexample as
-    :func:`explore` writes one: verdict ``invariant-violated``, the last
-    record violating the invariant and every earlier record satisfying it."""
-    holds = [report.flags["invariant"] for report in reports]
-    if trace.verdict != "invariant-violated":
-        raise ReplayMismatchError(
-            f"verdict {trace.verdict!r} != 'invariant-violated' for an explore trace")
-    if not holds or holds[-1] or not all(holds[:-1]):
-        raise ReplayMismatchError(
-            "an explore trace must end at its first record that violates the invariant")
+# the fields of a record that replay derives (it copies the index and step)
+_FIELD_LABELS = {"digest": "state digest", "flags": "property flags",
+                 "cumulative_error": "cumulative error"}
+
+
+def _rederive(state: GlobalState, recs: list[TraceRecord], where: str,
+              facts: Facts) -> tuple[GlobalState, list]:
+    """Apply the steps of ``recs`` to ``state`` and check that each record
+    is the one :func:`_record` gives; the final state and the reports."""
+    reports = []
+    for rec in recs:
+        state = apply_step(state, rec.step)
+        record, report = _record(rec.index, rec.step, state, facts)
+        if record != rec:
+            name = next(f for f, a, b in zip(rec._fields, record, rec) if a != b)
+            raise ReplayMismatchError(
+                f"{where}[{rec.index}]: {_FIELD_LABELS[name]} {getattr(record, name)!r} "
+                f"!= recorded {getattr(rec, name)!r}")
+        reports.append(report)
+    return state, reports

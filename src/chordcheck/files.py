@@ -82,6 +82,8 @@ def step_from_doc(doc: dict) -> Step:
         raise ScenarioFormatError(f"{name} steps require an 'arg' identifier")
     if kind in (StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR) and arg is not None:
         raise ScenarioFormatError(f"{name} steps take no 'arg'")
+    if kind != StepKind.FAIL and "forced" in doc:
+        raise ScenarioFormatError(f"{name} steps take no 'forced'")
     forced = doc.get("forced", False)
     if type(forced) is not bool:
         raise ScenarioFormatError(f"step forced must be true or false, got {forced!r}")
@@ -178,8 +180,9 @@ _CONFIG_FIELDS = {
 
 
 def _config_block(doc: dict, name: str) -> dict:
-    block = doc.get(name, {}) or {}
-    _expect(isinstance(block, dict), f"field {name!r} must be an object")
+    block = doc.get(name)
+    _expect(block is None or isinstance(block, dict), f"field {name!r} must be an object, got {block!r}")
+    block = block or {}  # an absent or null block gives no settings
     fields = _CONFIG_FIELDS[name]
     for key, value in block.items():
         _expect(key in fields, f"unknown {name} setting {key!r}")
@@ -366,7 +369,7 @@ def read_trace(fh: IO[str]) -> Trace:
                                            f"indices must run 0..{len(recs) - 1}")
         verdict = closing.get("verdict")
         meta = closing.get("meta", {})
-        kind = header.get("kind", "run")
+        kind = header.get("kind")
         if not isinstance(verdict, str):
             raise TraceFormatError(f"the verdict line must carry a string 'verdict', got {verdict!r}")
         if not isinstance(meta, dict):

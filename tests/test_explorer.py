@@ -1,6 +1,9 @@
 """Exploration, simulation, convergence, and replay."""
 
+import functools
 import gc
+import io
+import json
 import random
 import sys
 import tracemalloc
@@ -8,6 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordcheck import (
     ExploreConfig,
@@ -27,15 +32,18 @@ from chordcheck import (
     make_state,
     principals,
     replay,
+    run_fig3,
+    run_fig4,
     run_script,
     simulate,
     state_digest,
     step_join,
+    valid_initial,
 )
 from chordcheck import explorer, protocol
-from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError
-from chordcheck.explorer import _FairScheduler
-from chordcheck.files import load_scenario
+from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, TraceFormatError
+from chordcheck.explorer import _FairScheduler, _record
+from chordcheck.files import load_scenario, read_trace, write_trace
 
 from conftest import repeated_table_record
 
@@ -541,6 +549,107 @@ class TestReplayOutcome:
                 verdicts.add(trace.verdict)
                 replay(trace)
         assert verdicts == {"converged", "not-converged"}
+
+
+KINDS = ("script", "repro", "explore", "simulate", "converge")
+VERDICTS = ("ok", "unexpected-pass", "invariant-violated", "cap-hit", "converged", "not-converged")
+
+
+@functools.lru_cache(maxsize=None)
+def full_churn_states():
+    """The states of an m=3 full-churn exploration, many with
+    continuations and notifications in flight."""
+    result = explore(ideal_ring(IdSpace(3), 2, [0, 2, 4, 6]),
+                     ExploreConfig(max_depth=3, churn="full", collect_states=True))
+    return result.states
+
+
+def with_prelude(trace):
+    """``trace`` with a one-record prelude that replays clean: a
+    notification that changes nothing, delivered from a seed state that
+    holds it."""
+    initial = trace.initial
+    entry = next((n.ident, n.prdc) for n in initial.members
+                 if (n.ident, n.prdc) not in initial.pending_notify)
+    seed = GlobalState(initial.space, initial.r, initial.members, initial.pending_stabilize,
+                       initial.pending_notify + (entry,))
+    step = Step(StepKind.RECTIFY, *entry)
+    assert apply_step(seed, step) == initial
+    return replace(trace, seed_state=seed, prelude=[_record(0, step, initial, {})[0]])
+
+
+def assert_writer_and_replay_agree(trace):
+    """``trace``, written and read back, replays clean, and each single
+    relabelling of its kind, verdict, ``violates`` or prelude is refused."""
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    lines = buf.getvalue().splitlines()
+
+    def replayed(lines):
+        return replay(read_trace(io.StringIO("\n".join(lines) + "\n")))
+
+    def edited(line, edit):
+        doc = json.loads(lines[line])
+        edit(doc)
+        return lines[:line] + [json.dumps(doc)] + lines[line + 1:]
+
+    assert len(replayed(lines)) == len(trace.records)
+    last = len(lines) - 1
+    refused = [edited(0, lambda d, k=k: d.update(kind=k))
+               for k in (*KINDS, "run") if k != trace.kind]
+    refused += [edited(last, lambda d, v=v: d.update(verdict=v))
+                for v in VERDICTS if v != trace.verdict]
+    if trace.kind == "repro":
+        flags = trace.records[-1].flags
+        refused += [edited(last, lambda d, f=f: d["meta"].update(violates=f))
+                    for f in flags if flags[f]]
+    for lines_ in refused:
+        with pytest.raises(ReplayMismatchError):
+            replayed(lines_)
+    with pytest.raises(TraceFormatError, match="'kind'"):
+        replayed(edited(0, lambda d: d.pop("kind")))
+    if trace.kind != "converge":
+        prelude = io.StringIO()
+        write_trace(with_prelude(trace), prelude)
+        prelude.seek(0)
+        with pytest.raises(ReplayMismatchError, match="only a converge trace"):
+            replay(read_trace(prelude))
+
+
+class TestWritersAgreeWithReplay:
+    """Every trace a writer returns replays clean, by one verdict rule per
+    kind, and no single relabelling of what the rule reads does."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), pick=st.integers(0, 10**6))
+    def test_drawn_runs(self, seed, pick):
+        states = full_churn_states()
+        state = states[pick % len(states)]
+        rng = random.Random(seed)
+        script = [rng.choice(enabled_steps(state, churn="full"))]
+        post = apply_step(state, script[0])
+        script.append(rng.choice(enabled_steps(post, churn="full")))
+        start = state if valid_initial(state) else states[0]
+        traces = [
+            run_script(state, script),
+            simulate(start, Schedule(seed=seed), steps=rng.randint(1, 20), churn="full"),
+            converge(state, Schedule(seed=seed)),
+            converge(state, Schedule(seed=seed), step_cap=1),
+        ]
+        for trace in traces:
+            assert_writer_and_replay_agree(trace)
+
+    @pytest.mark.parametrize("writer", [
+        run_fig3,
+        run_fig4,
+        lambda: explore(build_fig3_state(),
+                        ExploreConfig(max_depth=2, require_valid_initial=False)).trace,
+        lambda: converged_trace(IdSpace(3)),
+        lambda: converge(step_join(ideal_ring(IdSpace(3), 2, [0, 2, 5]), 1, 0), Schedule(seed=1),
+                         step_cap=4),
+    ], ids=["fig3", "fig4", "explore", "converged", "not-converged"])
+    def test_fixed_runs(self, writer):
+        assert_writer_and_replay_agree(writer())
 
 
 class TestDigest:

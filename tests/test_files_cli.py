@@ -109,6 +109,15 @@ class TestScenarioFormat:
              "forced must be true or false"),
             (lambda d: d.update(allow_forced_fail="yes"), "'allow_forced_fail' must be true or false"),
             (lambda d: d.update(allow_forced_fail=1), "'allow_forced_fail' must be true or false"),
+            # only a fail can be forced
+            (lambda d: d.update(allow_forced_fail=True, events=[
+                {"kind": "stabilize_from_successor", "actor": 0, "forced": True}]),
+             "stabilize_from_successor steps take no 'forced'"),
+            # a present configuration block is an object
+            (lambda d: d.update(explore=[]), "field 'explore' must be an object, got []"),
+            (lambda d: d.update(explore=False), "field 'explore' must be an object, got False"),
+            (lambda d: d.update(simulate=0), "field 'simulate' must be an object, got 0"),
+            (lambda d: d.update(converge=""), "field 'converge' must be an object, got ''"),
         ],
     )
     def test_schema_violations(self, mutate, message):
@@ -116,6 +125,10 @@ class TestScenarioFormat:
         mutate(doc)
         with pytest.raises(ScenarioFormatError, match=re.escape(message)):
             scenario_from_doc(doc)
+
+    def test_null_config_blocks_give_no_settings(self):
+        scenario = scenario_from_doc({**IDEAL3, "explore": None, "simulate": None, "converge": None})
+        assert scenario.explore_config == scenario.simulate_config == scenario.converge_config == {}
 
     def test_forced_fail_requires_flag(self):
         doc = json.loads(json.dumps(IDEAL3))
@@ -209,6 +222,9 @@ class TestTraceFormat:
         del no_succ_list["members"][2]["succ_list"]
         bool_seed_id = json.loads(drained[0])["seed_state"]
         bool_seed_id["members"][0]["id"] = False
+        unforceable = next(i for i in range(1, len(run) - 1)
+                           if json.loads(run[i])["step"]["kind"] != "fail")
+        forced_step = {**json.loads(run[unforceable])["step"], "forced": True}
         cases = [
             edited(run, 0, m=3.9),
             edited(run, 0, m="3"),
@@ -223,6 +239,7 @@ class TestTraceFormat:
             edited(run, 2, cumulative_error=str(cumulative)),
             edited(run, 2, cumulative_error=float(cumulative)),
             edited(run, 2, state_digest=7),
+            edited(run, unforceable, step=forced_step),
             with_flag(1),
             with_flag("true"),
             with_flag(None),
@@ -469,6 +486,33 @@ class TestCli:
         capsys.readouterr()
         assert main(["replay", str(out)]) == EXIT_VIOLATION
         assert "replay mismatch: verdict" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,header,verdict,code", [
+        pytest.param(["repro", "fig4"], {}, "unexpected-pass", EXIT_VIOLATION, id="repro"),
+        pytest.param(["explore", "stranded_appendages_m6.json"], {"kind": "run"}, "ok",
+                     EXIT_VIOLATION, id="kind run"),
+        pytest.param(["explore", "stranded_appendages_m6.json"], {"kind": None}, "ok",
+                     EXIT_SCHEMA, id="no kind"),
+    ])
+    def test_replay_judges_every_kind(self, tmp_path, capsys, argv, header, verdict, code):
+        # a repro verdict is re-derived from meta.violates, an unknown kind
+        # is refused, and a header without a kind is malformed
+        out = tmp_path / "run.trace"
+        argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+        main([*argv, "--out", str(out)])
+        assert main(["replay", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        doc = json.loads(lines[0])
+        for key, value in header.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        closing = json.loads(lines[-1])
+        closing["verdict"] = verdict
+        out.write_text("\n".join([json.dumps(doc), *lines[1:-1], json.dumps(closing)]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == code
 
     @pytest.mark.parametrize("field", ["ideal", "cumulative_error"])
     def test_replay_detects_tampering_on_repeated_member_table(self, tmp_path, capsys, field):
