@@ -31,6 +31,7 @@ from .properties import (
     check_all,
     error_metric,
     invariant_holds,
+    invariant_with,
     valid_initial,
 )
 from .protocol import Step, StepKind, apply_step, enabled_steps
@@ -98,12 +99,15 @@ _MARKS = {"script": set(), "simulate": {"steps_requested"}, "repro": {"violates"
 
 
 def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalState,
-             facts: Facts) -> tuple[str, dict]:
-    """The verdict of a trace of ``kind`` with these records, and the meta
-    entries derived with it; the one rule of each kind, applied by every
-    writer and by :func:`replay`.
+             final: GlobalState, facts: Facts) -> tuple[str, dict]:
+    """The verdict of a trace of ``kind`` with these records, from
+    ``initial`` to ``final``, and the meta entries derived with it; the one
+    rule of each kind, applied by every writer and by :func:`replay`.
 
-    - ``script`` and ``simulate``: ``ok``.
+    - ``script``: ``ok``.
+    - ``simulate``: ``ok``; the run stops after ``meta["steps_requested"]``
+      records, or sooner only when ``final`` has no member, the one state
+      in which the fair scheduler finds no step.
     - ``repro``: ``ok`` if the last record violates the flag that
       ``meta["violates"]`` names, else ``unexpected-pass``.
     - ``explore``: ``invariant-violated``; the last record must violate the
@@ -111,6 +115,10 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
     - ``converge``: ``steps_to_ideal`` is 0 when ``initial`` is ideal, else
       one past the first ideal record, else None; ``converged`` iff it is
       set and every record from there on is ideal, else ``not-converged``.
+      The run stops after ``meta["step_cap"]`` records if it never
+      becomes ideal, at the end of the retention window
+      (``steps_to_ideal + meta["fairness_window"]`` records) if it
+      converges, and otherwise at the first record that leaves ideal.
 
     The kinds that can say ``ok`` are told apart by their meta: of the
     entries ``violates`` and ``steps_requested``, a repro trace carries the
@@ -118,13 +126,23 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
 
     A trace that no rule judges (an unknown kind, meta that does not mark
     its kind, a repro trace whose ``violates`` names no flag, an explore
-    trace that is no counterexample) raises :class:`ReplayMismatchError`.
+    trace that is no counterexample, a simulate or converge trace of
+    another length than its run stops at) raises
+    :class:`ReplayMismatchError`.
     """
     marks = _MARKS.get(kind)
     if marks is not None and marks != meta.keys() & {"violates", "steps_requested"}:
         raise ReplayMismatchError(f"the meta of a {kind} trace must carry exactly {sorted(marks)} "
                                   "of 'violates' and 'steps_requested'")
-    if kind in ("script", "simulate"):
+    if kind == "script":
+        return "ok", {}
+    if kind == "simulate":
+        requested = meta["steps_requested"]
+        if type(requested) is not int or not (
+                len(records) == requested or len(records) < requested and not final.live_count):
+            raise ReplayMismatchError(
+                f"a simulate trace with steps_requested {requested!r} has {len(records)} "
+                "records, and its final state has members")
         return "ok", {}
     if kind == "repro":
         violates = meta.get("violates")
@@ -146,15 +164,26 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
         else:
             steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
         converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
+        if steps_to_ideal is None:
+            expected = meta.get("step_cap")
+        elif converged:
+            window = meta.get("fairness_window")
+            expected = steps_to_ideal + window if type(window) is int else window
+        else:
+            expected = ideal.index(False, steps_to_ideal) + 1
+        if type(expected) is not int or len(records) != expected:
+            raise ReplayMismatchError(
+                f"a converge trace with steps_to_ideal {steps_to_ideal!r} has {len(records)} "
+                f"records; its run stops after {expected!r}")
         return "converged" if converged else "not-converged", {"steps_to_ideal": steps_to_ideal}
     raise ReplayMismatchError(f"unknown trace kind {kind!r}; expected one of {list(_KINDS)}")
 
 
-def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], meta: dict,
-           facts: Facts, **fields) -> Trace:
+def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], final: GlobalState,
+           meta: dict, facts: Facts, **fields) -> Trace:
     """A writer's trace, with the verdict and derived meta of
     :func:`_outcome`; ``fields`` are the other :class:`Trace` fields."""
-    verdict, derived = _outcome(kind, meta, records, initial, facts)
+    verdict, derived = _outcome(kind, meta, records, initial, final, facts)
     return Trace(initial=initial, records=records, verdict=verdict, kind=kind,
                  meta={**meta, **derived}, **fields)
 
@@ -173,7 +202,7 @@ def run_script(
     for i, step in enumerate(steps):
         state = apply_step(state, step)
         records.append(_record(i, step, state, facts)[0])
-    return _trace(kind, initial, records, meta or {}, facts)
+    return _trace(kind, initial, records, state, meta or {}, facts)
 
 
 # -- bounded breadth-first exploration ---------------------------------------
@@ -249,13 +278,15 @@ def explore(
     """Breadth-first search over atomic-step interleavings.
 
     Checks the invariant on every distinct post-state, when it is first
-    reached (the guard of an unforced fail has already checked it among
-    the survivors), and returns the first (hence minimal) violating trace,
-    else a summary. A transition to a state already visited, and so already
-    checked, is counted but not checked again; ``on_transition`` still
-    sees every transition, with both states and their principals.
-    Hitting the visited-state cap yields an inconclusive ``cap-hit``
-    verdict, never success.
+    reached, and returns the first (hence minimal) violating trace, else a
+    summary. The verdict is read from the expanded state's mask rows (see
+    :func:`~chordcheck.properties.mask_rows`): the guard of an unforced
+    fail has already found it among the survivors, and every other step
+    changes only its actor's row (:func:`invariant_with`). A transition to
+    a state already visited, and so already checked, is counted but not
+    checked again; ``on_transition`` still sees every transition, with
+    both states and their principals. Hitting the visited-state cap
+    yields an inconclusive ``cap-hit`` verdict, never success.
 
     The visited set and the frontier hold packed keys, not snapshots; a
     frontier state is decoded when it is expanded. With
@@ -296,8 +327,9 @@ def explore(
                 if post_key in parents and (initial_checked or post_key != root):
                     continue
                 # enabled_steps offers only unforced fails, and step_fail's
-                # guard has just found the invariant among the survivors
-                if step.kind != StepKind.FAIL and not invariant_holds(post):
+                # guard has just found the invariant among the survivors;
+                # every other step it offers leaves its actor a member
+                if step.kind != StepKind.FAIL and not invariant_with(state, post.node(step.actor)):
                     trace = run_script(initial, _path(parents, key) + [step], kind="explore")
                     break
                 parents[post_key] = (key, shared.setdefault(step, step))
@@ -439,7 +471,7 @@ def simulate(
         records.append(_record(i, step, state, facts)[0])
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "churn": churn,
             "steps_requested": steps}
-    return _trace("simulate", initial, records, meta, facts)
+    return _trace("simulate", initial, records, state, meta, facts)
 
 
 def _drain_prelude(state: GlobalState, facts: Facts) -> tuple[GlobalState, list[TraceRecord]]:
@@ -513,7 +545,7 @@ def converge(
         elif ideal and not record.flags["ideal"]:
             break
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "step_cap": step_cap}
-    return _trace("converge", start, records, meta, facts,
+    return _trace("converge", start, records, state, meta, facts,
                   seed_state=initial if prelude else None, prelude=prelude, metrics=metrics)
 
 
@@ -524,7 +556,8 @@ def replay(trace: Trace) -> list:
     once and every record is compared with it. The verdict, and the meta
     derived with it (a converge trace's ``steps_to_ideal``), are
     re-derived by the writers' one rule, :func:`_outcome`, so a trace of
-    unknown kind is refused. Only a converge trace may carry a prelude.
+    unknown kind, and a simulate or converge trace cut short or run on,
+    is refused. Only a converge trace may carry a prelude.
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
@@ -540,8 +573,9 @@ def replay(trace: Trace) -> list:
         state, _ = _rederive(trace.seed_state, trace.prelude, "prelude", facts)
         if state != trace.initial:
             raise ReplayMismatchError("prelude does not reproduce the initial state")
-    _, reports = _rederive(trace.initial, trace.records, "records", facts)
-    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, facts)
+    final, reports = _rederive(trace.initial, trace.records, "records", facts)
+    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, final,
+                                facts)
     for key, value in derived.items():
         recorded = trace.meta.get(key)
         # exact types: a recorded true or 9.0 is not the integer 1 or 9

@@ -31,10 +31,13 @@ is its one definition, and the ideal flag, its witness and
 with the flags, so a caller that needs both computes it once.
 
 ``Invariant`` is the conjunction of just two properties: every member has
-a live successor, and at least r + 1 members are principal.
-:func:`invariant_among` is its one test outside :func:`check_all`, and
-:func:`failable_mask` gives, in one pass, its verdict on the survivors of
-every member's fail. The other
+a live successor, and at least r + 1 members are principal. Outside
+:func:`check_all` it is read from a snapshot's mask rows
+(:func:`mask_rows`), computed once per snapshot and kept on it:
+:func:`invariant_holds` gives the snapshot's verdict, :func:`failable_mask`
+the verdict on the survivors of every member's fail, and
+:func:`invariant_with` the verdict after one member's row is replaced or
+added, which is all a stabilize, a rectify or a join changes. The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .idspace import IdSpace
 from .state import GlobalState, NodeState, chain_cycles, first_live, member_masks
@@ -74,64 +77,123 @@ class PropertyReport:
     witnesses: dict[str, object] = field(default_factory=dict)
 
 
-def invariant_among(space: IdSpace, r: int, live: int, members: Sequence[NodeState]) -> bool:
-    """The invariant among ``members`` when exactly the identifiers in
-    ``live`` are live: every member has a live successor, and at least
-    r + 1 live identifiers are principal (see
-    :func:`~chordcheck.state.member_masks`). :func:`invariant_holds` asks
-    it of a snapshot, :func:`~chordcheck.protocol.safely_failable` of the
-    survivors of a fail, without building the post-fail snapshot."""
-    skipped = 0
-    for node in members:
-        node_skipped, entries = member_masks(space, node)
-        if not entries & live:
-            return False
-        skipped |= node_skipped
-    return (live & ~skipped).bit_count() >= r + 1
+class MaskRows(NamedTuple):
+    """What the invariant reads of one snapshot (see :func:`mask_rows`).
+
+    ``others[i]`` is the union of the skip masks (see
+    :func:`~chordcheck.state.member_masks`) of every member but the i-th,
+    in member order, and ``skipped`` the union of all of them.
+    ``stranded`` has a bit set for each member with no live entry.
+    ``failable`` is :func:`failable_mask`'s answer.
+    """
+
+    others: list[int]
+    skipped: int
+    stranded: int
+    failable: int
+
+
+def mask_rows(state: GlobalState) -> MaskRows:
+    """The mask rows of ``state``, computed on the first call and kept in
+    its ``rows`` slot."""
+    rows = state.rows
+    if rows is None:
+        rows = _mask_rows(state)
+        object.__setattr__(state, "rows", rows)  # a memo, not part of the value
+    return rows
+
+
+def _mask_rows(state: GlobalState) -> MaskRows:
+    """One pass over the members' masks, then the prefix and suffix ORs of
+    their skip masks and every fail verdict (see :func:`failable_mask`)."""
+    space = state.space
+    live = state.mask
+    skips = []
+    stranded = 0
+    candidates = live
+    for node in state.members:
+        skipped, entries = member_masks(space, node)
+        skips.append(skipped)
+        heads = entries & live
+        own = 1 << node.ident
+        if not heads:
+            stranded |= own
+            candidates &= own  # already stranded: only its own fail unstrands it
+        elif heads & (heads - 1) == 0 and heads != own:
+            candidates &= ~heads  # its one live entry is another member
+    after = [0] * (len(skips) + 1)
+    for i in range(len(skips) - 1, -1, -1):
+        after[i] = after[i + 1] | skips[i]
+    others = []
+    before = 0
+    for i, skipped in enumerate(skips):
+        others.append(before | after[i + 1])
+        before |= skipped
+    failable = 0
+    if candidates:
+        required = state.r + 1
+        for node, other in zip(state.members, others):
+            own = 1 << node.ident
+            if candidates & own and (live & ~own & ~other).bit_count() >= required:
+                failable |= own
+    return MaskRows(others, after[0], stranded, failable)
 
 
 def invariant_holds(state: GlobalState) -> bool:
-    """Whether ``state`` satisfies the invariant (see :func:`invariant_among`)."""
-    return invariant_among(state.space, state.r, state.mask, state.members)
+    """Whether ``state`` satisfies the invariant: every member has a live
+    successor, and at least r + 1 live identifiers are principal (not
+    skipped by any extended successor list).
+
+    Read from the snapshot's rows when it has them; otherwise they are
+    computed but not kept, so a one-off verdict does not pin them to a
+    snapshot that its caller keeps (a converge seed, or every state of a
+    collected exploration)."""
+    rows = state.rows or _mask_rows(state)
+    return not rows.stranded and (state.mask & ~rows.skipped).bit_count() > state.r
 
 
 def failable_mask(state: GlobalState) -> int:
     """Every fail verdict of ``state`` at once: bit x is set iff x is a
-    member and :func:`invariant_among` holds for the survivors of x
-    failing, which is what :func:`~chordcheck.protocol.safely_failable`
-    asks of one member.
+    member and the invariant holds for the survivors of x failing: the
+    one definition of the verdict that
+    :func:`~chordcheck.protocol.safely_failable` gives for one member and
+    :func:`~chordcheck.protocol.enabled_steps` reads for all, kept in the
+    snapshot's mask rows.
 
-    One pass over the members' masks (see
-    :func:`~chordcheck.state.member_masks`) finds who a fail would strand:
-    failing x strands every other member whose only live entry is x, and a
-    member with no live entry already is stranded unless it is the one
-    that fails. The survivors' skip union for each x comes from prefix and
-    suffix ORs of the members' skip masks."""
+    Failing x strands every other member whose only live entry is x, and
+    a member with no live entry already is stranded unless it is the one
+    that fails. The survivors' skip union is ``others`` of the rows."""
+    return mask_rows(state).failable
+
+
+def invariant_with(state: GlobalState, node: NodeState) -> bool:
+    """The invariant of ``state`` with ``node`` in place of the member with
+    its identifier, or added as a new member if there is none, whatever
+    the pending entries: the verdict on the state a stabilize, a rectify
+    or a join leaves, where only the actor's row changes. Read from the
+    rows of ``state`` (see :func:`mask_rows`) and the new row's masks,
+    without the post-state's rows."""
+    rows = mask_rows(state)
     space = state.space
+    skipped, entries = member_masks(space, node)
     live = state.mask
-    rows = [member_masks(space, node) for node in state.members]
-    candidates = live
-    for node, (_, entries) in zip(state.members, rows):
-        heads = entries & live
-        own = 1 << node.ident
-        if not heads:
-            candidates &= own  # already stranded: only its own fail unstrands it
-        elif heads & (heads - 1) == 0 and heads != own:
-            candidates &= ~heads  # its one live entry is another member
-    if not candidates:
-        return 0
-    after = [0] * (len(rows) + 1)
-    for i in range(len(rows) - 1, -1, -1):
-        after[i] = after[i + 1] | rows[i][0]
-    required = state.r + 1
-    failable = 0
-    before = 0
-    for i, node in enumerate(state.members):
-        own = 1 << node.ident
-        if candidates & own and (live & ~own & ~(before | after[i + 1])).bit_count() >= required:
-            failable |= own
-        before |= rows[i][0]
-    return failable
+    own = 1 << node.ident
+    stranded = rows.stranded & ~own
+    if live & own:
+        skipped |= rows.others[(live & (own - 1)).bit_count()]
+    else:
+        live |= own
+        skipped |= rows.skipped
+        todo = stranded
+        while todo:
+            # the joiner is live from now on: a stranded member listing it is not
+            low = todo & -todo
+            todo ^= low
+            if member_masks(space, state.node(low.bit_length() - 1))[1] & own:
+                stranded ^= low
+    if stranded or not entries & live:
+        return False
+    return (live & ~skipped).bit_count() > state.r
 
 
 def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:

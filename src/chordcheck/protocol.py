@@ -6,6 +6,14 @@ steps; the intermediate state (a captured candidate successor in
 ``pending_stabilize``) is observable by every other member's steps, which
 is exactly the interleaving the shared-state abstraction guarantees.
 
+Each step function defines its kind's effect once, as a delta: the one
+member row it replaces, adds or removes, that member's continuation, and
+the notification it sends or delivers. :meth:`GlobalState.derive
+<chordcheck.state.GlobalState.derive>` turns the delta into the next
+snapshot, splicing its key from the parent's. The fail guard reads the
+state's fail verdicts, which :func:`~chordcheck.properties.failable_mask`
+computes once per snapshot.
+
 Joins use an omniscient lookup oracle over the snapshot; the routed
 lookup protocol is out of scope here.
 """
@@ -24,8 +32,8 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .properties import failable_mask, invariant_among
-from .state import GlobalState, NodeState, with_entry
+from .properties import failable_mask
+from .state import GlobalState, NodeState
 
 
 class StepKind(IntEnum):
@@ -110,7 +118,7 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
     target = state.get(new_prdc)
     if target is None:
         return state  # abort: chosen predecessor died before the step
-    return state.evolve(NodeState(joiner, new_prdc, target.succ_list))
+    return state.derive(joiner, NodeState(joiner, new_prdc, target.succ_list))
 
 
 def step_fail(state: GlobalState, member: int, forced: bool = False) -> GlobalState:
@@ -129,7 +137,7 @@ def step_fail(state: GlobalState, member: int, forced: bool = False) -> GlobalSt
             f"fail of {member} would leave a member with no live successor "
             f"or fewer than r + 1 = {state.r + 1} principal members"
         )
-    return state.without_member(member)
+    return state.derive(member)
 
 
 def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalState:
@@ -147,17 +155,17 @@ def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalStat
         raise StabilizeInProgressError(
             f"member {member} has a stabilize in flight and cannot start another"
         )
-    head = node.succ_list[0]
+    succ_list = node.succ_list
+    head = succ_list[0]
     head_node = state.get(head)
     if head_node is None:
-        padded = node.succ_list[1:] + (state.space.next_ident(node.succ_list[-1]),)
-        return state.evolve(node._replace(succ_list=padded))
-    node = node._replace(succ_list=(head,) + head_node.succ_list[:-1])
+        padded = succ_list[1:] + (state.space.next_ident(succ_list[-1]),)
+        return state.derive(member, NodeState(member, node.prdc, padded))
+    node = NodeState(member, node.prdc, (head,) + head_node.succ_list[:-1])
     candidate = head_node.prdc
     if state.space.between(member, candidate, head):
-        return state.evolve(node, pending_stabilize=with_entry(state.pending_stabilize,
-                                                               (member, candidate)))
-    return state.evolve(node, pending_notify=with_entry(state.pending_notify, (head, member)))
+        return state.derive(member, node, candidate)
+    return state.derive(member, node, sent=(head, member))
 
 
 def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalState:
@@ -169,12 +177,8 @@ def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalSt
     node = state.node(member)
     cand_node = state.get(candidate)
     if cand_node is not None:
-        node = node._replace(succ_list=(candidate,) + cand_node.succ_list[:-1])
-    return state.evolve(
-        node,
-        pending_stabilize=tuple(e for e in state.pending_stabilize if e[0] != member),
-        pending_notify=with_entry(state.pending_notify, (node.succ_list[0], member)),
-    )
+        node = NodeState(member, node.prdc, (candidate,) + cand_node.succ_list[:-1])
+    return state.derive(member, node, sent=(node.succ_list[0], member))
 
 
 def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
@@ -186,14 +190,12 @@ def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
     entry = (member, new_prdc)
     if entry not in state.pending_notify:
         raise NoPendingNotifyError(f"no pending notification ({member}, {new_prdc})")
-    delivered = tuple(e for e in state.pending_notify if e != entry)
     node = state.get(member)
     if node is not None and (state.space.between(node.prdc, new_prdc, member)
                              or not state.is_member(node.prdc)):
-        return state.evolve(node._replace(prdc=new_prdc), pending_notify=delivered)
-    # no change of predecessor, or the target died and the notification
-    # is silently dropped
-    return state.evolve(pending_notify=delivered)
+        node = NodeState(member, new_prdc, node.succ_list)
+    # a dead target has no row (None), so only the notification goes
+    return state.derive(member, node, state.pending_stabilize_for(member), delivered=entry)
 
 
 def apply_step(state: GlobalState, step: Step) -> GlobalState:
@@ -220,12 +222,11 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     """Whether an unforced fail of ``member`` respects both operating
     assumptions: the invariant holds among the survivors, so nobody is
     left without a live successor and at least r + 1 members stay
-    principal. Asked of the survivors' lists, without building the
-    post-fail snapshot. This is the guard of one fail in :func:`step_fail`;
-    :func:`enabled_steps` reads every member's verdict from
-    :func:`~chordcheck.properties.failable_mask`."""
-    survivors = [node for node in state.members if node.ident != member]
-    return invariant_among(state.space, state.r, state.mask & ~(1 << member), survivors)
+    principal. This is the guard of one fail in :func:`step_fail`, read
+    from :func:`~chordcheck.properties.failable_mask`, the one definition
+    of every fail verdict, which is computed once per snapshot: when
+    :func:`enabled_steps` has asked it, the guard costs a lookup."""
+    return failable_mask(state) >> member & 1 == 1
 
 
 def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:

@@ -25,17 +25,25 @@ With ``m`` bits per identifier, ``key`` holds, from the lowest bit up:
   entry still counts.
 
 Steps produce new snapshots. The public constructor validates and sorts
-its input and packs the key; ``evolve`` and the ``with_*``/``without_*``
-updates build the next snapshot directly in canonical order from one
-that already is, and splice its key from the parent's: a changed member
-field is XORed in, a joining member's field shifted in, a failing
-member's shifted out, and only the notification bits are packed anew
-when the notifications change.
+its input and packs the key. Every other snapshot is made by
+:meth:`GlobalState.derive` from a step's delta (the one member row it
+replaces, adds or removes, that member's continuation, and the
+notification sent or delivered): it builds the next snapshot directly in
+canonical order from one that already is, and splices its key from the
+parent's. A changed member field is XORed in, a joining member's field
+shifted in, a failing member's shifted out, and only the notification
+bits are packed anew when the notifications change. ``with_node`` and
+``without_member`` are deltas too.
+
+A snapshot also has a ``rows`` slot, None until
+:func:`~chordcheck.properties.mask_rows` keeps there what the invariant
+reads of it (every member's skip masks, combined, the stranded members
+and the fail verdicts), so all its fail verdicts and the verdicts of all
+its successors cost one pass over its members.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -100,7 +108,8 @@ class _Fields:
     by a class swap, which costs far less than ``object.__setattr__`` per
     field."""
 
-    __slots__ = ("space", "r", "members", "pending_stabilize", "pending_notify", "mask", "key")
+    __slots__ = ("space", "r", "members", "pending_stabilize", "pending_notify", "mask", "key",
+                 "rows")
 
 
 def _frozen(
@@ -122,6 +131,7 @@ def _frozen(
     new.pending_notify = pending_notify
     new.mask = mask
     new.key = key
+    new.rows = None
     new.__class__ = GlobalState
     return new
 
@@ -143,7 +153,9 @@ class GlobalState(_Fields):
 
     ``mask`` has bit ``i`` set exactly when ``i`` is a member. ``key`` is
     the packed snapshot (see the module docstring): two snapshots of one
-    space and ``r`` are equal exactly when their keys are.
+    space and ``r`` are equal exactly when their keys are. ``rows`` is a
+    memo of derived masks (see the module docstring), not part of the
+    value.
     """
 
     __slots__ = ()
@@ -186,7 +198,7 @@ class GlobalState(_Fields):
             key |= field << at
             at += lists + 1 + m
         key = _with_notify_bits(key, at, pending_notify, m)
-        values = (space, r, members, pending_stabilize, pending_notify, mask, key)
+        values = (space, r, members, pending_stabilize, pending_notify, mask, key, None)
         for name, value in zip(_Fields.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -295,95 +307,77 @@ class GlobalState(_Fields):
 
     # -- functional updates (used by the protocol steps) --------------------
 
-    def evolve(
+    def derive(
         self,
+        ident: int,
         node: NodeState | None = None,
-        pending_stabilize: tuple[tuple[int, int], ...] | None = None,
-        pending_notify: tuple[tuple[int, int], ...] | None = None,
+        candidate: int | None = None,
+        sent: tuple[int, int] | None = None,
+        delivered: tuple[int, int] | None = None,
     ) -> GlobalState:
-        """The next snapshot, built once: ``node`` added or put in place of
-        the member with its identifier, and the given pending tuples, which
-        the caller keeps sorted, in place of this snapshot's. A new
-        ``pending_stabilize`` may differ from this snapshot's only in the
-        entry of ``node``'s member, and a joining member owns none."""
+        """The snapshot a step with this delta makes of this one, built once.
+
+        ``node``, when given, is member ``ident``'s row after the step, put
+        in place of its old row or added (a join), and ``candidate`` its
+        continuation (None: none in flight). A None ``node`` means that
+        ``ident`` leaves, with its continuation and the notifications that
+        target it (for a non-member no row changes), and takes no
+        ``candidate``. ``sent`` is a notification the step adds (duplicates
+        collapse), ``delivered`` one it removes. Only ``ident``'s key field
+        is spliced, and the notification bits when the notifications change.
+        """
         space = self.space
         members = self.members
         mask = self.mask
         key = self.key
+        stabilize = self.pending_stabilize
+        notify = self.pending_notify
         m = space.m
         lists = (self.r + 1) * m
         width = lists + 1 + m
+        own = 1 << ident
+        i = (mask & (own - 1)).bit_count()
+        at = space.size + i * width
         if node is not None:
-            ident = node.ident
-            i = (mask & ((1 << ident) - 1)).bit_count()
-            at = space.size + i * width
             field = _pack_lists(node, m)
-            if mask >> ident & 1:
+            if candidate is not None:
+                field |= (1 | candidate << 1) << lists
+            if mask & own:
                 members = members[:i] + (node,) + members[i + 1:]
-                old = key >> at & ((1 << width) - 1)
-                if pending_stabilize is None:
-                    field |= old >> lists << lists  # the continuation stays
-                else:
-                    for owner, candidate in pending_stabilize:
-                        if owner == ident:
-                            field |= (1 | candidate << 1) << lists
-                            break
-                key ^= (old ^ field) << at
+                key ^= (key >> at & ((1 << width) - 1) ^ field) << at
             else:
                 members = members[:i] + (node,) + members[i:]
-                mask |= 1 << ident
+                mask |= own
                 # lift the fields from position i up by one width; the gap takes the join
-                key = (key >> at << width | field) << at | key & ((1 << at) - 1) | 1 << ident
-        if pending_notify is None:
-            pending_notify = self.pending_notify
-        elif pending_notify is not self.pending_notify:
-            key = _with_notify_bits(key, space.size + len(members) * width, pending_notify, m)
-        return _frozen(
-            space,
-            self.r,
-            members,
-            self.pending_stabilize if pending_stabilize is None else pending_stabilize,
-            pending_notify,
-            mask,
-            key,
-        )
+                key = (key >> at << width | field) << at | key & ((1 << at) - 1) | own
+        elif mask & own:
+            members = members[:i] + members[i + 1:]
+            mask ^= own
+            # drop the member's field, lowering the fields above it by one width
+            key = (key >> (at + width) << at | key & ((1 << at) - 1)) ^ own
+            notify = tuple(e for e in notify if e[0] != ident)
+        if stabilize:
+            stabilize = tuple(e for e in stabilize if e[0] != ident)
+        if candidate is not None:
+            stabilize = tuple(sorted(stabilize + ((ident, candidate),)))
+        if delivered is not None:
+            notify = tuple(e for e in notify if e != delivered)
+        if sent is not None and sent not in notify:
+            notify = tuple(sorted(notify + (sent,)))
+        if notify is not self.pending_notify:
+            key = _with_notify_bits(key, space.size + len(members) * width, notify, m)
+        return _frozen(space, self.r, members, stabilize, notify, mask, key)
 
     def with_node(self, node: NodeState) -> GlobalState:
-        """Add ``node``, or replace the member with its identifier."""
+        """Add ``node``, or replace the member with its identifier, keeping
+        that member's continuation."""
         _check_node(node, self.r, self.space.size)
-        return self.evolve(node)
+        return self.derive(node.ident, node, self.pending_stabilize_for(node.ident))
 
     def without_member(self, ident: int) -> GlobalState:
         """Drop the member, the continuation it owns and the notifications
-        that target it."""
-        members = self.members
-        mask = self.mask
-        key = self.key
-        pending_stabilize = self.pending_stabilize
-        m = self.space.m
-        width = (self.r + 2) * m + 1
-        if self.is_member(ident):
-            i = (mask & ((1 << ident) - 1)).bit_count()
-            at = self.space.size + i * width
-            members = members[:i] + members[i + 1:]
-            mask ^= 1 << ident
-            # drop the member's field, lowering the fields above it by one width
-            key = (key >> (at + width) << at | key & ((1 << at) - 1)) ^ 1 << ident
-            pending_stabilize = tuple(e for e in pending_stabilize if e[0] != ident)
-        pending_notify = tuple(e for e in self.pending_notify if e[0] != ident)
-        if len(pending_notify) != len(self.pending_notify):
-            key = _with_notify_bits(key, self.space.size + len(members) * width, pending_notify, m)
-        return _frozen(self.space, self.r, members, pending_stabilize, pending_notify, mask, key)
-
-
-def with_entry(entries: tuple[tuple[int, int], ...], entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """A sorted tuple of pending entries with ``entry`` added; the same
-    tuple if it is already there (duplicates collapse)."""
-    if entry in entries:
-        return entries
-    grown = list(entries)
-    insort(grown, entry)
-    return tuple(grown)
+        that target it; the same snapshot for a non-member."""
+        return self.derive(ident)
 
 
 def make_state(

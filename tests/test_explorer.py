@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import io
 import json
 import random
@@ -143,24 +144,47 @@ class TestExplore:
 
     def test_fail_post_states_are_not_rechecked(self, monkeypatch):
         # step_fail's guard has already tested the survivors, so explore
-        # checks the initial state and each new state reached otherwise
+        # checks the initial state whole, and each new state reached
+        # otherwise from its parent's rows and the actor's new row
         checked = []
-        real = explorer.invariant_holds
+        real_holds = explorer.invariant_holds
+        real_with = explorer.invariant_with
 
-        def counting(state):
+        def counting_holds(state):
             checked.append(state.key)
-            return real(state)
+            return real_holds(state)
 
-        monkeypatch.setattr(explorer, "invariant_holds", counting)
+        def counting_with(state, node):
+            checked.append((state.key, node))
+            return real_with(state, node)
+
+        monkeypatch.setattr(explorer, "invariant_holds", counting_holds)
+        monkeypatch.setattr(explorer, "invariant_with", counting_with)
         s = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
         result = explore(s, ExploreConfig(max_depth=4, churn="full", collect_states=True))
         assert result.ok
-        reached = [(state.key, result.parents[state.key]) for state in result.states[1:]]
-        fail_posts = {key for key, (_, step) in reached if step.kind == StepKind.FAIL}
+        reached = [(state, result.parents[state.key]) for state in result.states[1:]]
+        fail_posts = {state.key for state, (_, step) in reached if step.kind == StepKind.FAIL}
         assert fail_posts
-        assert checked == [s.key] + [key for key, (_, step) in reached
+        assert checked == [s.key] + [(parent, state.node(step.actor))
+                                     for state, (parent, step) in reached
                                      if step.kind != StepKind.FAIL]
         assert not fail_posts & set(checked)
+
+    @pytest.mark.parametrize("m, ring, depth, counts, digest", [
+        (4, (0, 3, 6, 9, 12), 4, ("ok", 10_517, 35_896, 8_753), "b5b963d7c8d05252"),
+        (3, (0, 2, 3, 5, 7), 5, ("ok", 4_752, 16_714, 3_332), "05c23f60cf5cab09"),
+        (3, (0, 2, 5), 8, ("ok", 14_130, 74_340, 7_950), "bb56ceea5ccf33e7"),
+    ])
+    def test_exploration_pinned(self, m, ring, depth, counts, digest):
+        # verdict, states, transitions and frontier, and every parent link
+        # in BFS order, hashed
+        result = explore(ideal_ring(IdSpace(m), 2, ring),
+                         ExploreConfig(max_depth=depth, churn="full", collect_states=True))
+        assert (result.verdict, result.states_visited, result.transitions,
+                result.frontier_size) == counts
+        links = repr(list(result.parents.items())).encode("ascii")
+        assert hashlib.sha256(links).hexdigest()[:16] == digest
 
     def test_requires_valid_initial_unless_waived(self):
         s = build_fig3_state()
@@ -536,6 +560,41 @@ class TestReplayOutcome:
         trace.verdict = "converged"
         with pytest.raises(ReplayMismatchError, match="verdict"):
             replay(trace)
+
+    def test_cut_converge_trace_refused(self, space3):
+        # a converged run keeps its retention window, steps_to_ideal +
+        # fairness_window records; a run that never gets ideal runs to
+        # its step cap
+        trace = converged_trace(space3)
+        assert len(trace.records) == 9 + trace.meta["fairness_window"] == 17
+        for records in (trace.records[:9], trace.records[:16]):
+            with pytest.raises(ReplayMismatchError, match="its run stops after 17"):
+                replay(replace(trace, records=records))
+        capped = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1),
+                          step_cap=4)
+        assert (capped.verdict, len(capped.records)) == ("not-converged", 4)
+        with pytest.raises(ReplayMismatchError, match="its run stops after 4"):
+            replay(replace(capped, records=capped.records[:3]))
+        for step_cap in (5, 4.0, None):
+            with pytest.raises(ReplayMismatchError, match="records"):
+                replay(replace(capped, meta={**capped.meta, "step_cap": step_cap}))
+        for window in (9, None, True):
+            with pytest.raises(ReplayMismatchError, match="records"):
+                replay(replace(trace, meta={**trace.meta, "fairness_window": window}))
+
+    def test_cut_simulate_trace_refused(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        run = simulate(s, Schedule(seed=1), steps=30)
+        assert len(run.records) == 30
+        with pytest.raises(ReplayMismatchError, match="steps_requested 30 has 3 records"):
+            replay(replace(run, records=run.records[:3]))
+        replay(replace(run, records=run.records[:3], meta={**run.meta, "steps_requested": 3}))
+        # the fair scheduler finds no step only in a network with no member
+        emptied = run_script(s, [Step(StepKind.FAIL, x, forced=True) for x in (0, 2, 5)])
+        replay(replace(emptied, kind="simulate", meta={"steps_requested": 10}))
+        for requested in (2, 3.0):
+            with pytest.raises(ReplayMismatchError, match="steps_requested"):
+                replay(replace(emptied, kind="simulate", meta={"steps_requested": requested}))
 
     def test_every_converge_trace_replays(self, space3):
         # explored states carry continuations and notifications in flight;

@@ -26,7 +26,8 @@ from chordcheck import (
     safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
-from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks, skipped_mask, with_entry
+from chordcheck.properties import invariant_holds, invariant_with
+from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks, skipped_mask
 
 from conftest import (
     brute_force_principals,
@@ -186,9 +187,14 @@ class TestKey:
 
     @settings(max_examples=200, deadline=None)
     @given(any_scope_states)
+    # 12 lists only the dead 2, and the join of 2 unstrands it
+    @example(make_state(IdSpace(4), 1, [(0, 12, (4,)), (4, 0, (8,)), (8, 4, (12,)),
+                                        (12, 8, (2,))]))
     def test_step_results_match_their_rebuild(self, s):
         # steps splice the key from the parent's; the constructor packs it
-        # from scratch, and the two must agree
+        # from scratch, and the two must agree. Explore reads a non-fail
+        # post-state's verdict from the parent's rows and the actor's new
+        # row; the rebuilt snapshot has no rows and computes its own
         steps = enabled_steps(s, churn="full")
         steps += [Step(StepKind.FAIL, ident, forced=True) for ident in s.idents()]
         for step in steps:
@@ -196,8 +202,14 @@ class TestKey:
             rebuilt = GlobalState(*fields(post))
             assert rebuilt.key == post.key
             assert rebuilt == post
+            if step.kind != StepKind.FAIL:
+                assert invariant_with(s, post.node(step.actor)) == invariant_holds(rebuilt), step
+        # a notification spliced in at every position, with the sender's
+        # row put back unchanged
+        sender = s.idents()[0]
         for target in range(s.space.size):
-            post = s.evolve(pending_notify=with_entry(s.pending_notify, (target, s.idents()[0])))
+            post = s.derive(sender, s.node(sender), s.pending_stabilize_for(sender),
+                            sent=(target, sender))
             assert GlobalState(*fields(post)).key == post.key
 
     def test_rejects_keys_no_snapshot_has(self, space3):
