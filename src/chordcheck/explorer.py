@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvalidInitialStateError, ReplayMismatchError
@@ -35,19 +36,44 @@ from .properties import (
     valid_initial,
 )
 from .protocol import Step, StepKind, apply_step, enabled_steps
-from .state import GlobalState, principals
+from .state import GlobalState, NodeState, principals
 
 
 def state_digest(state: GlobalState) -> str:
-    """Stable content digest of a snapshot (canonical form, sha256)."""
-    doc = (
-        state.space.m,
-        state.r,
-        state.members,
-        state.pending_stabilize,
-        state.pending_notify,
-    )
-    return hashlib.sha256(repr(doc).encode("ascii")).hexdigest()
+    """Stable content digest of a snapshot: the sha256 of the ASCII text
+    ``repr((m, r, members, pending_stabilize, pending_notify))``.
+
+    The text is assembled from one memoized text per member
+    (:func:`_member_text`), so a step that changes one member formats at
+    most that member anew; ``m``, ``r`` and the pending tuples are
+    formatted per call. A member's text is the ``repr`` of its
+    :class:`NodeState` with integer fields, and the members are joined as
+    a tuple's ``repr`` joins them (a lone member keeps its trailing
+    comma), so the text, and every digest, is the one the literal
+    ``repr`` gives.
+    """
+    members = ", ".join(map(_member_text, state.members))
+    if len(state.members) == 1:
+        members += ","
+    text = (f"({state.space.m!r}, {state.r!r}, ({members}), "
+            f"{state.pending_stabilize!r}, {state.pending_notify!r})")
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# bounds the memo, which lives as long as the process: one trace and its
+# replay format a few hundred distinct members
+MEMBER_TEXTS_CEILING = 1024
+
+
+@lru_cache(maxsize=MEMBER_TEXTS_CEILING)
+def _member_text(node: NodeState) -> str:
+    """``repr(node)`` with every field formatted as an integer, so that
+    members that compare equal (``True`` and ``1``) give one text whichever
+    the memo saw first."""
+    entries = ", ".join(f"{entry:d}" for entry in node.succ_list)
+    if len(node.succ_list) == 1:
+        entries += ","
+    return f"NodeState(ident={node.ident:d}, prdc={node.prdc:d}, succ_list=({entries}))"
 
 
 class TraceRecord(NamedTuple):
@@ -396,14 +422,26 @@ class _FairScheduler:
     a deadline deliver over-age notifications first, then fall back to a
     seeded random choice over everything enabled. Only that last branch
     enumerates the enabled steps.
+
+    Idle times and notification ages are read off round clocks: ``round``
+    counts the rounds accounted, ``stamps`` holds the round in which each
+    member last stabilized or appeared, and ``born`` the round in which
+    each pending notification appeared, so an idle time or an age is
+    ``round`` less its stamp. ``stamps`` is rebuilt only when the member
+    mask changes, ``born`` only when the notifications do, and a stabilize
+    restamps its actor; the oldest stamp is the deadline member, lowest
+    identifier first.
     """
 
     def __init__(self, state: GlobalState, schedule: Schedule, churn: str):
         self.rng = random.Random(schedule.seed)
         self.window = schedule.window_for(state)
         self.churn = churn
-        self.idle = {ident: i for i, ident in enumerate(state.idents())}
-        self.notify_age = {entry: 0 for entry in state.pending_notify}
+        self.round = 0
+        self.mask = state.mask
+        self.stamps = {ident: -i for i, ident in enumerate(state.idents())}
+        self.notify = state.pending_notify
+        self.born = dict.fromkeys(state.pending_notify, 0)
 
     def _stabilize_step(self, state: GlobalState, member: int) -> Step:
         candidate = state.pending_stabilize_for(member)
@@ -422,25 +460,29 @@ class _FairScheduler:
         """
         if not state.live_count:
             return None
-        at_deadline = [m for m, idle in self.idle.items() if idle >= self.window - 1]
-        if at_deadline:
-            member = max(at_deadline, key=lambda m: (self.idle[m], -m))
+        oldest = min(self.stamps.values())
+        if self.round - oldest >= self.window - 1:
+            member = min(m for m, stamp in self.stamps.items() if stamp == oldest)
             return self._stabilize_step(state, member)
-        stale = [e for e, age in self.notify_age.items() if age >= self.window
-                 and state.is_member(e[0])]
-        if stale:
-            target, new_prdc = min(stale)
-            return Step(StepKind.RECTIFY, target, new_prdc)
+        if self.born and self.round - min(self.born.values()) >= self.window:
+            due = self.round - self.window
+            stale = [e for e, born in self.born.items() if born <= due
+                     and state.is_member(e[0])]
+            if stale:
+                target, new_prdc = min(stale)
+                return Step(StepKind.RECTIFY, target, new_prdc)
         return self.rng.choice(enabled_steps(state, churn=self.churn))
 
     def account(self, step: Step, post: GlobalState) -> None:
-        self.idle = {ident: self.idle.get(ident, -1) + 1 for ident in post.idents()}
+        self.round += 1
+        if post.mask != self.mask:
+            self.mask = post.mask
+            self.stamps = {ident: self.stamps.get(ident, self.round) for ident in post.idents()}
         if step.kind in (StepKind.STABILIZE_FROM_SUCCESSOR, StepKind.STABILIZE_FROM_PREDECESSOR):
-            self.idle[step.actor] = 0
-        ages = {}
-        for entry in post.pending_notify:
-            ages[entry] = self.notify_age.get(entry, -1) + 1
-        self.notify_age = ages
+            self.stamps[step.actor] = self.round
+        if post.pending_notify != self.notify:
+            self.notify = post.pending_notify
+            self.born = {entry: self.born.get(entry, self.round) for entry in post.pending_notify}
 
 
 def simulate(

@@ -249,6 +249,8 @@ def load_scenario(path: str, m_override: int | None = None, r_override: int | No
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: not valid JSON ({exc.msg})"
@@ -397,3 +399,5 @@ def load_trace(path: str) -> Trace:
             return read_trace(fh)
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -19,6 +19,7 @@ from chordcheck import (
     ExploreConfig,
     GlobalState,
     IdSpace,
+    NodeState,
     Schedule,
     Step,
     StepKind,
@@ -43,7 +44,7 @@ from chordcheck import (
 )
 from chordcheck import explorer, protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, TraceFormatError
-from chordcheck.explorer import _FairScheduler, _record
+from chordcheck.explorer import MEMBER_TEXTS_CEILING, _FairScheduler, _member_text, _record
 from chordcheck.files import load_scenario, read_trace, write_trace
 
 from conftest import repeated_table_record
@@ -88,10 +89,10 @@ class ReferenceScheduler:
         self.notify_age = {e: self.notify_age.get(e, -1) + 1 for e in post.pending_notify}
 
 
-def picks_agree(state, seed, churn, rounds):
+def picks_agree(state, seed, churn, rounds, window=None):
     """Run the fair scheduler and the reference side by side from
     ``state``; return the number of rounds both scheduled."""
-    schedule = Schedule(seed=seed)
+    schedule = Schedule(seed=seed, fairness_window=window)
     fair = _FairScheduler(state, schedule, churn)
     ref = ReferenceScheduler(state, schedule, churn)
     for done in range(rounds):
@@ -400,20 +401,53 @@ class TestSimulate:
             simulate(s, Schedule(seed=1, fairness_window=2), steps=5)
 
 
+CHURNS = ["full", "joins_only", "fails_only", "none"]
+
+
 class TestFairScheduler:
-    @pytest.mark.parametrize("churn", ["full", "joins_only", "none"])
+    @pytest.mark.parametrize("churn", CHURNS)
     def test_matches_reference_on_join_lifecycle(self, churn):
         state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
         for seed in range(6):
             assert picks_agree(state, seed, churn, rounds=150) == 150
 
-    @pytest.mark.parametrize("churn", ["full", "joins_only", "none"])
+    @pytest.mark.parametrize("churn", CHURNS)
     def test_matches_reference_on_explored_states(self, space3, churn):
         # explored states carry continuations and notifications in flight
         result = explore(ideal_ring(space3, 2, [0, 2, 4, 6]),
                          ExploreConfig(max_depth=3, churn="full", collect_states=True))
         for seed, state in enumerate(result.states[::40]):
             picks_agree(state, seed, churn, rounds=60)
+
+    @pytest.mark.parametrize("churn", CHURNS)
+    def test_matches_reference_with_window_of_live_count(self, space3, churn):
+        # the tightest window: every member is due once per live-count rounds
+        state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
+        for seed in range(3):
+            picks_agree(state, seed, churn, rounds=100, window=state.live_count)
+        for seed, state in enumerate(full_churn_states()[::40]):
+            picks_agree(state, seed, churn, rounds=60, window=state.live_count)
+
+    def test_resent_notification_restarts_its_age(self, space3):
+        # (2, 0) is sent in round 0, delivered in round 1 and sent again in
+        # round 3, so in round 7 it is 3 rounds old, not 6: no notification
+        # is over age, and no member is at its deadline
+        state = ideal_ring(space3, 2, [0, 2, 5])
+        schedule = Schedule(seed=1)
+        assert schedule.window_for(state) == 6
+        fair = _FairScheduler(state, schedule, "none")
+        ref = ReferenceScheduler(state, schedule, "none")
+        sfs = StepKind.STABILIZE_FROM_SUCCESSOR
+        script = [Step(sfs, 0), Step(StepKind.RECTIFY, 2, 0), Step(sfs, 5), Step(sfs, 0),
+                  Step(sfs, 2), Step(StepKind.RECTIFY, 0, 5), Step(sfs, 5)]
+        for step in script:
+            assert fair.pick(state) == ref.pick(state)
+            state = apply_step(state, step)
+            fair.account(step, state)
+            ref.account(step, state)
+        assert ref.notify_age == {(0, 5): 0, (2, 0): 3, (5, 2): 2}
+        pick = fair.pick(state)
+        assert pick == ref.pick(state) != Step(StepKind.RECTIFY, 2, 0)
 
     def test_no_members_no_step(self, space3):
         assert picks_agree(GlobalState(space3, 2, ()), 1, "full", rounds=5) == 0
@@ -718,3 +752,59 @@ class TestDigest:
         assert state_digest(a) == state_digest(b)
         c = a.with_node(a.node(0)._replace(prdc=1))
         assert state_digest(c) != state_digest(a)
+
+    def test_digest_is_its_literal_definition(self, space3):
+        # explored states carry continuations and notifications in flight
+        result = explore(ideal_ring(space3, 2, [0, 2, 5]),
+                         ExploreConfig(max_depth=6, churn="full", collect_states=True))
+        assert any(s.pending_stabilize for s in result.states)
+        assert any(s.pending_notify for s in result.states)
+        ring = result.states[0].members
+        edge_cases = [
+            GlobalState(space3, 2, ()),
+            make_state(space3, 1, [(4, 4, (4,))]),
+            GlobalState(space3, 2, ring, pending_stabilize=[(5, 7)]),
+            GlobalState(space3, 2, ring, pending_notify=[(2, 5)]),
+        ]
+        for s in result.states + edge_cases:
+            assert state_digest(s) == literal_digest(s), s
+
+    def test_digests_pinned(self, space3):
+        assert state_digest(ideal_ring(space3, 2, [0, 2, 5])) == \
+            "9b5dc073ad9dd0eaf6a9e0e95d0def757ee84f6e983eb8f9bea4c17960746cd5"
+        pending = GlobalState(space3, 2, ideal_ring(space3, 2, [0, 2, 5]).members,
+                              pending_stabilize=[(5, 7)], pending_notify=[(0, 7), (2, 5)])
+        assert state_digest(pending) == \
+            "704fad55de18b2224f8cc8b362b6fb0033e02955201bac9774caee6600ae3e02"
+
+    def test_boolean_fields_digest_like_their_integer_twins(self, space3):
+        twin = make_state(space3, 2, [(1, 1, (1, 1))])
+        boolean = GlobalState(space3, 2, [NodeState(True, True, (True, 1))])
+        assert boolean == twin
+        # whichever of the two the memo sees first, both give one text
+        for first, second in ((boolean, twin), (twin, boolean)):
+            _member_text.cache_clear()
+            assert state_digest(first) == state_digest(second) == literal_digest(twin)
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        space = IdSpace(6)
+        rng = random.Random(37)
+        seen = set()
+        while len(seen) <= 2 * MEMBER_TEXTS_CEILING:
+            node = NodeState(rng.randrange(64), rng.randrange(64),
+                             (rng.randrange(64), rng.randrange(64)))
+            if node in seen:
+                continue
+            seen.add(node)
+            state = GlobalState(space, 2, [node])
+            digest = state_digest(state)
+            assert 0 < _member_text.cache_info().currsize <= MEMBER_TEXTS_CEILING
+            if len(seen) % 64 == 0:
+                assert digest == literal_digest(state)
+
+
+def literal_digest(state):
+    """The digest's definition: sha256 of the ASCII ``repr`` of the
+    snapshot's canonical fields."""
+    doc = (state.space.m, state.r, state.members, state.pending_stabilize, state.pending_notify)
+    return hashlib.sha256(repr(doc).encode("ascii")).hexdigest()

@@ -342,6 +342,14 @@ class TestCli:
         path = write_scenario(tmp_path, doc)
         assert main(["check", path]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("command", ["check", "explore", "replay"])
+    def test_non_utf8_file_is_a_schema_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == \
+            f"chordcheck: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
     def test_explore_ideal_ring(self, tmp_path, capsys):
         path = write_scenario(tmp_path, IDEAL3)
         assert main(["explore", path, "--depth", "3"]) == EXIT_OK
