@@ -27,7 +27,6 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import InvalidInitialStateError, ReplayMismatchError
 from .properties import (
     ErrorMetric,
-    Facts,
     PropertyReport,
     check_all,
     error_metric,
@@ -107,11 +106,9 @@ class Trace:
         return state
 
 
-def _record(index: int, step: Step, state: GlobalState,
-            facts: Facts) -> tuple[TraceRecord, PropertyReport]:
-    """The trace record of one resulting state, and its property report;
-    ``facts`` is the run's facts dict (see :func:`check_all`)."""
-    report = check_all(state, facts)
+def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, PropertyReport]:
+    """The trace record of one resulting state, and its property report."""
+    report = check_all(state)
     # positional: a keyword call costs about twice as much, and every
     # record of a run and of its replay is built here
     record = TraceRecord(index, step, state_digest(state), dict(report.flags),
@@ -125,7 +122,7 @@ _MARKS = {"script": set(), "simulate": {"steps_requested"}, "repro": {"violates"
 
 
 def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalState,
-             final: GlobalState, facts: Facts) -> tuple[str, dict]:
+             final: GlobalState) -> tuple[str, dict]:
     """The verdict of a trace of ``kind`` with these records, from
     ``initial`` to ``final``, and the meta entries derived with it; the one
     rule of each kind, applied by every writer and by :func:`replay`.
@@ -185,7 +182,7 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
         return "invariant-violated", {}
     if kind == "converge":
         ideal = [rec.flags["ideal"] for rec in records]
-        if error_metric(initial, facts).ideal:
+        if error_metric(initial).ideal:
             steps_to_ideal = 0
         else:
             steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
@@ -206,10 +203,10 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
 
 
 def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], final: GlobalState,
-           meta: dict, facts: Facts, **fields) -> Trace:
+           meta: dict, **fields) -> Trace:
     """A writer's trace, with the verdict and derived meta of
     :func:`_outcome`; ``fields`` are the other :class:`Trace` fields."""
-    verdict, derived = _outcome(kind, meta, records, initial, final, facts)
+    verdict, derived = _outcome(kind, meta, records, initial, final)
     return Trace(initial=initial, records=records, verdict=verdict, kind=kind,
                  meta={**meta, **derived}, **fields)
 
@@ -223,12 +220,11 @@ def run_script(
     """Apply a fixed step sequence, recording each resulting state; the
     verdict is ``kind``'s (see :func:`_outcome`)."""
     records = []
-    facts: Facts = {}
     state = initial
     for i, step in enumerate(steps):
         state = apply_step(state, step)
-        records.append(_record(i, step, state, facts)[0])
-    return _trace(kind, initial, records, state, meta or {}, facts)
+        records.append(_record(i, step, state)[0])
+    return _trace(kind, initial, records, state, meta or {})
 
 
 # -- bounded breadth-first exploration ---------------------------------------
@@ -503,20 +499,19 @@ def simulate(
     sched = _FairScheduler(initial, schedule, churn)
     state = initial
     records = []
-    facts: Facts = {}
     for i in range(steps):
         step = sched.pick(state)
         if step is None:
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        records.append(_record(i, step, state, facts)[0])
+        records.append(_record(i, step, state)[0])
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "churn": churn,
             "steps_requested": steps}
-    return _trace("simulate", initial, records, state, meta, facts)
+    return _trace("simulate", initial, records, state, meta)
 
 
-def _drain_prelude(state: GlobalState, facts: Facts) -> tuple[GlobalState, list[TraceRecord]]:
+def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
     """Deliver the seed state's in-flight continuations and notifications.
 
     Messages queued before a churn-free run began may reference nodes that
@@ -531,14 +526,14 @@ def _drain_prelude(state: GlobalState, facts: Facts) -> tuple[GlobalState, list[
             continue
         step = Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
-        records.append(_record(index, step, state, facts)[0])
+        records.append(_record(index, step, state)[0])
         index += 1
     for target, new_prdc in sorted(state.pending_notify):
         if not state.is_member(target):
             continue
         step = Step(StepKind.RECTIFY, target, new_prdc)
         state = apply_step(state, step)
-        records.append(_record(index, step, state, facts)[0])
+        records.append(_record(index, step, state)[0])
         index += 1
     return state, records
 
@@ -561,11 +556,10 @@ def converge(
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not invariant_holds(initial):
         raise InvalidInitialStateError("convergence requires the invariant to hold")
-    facts: Facts = {}
-    start, prelude = _drain_prelude(initial, facts)
+    start, prelude = _drain_prelude(initial)
     sched = _FairScheduler(start, schedule, churn="none")
     records: list[TraceRecord] = []
-    metrics: list[ErrorMetric] = [error_metric(start, facts)]
+    metrics: list[ErrorMetric] = [error_metric(start)]
     ideal = metrics[0].ideal
     # until ideal, run up to step_cap steps; from then on, one more window
     limit = sched.window if ideal else step_cap
@@ -577,7 +571,7 @@ def converge(
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        record, report = _record(index, step, state, facts)
+        record, report = _record(index, step, state)
         records.append(record)
         metrics.append(report.metric)
         index += 1
@@ -587,15 +581,17 @@ def converge(
         elif ideal and not record.flags["ideal"]:
             break
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "step_cap": step_cap}
-    return _trace("converge", start, records, state, meta, facts,
+    return _trace("converge", start, records, state, meta,
                   seed_state=initial if prelude else None, prelude=prelude, metrics=metrics)
 
 
 def replay(trace: Trace) -> list:
     """Re-execute a trace and re-derive every record with the writer's own
-    :func:`_record`, with a facts dict of its own, so no flag is taken from
-    the run that wrote the trace: each member table's report is derived
-    once and every record is compared with it. The verdict, and the meta
+    :func:`_record`, so no flag is taken from the run that wrote the trace.
+    Each member table's report comes from :func:`check_all`'s memo, which
+    holds only reports derived from member tables, never a value read from
+    a trace: a replay may find the report its run derived, and still
+    compares every record with it. The verdict, and the meta
     derived with it (a converge trace's ``steps_to_ideal``), are
     re-derived by the writers' one rule, :func:`_outcome`, so a trace of
     unknown kind, and a simulate or converge trace cut short or run on,
@@ -605,19 +601,17 @@ def replay(trace: Trace) -> list:
     run it claims to (serialization drift, version skew, or tampering).
     Returns the per-step property reports.
     """
-    facts: Facts = {}
     if trace.prelude:
         if trace.kind != "converge":
             raise ReplayMismatchError(f"a {trace.kind} trace carries a prelude; "
                                       "only a converge trace has one")
         if trace.seed_state is None:
             raise ReplayMismatchError("trace has a prelude but no seed state")
-        state, _ = _rederive(trace.seed_state, trace.prelude, "prelude", facts)
+        state, _ = _rederive(trace.seed_state, trace.prelude, "prelude")
         if state != trace.initial:
             raise ReplayMismatchError("prelude does not reproduce the initial state")
-    final, reports = _rederive(trace.initial, trace.records, "records", facts)
-    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, final,
-                                facts)
+    final, reports = _rederive(trace.initial, trace.records, "records")
+    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, final)
     for key, value in derived.items():
         recorded = trace.meta.get(key)
         # exact types: a recorded true or 9.0 is not the integer 1 or 9
@@ -635,14 +629,13 @@ _FIELD_LABELS = {"digest": "state digest", "flags": "property flags",
                  "cumulative_error": "cumulative error"}
 
 
-def _rederive(state: GlobalState, recs: list[TraceRecord], where: str,
-              facts: Facts) -> tuple[GlobalState, list]:
+def _rederive(state: GlobalState, recs: list[TraceRecord], where: str) -> tuple[GlobalState, list]:
     """Apply the steps of ``recs`` to ``state`` and check that each record
     is the one :func:`_record` gives; the final state and the reports."""
     reports = []
     for rec in recs:
         state = apply_step(state, rec.step)
-        record, report = _record(rec.index, rec.step, state, facts)
+        record, report = _record(rec.index, rec.step, state)
         if record != rec:
             name = next(f for f, a, b in zip(rec._fields, record, rec) if a != b)
             raise ReplayMismatchError(

@@ -149,7 +149,6 @@ class Scenario:
     r: int
     initial: GlobalState
     events: list[Step] = field(default_factory=list)
-    allow_forced_fail: bool = False
     explore_config: dict = field(default_factory=dict)
     simulate_config: dict = field(default_factory=dict)
     converge_config: dict = field(default_factory=dict)
@@ -235,7 +234,6 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
         r=r,
         initial=GlobalState(space, r, nodes),
         events=events,
-        allow_forced_fail=allow_forced,
         explore_config=_config_block(doc, "explore"),
         simulate_config=_config_block(doc, "simulate"),
         converge_config=_config_block(doc, "converge"),

@@ -6,22 +6,25 @@ facts (:class:`MemberFacts`: its best successor, the live identifiers its
 extended successor list skips, whether that list repeats an identifier
 or is out of order, and its pointer errors) depend only on the member's
 own variables and the live set, so they are computed once per
-``(mask, node)`` and kept in a dict that one run passes to every
-:func:`check_all` and :func:`error_metric` call. They do not depend on
-the width of the identifier space either: circular order among
-identifiers below ``2**m`` is the same in every wider space. One step
-changes at most one member, so along a run almost every member is looked
-up, not recomputed. Without a dict, each call uses a fresh one.
+``(m, mask, node)`` and memoized for the process, keeping the
+:data:`MEMBER_FACTS_CEILING` most recently used. One step changes at
+most one member, so along a run almost every member is looked up, not
+recomputed.
 
-The same dict holds one :class:`PropertyReport` per distinct
-``(r, members)``. No property reads the pending entries, and most steps
-change only those (a rectify that keeps the predecessor, a stabilize
-whose adopted list equals the old one, every step once the network is
-ideal), so along a run most reports are looked up, not rebuilt. ``r`` is
-in the key because the empty network's ``sufficient_principals`` witness
-reads it; the width of the space is not, for the reason above. A
-memoized report, and its metric, is shared by every state with those
-members: callers must not mutate it.
+A second memo keeps one :class:`PropertyReport` per distinct
+``(r, members)``, at most :data:`REPORTS_CEILING` of them. No property
+reads the pending entries, and most steps change only those (a rectify
+that keeps the predecessor, a stabilize whose adopted list equals the
+old one, every step once the network is ideal), so along a run most
+reports are looked up, not rebuilt. ``r`` is in the key because the
+empty network's ``sufficient_principals`` witness reads it; the width of
+the space is not, since circular order among identifiers below ``2**m``
+is the same in every wider space. A memoized report, and its metric, is
+shared by every state with those members: callers must not mutate it.
+
+Both memos hold only values computed from member tables, never a value
+read from a trace, so a replay that finds the report its run computed
+still compares every record with a report derived from the members.
 
 The ring properties (at least one ring, at most one ring, an ordered
 ring, connected appendages) all come from the table of best successors
@@ -46,6 +49,7 @@ suite and the explorer verify rather than assume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -243,27 +247,40 @@ def is_ideal(state: GlobalState) -> bool:
     return error_metric(state).ideal
 
 
-def check_all(state: GlobalState, facts: Facts | None = None) -> PropertyReport:
+# bounds the report memo, which lives as long as the process: a converge
+# run builds at most 17 reports, a 100-round m=6 simulate at most 33, so
+# 128 keeps a run's reports for its replay. Peak RSS of the benchmark's
+# simulate_m6, 25.5-25.8 MB without the memos: 26.5 MB at 128 reports and
+# 1,024 facts, 28.6 MB at 512 and 4,096, which ran no faster
+REPORTS_CEILING = 128
+
+# (r, members) -> the report of every snapshot with those members, oldest
+# first: a report is built from a snapshot but keyed without its width and
+# pending entries, which an lru_cache could not leave out of its key
+_reports: dict[tuple[int, tuple[NodeState, ...]], PropertyReport] = {}
+
+
+def check_all(state: GlobalState) -> PropertyReport:
     """Evaluate every named property and collect witnesses for failures.
 
-    ``facts`` is the facts dict of the run this state belongs to (see the
-    module docstring); None means a fresh one. The report is kept there
-    under ``(state.r, state.members)``, so a later state with the same
-    members, whatever its pending entries, gets the same object back:
-    callers must not mutate the report or its metric."""
-    if facts is None:
-        facts = {}
+    The report is memoized under ``(state.r, state.members)`` (see the
+    module docstring), so a later state with the same members, whatever
+    its pending entries, gets the same object back: callers must not
+    mutate the report or its metric. When the memo is full, its oldest
+    report is dropped."""
     key = (state.r, state.members)
-    report = facts.get(key)
+    report = _reports.get(key)
     if report is None:
-        report = facts[key] = _report(state, facts)
+        if len(_reports) >= REPORTS_CEILING:
+            del _reports[next(iter(_reports))]
+        report = _reports[key] = _report(state)
     return report
 
 
-def _report(state: GlobalState, facts: Facts) -> PropertyReport:
+def _report(state: GlobalState) -> PropertyReport:
     """Every flag, witness and the metric of ``state``, from its member
     rows (see :func:`check_all`)."""
-    rows = _rows(state, facts)
+    rows = _rows(state)
     metric = _metric(state, rows)
     required = state.r + 1
     stranded = []
@@ -340,15 +357,14 @@ class ErrorMetric:
         return self.s > 0 and self.witness is None
 
 
-def error_metric(state: GlobalState, facts: Facts | None = None) -> ErrorMetric:
-    """The error metric of ``state``; ``facts`` as for :func:`check_all`,
-    whose report, when the dict holds one for these members, gives it."""
-    if facts is None:
-        facts = {}
-    report = facts.get((state.r, state.members))
+def error_metric(state: GlobalState) -> ErrorMetric:
+    """The error metric of ``state``: the metric of :func:`check_all`'s
+    memoized report for these members if there is one, else read from
+    the member facts alone."""
+    report = _reports.get((state.r, state.members))
     if report is not None:
         return report.metric
-    return _metric(state, _rows(state, facts))
+    return _metric(state, _rows(state))
 
 
 class MemberFacts(NamedTuple):
@@ -369,12 +385,6 @@ class MemberFacts(NamedTuple):
     successor_error: int
     predecessor_error: int
     list_error: int
-
-
-# one dict per run: (live mask, member) -> that member's facts, and
-# (r, members) -> the report of every snapshot with those members
-Facts = dict[tuple[int, NodeState] | tuple[int, tuple[NodeState, ...]],
-             MemberFacts | PropertyReport]
 
 
 def _next_live(mask: int, ident: int) -> int:
@@ -407,9 +417,18 @@ def _disorder(space: IdSpace, node: NodeState) -> tuple[int, int, int] | None:
     return None
 
 
-def _member_facts(space: IdSpace, mask: int, node: NodeState) -> MemberFacts:
-    """The facts of member ``node`` when exactly the identifiers in
-    ``mask`` are live (the errors are defined at :class:`ErrorMetric`)."""
+# bounds the facts memo, which lives as long as the process: a run reads
+# at most 74 (mask, member) pairs; 1,024 also keeps those that runs from
+# one scenario share, which ran simulate_m6 about 5% faster than 128 did
+MEMBER_FACTS_CEILING = 1024
+
+
+@lru_cache(maxsize=MEMBER_FACTS_CEILING)
+def _member_facts(m: int, mask: int, node: NodeState) -> MemberFacts:
+    """The facts of member ``node`` in the space of width ``m`` when
+    exactly the identifiers in ``mask`` are live (the errors are defined
+    at :class:`ErrorMetric`)."""
+    space = IdSpace(m)
     ident, prdc, succ_list = node
     r = len(succ_list)
     s = mask.bit_count()
@@ -436,19 +455,11 @@ def _member_facts(space: IdSpace, mask: int, node: NodeState) -> MemberFacts:
     )
 
 
-def _rows(state: GlobalState, facts: Facts) -> list[MemberFacts]:
-    """The facts of every member of ``state``, in member order, looked up
-    in ``facts`` and computed into it when missing."""
-    space = state.space
+def _rows(state: GlobalState) -> list[MemberFacts]:
+    """The facts of every member of ``state``, in member order."""
+    m = state.space.m
     mask = state.mask
-    rows = []
-    for node in state.members:
-        key = (mask, node)
-        row = facts.get(key)
-        if row is None:
-            row = facts[key] = _member_facts(space, mask, node)
-        rows.append(row)
-    return rows
+    return [_member_facts(m, mask, node) for node in state.members]
 
 
 def _metric(state: GlobalState, rows: list[MemberFacts]) -> ErrorMetric:

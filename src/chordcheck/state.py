@@ -463,20 +463,13 @@ def _masks(m: int, ident: int, succ_list: tuple[int, ...]) -> tuple[int, int]:
     return skipped, entries
 
 
-def skipped_mask(space: IdSpace, members: Iterable[NodeState]) -> int:
-    """The identifiers skipped by the extended successor lists of
-    ``members``, as a bitmask: the union of their ``skipped`` masks (see
-    :func:`member_masks`)."""
-    skipped = 0
-    for node in members:
-        skipped |= member_masks(space, node)[0]
-    return skipped
-
-
 def principals(state: GlobalState) -> frozenset[int]:
-    """Members not skipped by any extended successor list (see
-    :func:`skipped_mask`)."""
-    skipped = skipped_mask(state.space, state.members)
+    """Members not skipped by any extended successor list: outside the
+    union of the members' ``skipped`` masks (see :func:`member_masks`)."""
+    space = state.space
+    skipped = 0
+    for node in state.members:
+        skipped |= member_masks(space, node)[0]
     return frozenset(node.ident for node in state.members if not skipped >> node.ident & 1)
 
 

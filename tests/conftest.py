@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState, apply_step
+from chordcheck import GlobalState, IdSpace, NodeState, apply_step, properties
 
 
 @pytest.fixture
@@ -77,10 +77,17 @@ def scan_one_live_successor(state):
     return (not offenders, offenders)
 
 
+def clear_property_memos():
+    """Empty the process-wide memos of member facts and property reports,
+    so the next check derives everything afresh."""
+    properties._member_facts.cache_clear()
+    properties._reports.clear()
+
+
 def repeated_table_record(trace):
     """The index of the first record of a converge trace's retention
     window whose state has the same members as the record before it, so
-    that a shared facts dict answers its check from the earlier report."""
+    that the report memo answers its check from the earlier report."""
     start = trace.meta["steps_to_ideal"]
     assert start is not None
     state = trace.initial

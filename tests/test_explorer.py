@@ -47,7 +47,7 @@ from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, Tra
 from chordcheck.explorer import MEMBER_TEXTS_CEILING, _FairScheduler, _member_text, _record
 from chordcheck.files import load_scenario, read_trace, write_trace
 
-from conftest import repeated_table_record
+from conftest import clear_property_memos, repeated_table_record
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -544,8 +544,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("field", ["ideal", "cumulative_error"])
     def test_tampering_on_a_repeated_member_table_detected(self, space3, field):
-        # the record's report comes from the shared facts dict, built for
-        # the record before it, and is still compared with the record
+        # the record's report comes from the report memo, built for the
+        # record before it, and is still compared with the record
         trace = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1))
         replay(trace)
         i = repeated_table_record(trace)
@@ -560,6 +560,22 @@ class TestReplay:
             match = "cumulative error"
         with pytest.raises(ReplayMismatchError, match=rf"records\[{i}\]: {match}"):
             replay(trace)
+
+
+    def test_replay_same_with_warm_and_cleared_memos(self, space3):
+        # the memos hold reports derived from members, never from a trace:
+        # a replay that finds its run's reports gives what a cold one does
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        for trace in (converge(step_join(s, 1, 0), Schedule(seed=1)),
+                      simulate(s, Schedule(seed=9), steps=40, churn="full")):
+            warm = replay(trace)
+            clear_property_memos()
+            cold = replay(trace)
+            assert len(warm) == len(cold) == len(trace.records)
+            for a, b in zip(warm, cold):
+                assert a is not b
+                assert a.flags == b.flags and a.metric == b.metric
+                assert list(a.witnesses.items()) == list(b.witnesses.items())
 
 
 def converged_trace(space3):
@@ -668,7 +684,7 @@ def with_prelude(trace):
                        initial.pending_notify + (entry,))
     step = Step(StepKind.RECTIFY, *entry)
     assert apply_step(seed, step) == initial
-    return replace(trace, seed_state=seed, prelude=[_record(0, step, initial, {})[0]])
+    return replace(trace, seed_state=seed, prelude=[_record(0, step, initial)[0]])
 
 
 def assert_writer_and_replay_agree(trace):

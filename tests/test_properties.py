@@ -11,23 +11,30 @@ from hypothesis import strategies as st
 
 from chordcheck import (
     ErrorMetric,
+    ExploreConfig,
     GlobalState,
     IdSpace,
+    Schedule,
     StepKind,
     apply_step,
     check_all,
+    converge,
     enabled_steps,
     error_metric,
+    explore,
     ideal_ring,
     invariant_holds,
     is_ideal,
     make_state,
+    replay,
     valid_initial,
 )
-from chordcheck.properties import FLAG_NAMES
+from chordcheck import properties
+from chordcheck.properties import FLAG_NAMES, MEMBER_FACTS_CEILING, REPORTS_CEILING
 
 from conftest import (
     brute_force_principals,
+    clear_property_memos,
     global_states,
     random_global_state,
     scan_best_successor,
@@ -303,25 +310,46 @@ class TestCheckAll:
                     assert a[name] == b[name]
 
 
+def fresh_report(state):
+    """``check_all(state)`` derived from empty memos."""
+    clear_property_memos()
+    return check_all(state)
+
+
 class TestMemberFacts:
-    """``check_all`` and ``error_metric`` read per-member facts from a dict
-    that one run shares across its states."""
+    """``check_all`` and ``error_metric`` read per-member facts from a memo
+    that every state of the process shares."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(any_states, min_size=1, max_size=5))
     def test_shared_facts_match_fresh_and_literal(self, stream):
-        facts = {}
-        for drawn in stream:
-            for s in related_states(drawn):
-                shared = check_all(s, facts)
-                fresh = check_all(s)
-                assert shared.flags == fresh.flags
-                assert list(shared.witnesses.items()) == list(fresh.witnesses.items())
-                assert shared.metric == fresh.metric == error_metric(s, facts)
-                flags, witnesses, metric = literal_report(s)
-                assert shared.flags == flags
-                assert list(shared.witnesses.items()) == list(witnesses.items())
-                assert shared.metric == ErrorMetric(**metric)
+        states = [s for drawn in stream for s in related_states(drawn)]
+        shared = []
+        for s in states:
+            report = check_all(s)
+            assert report.metric == error_metric(s)
+            shared.append(report)
+        for s, report in zip(states, shared):
+            fresh = fresh_report(s)
+            same_report(report, fresh)
+            properties._reports.clear()
+            # no stored report: the metric is read from the facts alone
+            assert error_metric(s) == fresh.metric
+            flags, witnesses, metric = literal_report(s)
+            assert report.flags == flags
+            assert list(report.witnesses.items()) == list(witnesses.items())
+            assert report.metric == ErrorMetric(**metric)
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        rng = random.Random(41)
+        seen = set()
+        while len(seen) <= 2 * MEMBER_FACTS_CEILING:
+            s = random_global_state(rng, m=6, r=2, min_members=1, max_members=3)
+            seen.update((s.mask, node) for node in s.members)
+            metric = error_metric(s)
+            assert 0 < properties._member_facts.cache_info().currsize <= MEMBER_FACTS_CEILING
+            if rng.random() < 0.05:
+                assert metric == ErrorMetric(**literal_report(s)[2])
 
     @pytest.mark.parametrize("nodes, r, witnesses", [
         # an ESL holding its owner last: duplicated, yet in order
@@ -377,8 +405,8 @@ def other_pending(draw, state):
 
 
 class TestReportMemo:
-    """A run's facts dict keeps one report per ``(r, members)``: no
-    property reads the pending entries."""
+    """The report memo keeps one report per ``(r, members)``: no property
+    reads the pending entries."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -386,38 +414,64 @@ class TestReportMemo:
         s = data.draw(any_states)
         bare = GlobalState(s.space, s.r, s.members)
         other = data.draw(other_pending(s))
-        report = check_all(s)
+        report = fresh_report(s)
         for variant in (bare, other):
-            same_report(check_all(variant), report)
+            same_report(fresh_report(variant), report)
 
     def test_pending_only_difference_shares_the_report(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         busy = GlobalState(space3, 2, s.members, [(0, 1)], [(2, 0), (5, 4)])
-        facts = {}
-        report = check_all(s, facts)
-        assert check_all(busy, facts) is report
-        assert error_metric(s, facts) is report.metric
-        assert error_metric(busy, facts) is report.metric
+        report = check_all(s)
+        assert check_all(busy) is report
+        assert error_metric(s) is report.metric
+        assert error_metric(busy) is report.metric
+        clear_property_memos()
         assert report.metric == error_metric(busy)
 
     def test_empty_network_keyed_by_r(self, space3):
-        facts = {}
         for r in (1, 2):
-            report = check_all(GlobalState(space3, r, ()), facts)
+            report = check_all(GlobalState(space3, r, ()))
             assert report.witnesses["sufficient_principals"] == {"principals": (), "required": r + 1}
 
     def test_wider_space_shares_the_report(self):
         # the best-successor cycle 1 -> 6 -> 4 -> 1 runs against the
         # identifier order; its arcs 6 -> 4 and 4 -> 1 wrap past 0
         nodes = [(1, 4, (6, 4)), (4, 6, (1, 6)), (6, 1, (4, 1))]
-        facts = {}
         narrow = make_state(IdSpace(3), 2, nodes)
         wide = make_state(IdSpace(4), 2, nodes)
-        report = check_all(narrow, facts)
+        report = fresh_report(narrow)
         assert not report.flags["ordered_ring"]
-        assert check_all(wide, facts) is report
-        same_report(report, check_all(narrow))
-        same_report(report, check_all(wide))
+        assert check_all(wide) is report
+        same_report(report, fresh_report(narrow))
+        same_report(report, fresh_report(wide))
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        rng = random.Random(43)
+        seen = set()
+        while len(seen) <= 2 * REPORTS_CEILING:
+            s = random_global_state(rng, m=4, r=2, min_members=1, max_members=4)
+            seen.add((s.r, s.members))
+            report = check_all(s)
+            assert 0 < len(properties._reports) <= REPORTS_CEILING
+            assert properties._reports[s.r, s.members] is report
+            if len(seen) % 32 == 0:
+                same_report(report, fresh_report(s))
+
+    def test_stored_reports_stay_literal_after_runs(self):
+        # every report a batch of runs and replays left in the memo is the
+        # literal report of its members: no caller mutated a shared one
+        space = IdSpace(3)
+        clear_property_memos()
+        states = explore(ideal_ring(space, 2, [0, 2, 5]),
+                         ExploreConfig(max_depth=3, churn="full", collect_states=True)).states
+        for seed, state in enumerate(states[::7]):
+            replay(converge(state, Schedule(seed=seed)))
+        assert len(properties._reports) > 10
+        for (r, members), report in list(properties._reports.items()):
+            flags, witnesses, metric = literal_report(GlobalState(space, r, members))
+            assert report.flags == flags
+            assert list(report.witnesses.items()) == list(witnesses.items())
+            assert report.metric == ErrorMetric(**metric)
 
 
 class TestIsIdeal:

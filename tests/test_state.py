@@ -27,7 +27,7 @@ from chordcheck import (
 )
 from chordcheck.errors import UnknownMemberError
 from chordcheck.properties import invariant_holds, invariant_with
-from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks, skipped_mask
+from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks
 
 from conftest import (
     brute_force_principals,
@@ -338,12 +338,15 @@ class TestMemberMasks:
     @settings(max_examples=200)
     @given(global_states(m=4, r=3, max_members=6))
     def test_skipped_mask_matches_between_scan_fresh_and_filled(self, s):
-        expected = 0
+        # principals are the members outside the union of the skip masks
+        skipped = 0
         for node in s.members:
-            expected |= scan_skipped(s.space, node)
+            skipped |= scan_skipped(s.space, node)
             assert member_masks(s.space, node)[1] == sum(1 << e for e in set(node.succ_list))
-        assert skipped_mask(s.space, s.members) == expected
-        assert skipped_mask(IdSpace(4), s.members) == expected  # an equal space reads the same entries
+        expected = frozenset(n.ident for n in s.members if not skipped >> n.ident & 1)
+        assert principals(s) == expected
+        # an equal space reads the same entries
+        assert principals(GlobalState(IdSpace(4), s.r, s.members)) == expected
 
     def test_memo_leaves_equality_hash_and_repr_alone(self):
         a, b = IdSpace(4), IdSpace(4)
