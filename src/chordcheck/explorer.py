@@ -34,7 +34,7 @@ from .properties import (
     invariant_with,
     valid_initial,
 )
-from .protocol import Step, StepKind, apply_step, enabled_steps
+from .protocol import Step, StepKind, apply_step, enabled_steps, shared_step
 from .state import GlobalState, NodeState, principals
 
 
@@ -329,7 +329,6 @@ def explore(
     # require_valid_initial=False leaves open
     initial_checked = invariant_holds(initial)
     nodes: dict = {}  # decoded members, shared by every expansion of this call
-    shared: dict[Step, Step] = {}  # one Step object per distinct step in parents
     frontier: list[int] = [root]
     transitions = 0
     depth = 0
@@ -354,7 +353,7 @@ def explore(
                 if step.kind != StepKind.FAIL and not invariant_with(state, post.node(step.actor)):
                     trace = run_script(initial, _path(parents, key) + [step], kind="explore")
                     break
-                parents[post_key] = (key, shared.setdefault(step, step))
+                parents[post_key] = (key, step)
                 next_frontier.append(post_key)
                 if states is not None:
                     states.append(post)
@@ -442,8 +441,8 @@ class _FairScheduler:
     def _stabilize_step(self, state: GlobalState, member: int) -> Step:
         candidate = state.pending_stabilize_for(member)
         if candidate is not None:
-            return Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
-        return Step(StepKind.STABILIZE_FROM_SUCCESSOR, member)
+            return shared_step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
+        return shared_step(StepKind.STABILIZE_FROM_SUCCESSOR, member, None)
 
     def pick(self, state: GlobalState) -> Step | None:
         """This round's step, or None when no step is enabled.
@@ -466,7 +465,7 @@ class _FairScheduler:
                      and state.is_member(e[0])]
             if stale:
                 target, new_prdc = min(stale)
-                return Step(StepKind.RECTIFY, target, new_prdc)
+                return shared_step(StepKind.RECTIFY, target, new_prdc)
         return self.rng.choice(enabled_steps(state, churn=self.churn))
 
     def account(self, step: Step, post: GlobalState) -> None:
@@ -524,14 +523,14 @@ def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
     for member, candidate in state.pending_stabilize:
         if not state.is_member(member):
             continue
-        step = Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
+        step = shared_step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
         records.append(_record(index, step, state)[0])
         index += 1
     for target, new_prdc in sorted(state.pending_notify):
         if not state.is_member(target):
             continue
-        step = Step(StepKind.RECTIFY, target, new_prdc)
+        step = shared_step(StepKind.RECTIFY, target, new_prdc)
         state = apply_step(state, step)
         records.append(_record(index, step, state)[0])
         index += 1

@@ -10,9 +10,15 @@ Each step function defines its kind's effect once, as a delta: the one
 member row it replaces, adds or removes, that member's continuation, and
 the notification it sends or delivers. :meth:`GlobalState.derive
 <chordcheck.state.GlobalState.derive>` turns the delta into the next
-snapshot, splicing its key from the parent's. The fail guard reads the
-state's fail verdicts, which :func:`~chordcheck.properties.failable_mask`
-computes once per snapshot.
+snapshot, splicing its key from the parent's. :func:`apply_step` finds
+a step's function in one table indexed by its kind. The fail guard reads
+the state's fail verdicts, which
+:func:`~chordcheck.properties.failable_mask` computes once per snapshot.
+
+:func:`enabled_steps`, the fair scheduler and converge's prelude take
+one :class:`Step` object per distinct step from :func:`shared_step`'s
+bounded memo, so the steps of many states, and the parent links an
+exploration keeps, share them.
 
 Joins use an omniscient lookup oracle over the snapshot; the routed
 lookup protocol is out of scope here.
@@ -21,6 +27,7 @@ lookup protocol is out of scope here.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -61,6 +68,23 @@ class Step(NamedTuple):
 
     def sort_key(self) -> tuple[int, int, int]:
         return (int(self.kind), self.actor, -1 if self.arg is None else self.arg)
+
+
+# bounds the memo, which lives as long as the process: one run hands out
+# a few hundred distinct steps at most (an m=4 depth-5 exploration 149, a
+# 100-round m=6 simulate at most 123 over 40 seeds), but many runs in one
+# process, at a wider m, pass through more
+STEPS_CEILING = 1024
+
+
+@lru_cache(maxsize=STEPS_CEILING)
+def shared_step(kind: int, actor: int, arg: int | None) -> Step:
+    """The one ``Step(StepKind(kind), actor, arg)`` (unforced) that every
+    enumeration hands out, keeping the :data:`STEPS_CEILING` most recently
+    used: the steps of many states, and the parent links an exploration
+    keeps, share one object per distinct step. Pass all three arguments
+    positionally, so that equal steps meet one memo entry."""
+    return Step(StepKind(kind), actor, arg)
 
 
 CHURN_POLICIES = ("none", "joins_only", "fails_only", "full")
@@ -198,24 +222,33 @@ def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
     return state.derive(member, node, state.pending_stabilize_for(member), delivered=entry)
 
 
+def _apply_stabilize_from_predecessor(state: GlobalState, step: Step) -> GlobalState:
+    """STABILIZE_FROM_PREDECESSOR, refusing a step whose argument names
+    another candidate than the one its member captured."""
+    expected = state.pending_stabilize_for(step.actor)
+    if step.arg is not None and expected is not None and step.arg != expected:
+        raise NoPendingStabilizeError(f"member {step.actor} captured {expected}, not {step.arg}")
+    return step_stabilize_from_predecessor(state, step.actor)
+
+
+# each kind's step function, indexed by StepKind
+_APPLY = (
+    lambda state, step: step_join(state, step.actor, step.arg),
+    lambda state, step: step_fail(state, step.actor, step.forced),
+    lambda state, step: step_stabilize_from_successor(state, step.actor),
+    _apply_stabilize_from_predecessor,
+    lambda state, step: step_rectify(state, step.actor, step.arg),
+)
+
+
 def apply_step(state: GlobalState, step: Step) -> GlobalState:
-    """Dispatch one atomic step."""
-    if step.kind == StepKind.JOIN:
-        return step_join(state, step.actor, step.arg)
-    if step.kind == StepKind.FAIL:
-        return step_fail(state, step.actor, step.forced)
-    if step.kind == StepKind.STABILIZE_FROM_SUCCESSOR:
-        return step_stabilize_from_successor(state, step.actor)
-    if step.kind == StepKind.STABILIZE_FROM_PREDECESSOR:
-        expected = state.pending_stabilize_for(step.actor)
-        if step.arg is not None and expected is not None and step.arg != expected:
-            raise NoPendingStabilizeError(
-                f"member {step.actor} captured {expected}, not {step.arg}"
-            )
-        return step_stabilize_from_predecessor(state, step.actor)
-    if step.kind == StepKind.RECTIFY:
-        return step_rectify(state, step.actor, step.arg)
-    raise ValueError(f"unknown step kind {step.kind!r}")
+    """Apply one atomic step, through the rule its kind indexes in one
+    table. A kind that is not an integer in the range of ``StepKind``
+    raises ValueError."""
+    kind = step.kind
+    if not (isinstance(kind, int) and 0 <= kind < len(_APPLY)):
+        raise ValueError(f"unknown step kind {kind!r}")
+    return _APPLY[kind](state, step)
 
 
 def safely_failable(state: GlobalState, member: int) -> bool:
@@ -239,30 +272,36 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     :func:`~chordcheck.properties.failable_mask`). The list is
     deterministic for a given state and churn policy, and is built in
     ``Step.sort_key`` order (by kind, then actor, then argument), so it is
-    never sorted.
+    never sorted. Each step is :func:`shared_step`'s one object for it.
     """
     if churn not in CHURN_POLICIES:
         raise ValueError(f"unknown churn policy {churn!r}")
+    step = shared_step
     steps: list[Step] = []
 
     if churn in ("joins_only", "full"):
+        kind = StepKind.JOIN
         for ident, target in sorted(_join_predecessors(state).items()):
-            steps.append(Step(StepKind.JOIN, ident, target))
+            steps.append(step(kind, ident, target))
 
     if churn in ("fails_only", "full"):
+        kind = StepKind.FAIL
         failable = failable_mask(state)
         for node in state.members:
             if failable >> node.ident & 1:
-                steps.append(Step(StepKind.FAIL, node.ident))
+                steps.append(step(kind, node.ident, None))
 
+    kind = StepKind.STABILIZE_FROM_SUCCESSOR
     blocked = {member for member, _ in state.pending_stabilize}
     for node in state.members:
         if node.ident not in blocked:
-            steps.append(Step(StepKind.STABILIZE_FROM_SUCCESSOR, node.ident))
+            steps.append(step(kind, node.ident, None))
+    kind = StepKind.STABILIZE_FROM_PREDECESSOR
     for member, candidate in state.pending_stabilize:
         if state.is_member(member):
-            steps.append(Step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate))
+            steps.append(step(kind, member, candidate))
+    kind = StepKind.RECTIFY
     for target, new_prdc in state.pending_notify:
         if state.is_member(target):
-            steps.append(Step(StepKind.RECTIFY, target, new_prdc))
+            steps.append(step(kind, target, new_prdc))
     return steps

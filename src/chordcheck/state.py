@@ -31,9 +31,11 @@ replaces, adds or removes, that member's continuation, and the
 notification sent or delivered): it builds the next snapshot directly in
 canonical order from one that already is, and splices its key from the
 parent's. A changed member field is XORed in, a joining member's field
-shifted in, a failing member's shifted out, and only the notification
-bits are packed anew when the notifications change. ``with_node`` and
-``without_member`` are deltas too.
+shifted in, a failing member's shifted out, and the notification a step
+sends or delivers is shifted in or out at its sorted position, as are
+the notifications that target a failing member; nothing is packed anew.
+A pending tuple that a step leaves alone is the parent's own.
+``with_node`` and ``without_member`` are deltas too.
 
 A snapshot also has a ``rows`` slot, None until
 :func:`~chordcheck.properties.mask_rows` keeps there what the invariant
@@ -44,6 +46,7 @@ its successors cost one pass over its members.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -81,15 +84,16 @@ def _pack_lists(node: NodeState, m: int) -> int:
     return bits
 
 
-def _with_notify_bits(key: int, at: int, entries: Iterable[tuple[int, int]], m: int) -> int:
-    """``key`` with its bits from ``at`` up replaced by the sorted pending
-    notifications ``entries``, ``2 * m`` bits each, under a sentinel bit."""
-    bits = 0
-    shift = 0
-    for target, new_prdc in entries:
-        bits |= (target | new_prdc << m) << shift
-        shift += 2 * m
-    return key & ((1 << at) - 1) | (bits | 1 << shift) << at
+def _spliced_in(key: int, at: int, width: int, bits: int) -> int:
+    """``key`` with ``bits``, ``width`` bits wide, put in at bit ``at``;
+    the bits from ``at`` up move up by ``width``."""
+    return (key >> at << width | bits) << at | key & ((1 << at) - 1)
+
+
+def _spliced_out(key: int, at: int, width: int) -> int:
+    """``key`` without its ``width`` bits from bit ``at``; the bits above
+    them move down by ``width``."""
+    return key >> (at + width) << at | key & ((1 << at) - 1)
 
 
 def _decode_field(ident: int, field: int, m: int, r: int) -> tuple[NodeState, int | None]:
@@ -197,7 +201,10 @@ class GlobalState(_Fields):
                 field |= (1 | candidates[node.ident] << 1) << lists
             key |= field << at
             at += lists + 1 + m
-        key = _with_notify_bits(key, at, pending_notify, m)
+        for target, new_prdc in pending_notify:
+            key |= (target | new_prdc << m) << at
+            at += 2 * m
+        key |= 1 << at  # the sentinel
         values = (space, r, members, pending_stabilize, pending_notify, mask, key, None)
         for name, value in zip(_Fields.__slots__, values):
             object.__setattr__(self, name, value)
@@ -324,7 +331,9 @@ class GlobalState(_Fields):
         target it (for a non-member no row changes), and takes no
         ``candidate``. ``sent`` is a notification the step adds (duplicates
         collapse), ``delivered`` one it removes. Only ``ident``'s key field
-        is spliced, and the notification bits when the notifications change.
+        is spliced, and the ``2 * m`` bits of each notification added or
+        removed, at its sorted position; a pending tuple that does not
+        change is this snapshot's own.
         """
         space = self.space
         members = self.members
@@ -348,24 +357,38 @@ class GlobalState(_Fields):
             else:
                 members = members[:i] + (node,) + members[i:]
                 mask |= own
-                # lift the fields from position i up by one width; the gap takes the join
-                key = (key >> at << width | field) << at | key & ((1 << at) - 1) | own
+                key = _spliced_in(key, at, width, field) | own
         elif mask & own:
             members = members[:i] + members[i + 1:]
             mask ^= own
-            # drop the member's field, lowering the fields above it by one width
-            key = (key >> (at + width) << at | key & ((1 << at) - 1)) ^ own
-            notify = tuple(e for e in notify if e[0] != ident)
-        if stabilize:
-            stabilize = tuple(e for e in stabilize if e[0] != ident)
-        if candidate is not None:
-            stabilize = tuple(sorted(stabilize + ((ident, candidate),)))
+            key = _spliced_out(key, at, width) ^ own
+        if stabilize or candidate is not None:
+            # the member's continuation, if it has one, is stabilize[j:k]
+            j = bisect_left(stabilize, (ident,))
+            k = j + (j < len(stabilize) and stabilize[j][0] == ident)
+            held = () if candidate is None else ((ident, candidate),)
+            if stabilize[j:k] != held:
+                stabilize = stabilize[:j] + held + stabilize[k:]
+        # the notification bits begin above the member fields, 2 * m bits per entry
+        base = space.size + len(members) * width
+        pair = 2 * m
+        if node is None and mask != self.mask:
+            # the notifications that target the leaving member sit together, from j to k
+            j = bisect_left(notify, (ident,))
+            k = bisect_left(notify, (ident + 1,), j)
+            if j < k:
+                notify = notify[:j] + notify[k:]
+                key = _spliced_out(key, base + j * pair, (k - j) * pair)
         if delivered is not None:
-            notify = tuple(e for e in notify if e != delivered)
-        if sent is not None and sent not in notify:
-            notify = tuple(sorted(notify + (sent,)))
-        if notify is not self.pending_notify:
-            key = _with_notify_bits(key, space.size + len(members) * width, notify, m)
+            j = bisect_left(notify, delivered)
+            if notify[j:j + 1] == (delivered,):
+                notify = notify[:j] + notify[j + 1:]
+                key = _spliced_out(key, base + j * pair, pair)
+        if sent is not None:
+            j = bisect_left(notify, sent)
+            if notify[j:j + 1] != (sent,):
+                notify = notify[:j] + (sent,) + notify[j:]
+                key = _spliced_in(key, base + j * pair, pair, sent[0] | sent[1] << m)
         return _frozen(space, self.r, members, stabilize, notify, mask, key)
 
     def with_node(self, node: NodeState) -> GlobalState:

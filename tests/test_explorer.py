@@ -143,6 +143,27 @@ class TestExplore:
         assert len(callers) == len(fails)
         assert set(callers) == {"step_fail"}
 
+    def test_one_apply_per_transition_and_one_enumeration_per_expansion(self, monkeypatch):
+        # the traced benchmark checks these counts on explore_m4; a batched
+        # or key-only successor must keep them, or change them openly here
+        calls = {"apply_step": 0, "enabled_steps": 0}
+
+        def counting(name):
+            real = getattr(explorer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(explorer, name, counting(name))
+        s = ideal_ring(IdSpace(4), 2, [0, 3, 6, 9, 12])
+        result = explore(s, ExploreConfig(max_depth=4, churn="full"))
+        assert (result.verdict, result.states_visited, result.transitions,
+                result.frontier_size) == ("ok", 10_517, 35_896, 8_753)
+        assert calls == {"apply_step": 35_896, "enabled_steps": 10_517 - 8_753}
+
     def test_fail_post_states_are_not_rechecked(self, monkeypatch):
         # step_fail's guard has already tested the survivors, so explore
         # checks the initial state whole, and each new state reached

@@ -55,5 +55,6 @@ def test_every_package_memo_has_a_ceiling():
         module = importlib.import_module(info.name)
         caches.update({f"{info.name}.{name}": cache for name, cache in lru_caches(module).items()})
     assert {"chordcheck.state._masks", "chordcheck.explorer._member_text",
-            "chordcheck.properties._member_facts"} <= caches.keys()
+            "chordcheck.properties._member_facts", "chordcheck.protocol.shared_step"
+            } <= caches.keys()
     assert unbounded(caches) == []

@@ -39,6 +39,7 @@ from chordcheck.errors import (
     UnknownMemberError,
 )
 from chordcheck.properties import failable_mask, invariant_holds
+from chordcheck.protocol import STEPS_CEILING, shared_step
 
 from conftest import global_states, random_global_state
 
@@ -437,6 +438,99 @@ class TestEnabledSteps:
         assert enabled_steps(s) == enabled_steps(s)
         keys = [st.sort_key() for st in enabled_steps(s)]
         assert keys == sorted(keys)
+
+
+class TestMalformedSteps:
+    """Scripted steps that no enumeration offers: a kind outside StepKind's
+    range is refused, never indexed, and a negative or out-of-space actor
+    or argument meets the step's own precondition, never a bit test."""
+
+    @pytest.fixture
+    def s(self, space3):
+        # 2 has a continuation to 3; 0 and 5 have notifications in flight
+        return make_state(space3, 2, [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (0, 2))],
+                          pending_stabilize=[(2, 3)], pending_notify=[(0, 5), (5, 2)])
+
+    @pytest.mark.parametrize("kind", [-1, 5, "join", 1.0, None])
+    @pytest.mark.parametrize("actor, arg", [(0, None), (1, 0), (-1, -1), (5, 2)])
+    def test_unknown_kind(self, s, kind, actor, arg):
+        with pytest.raises(ValueError, match="unknown step kind"):
+            apply_step(s, Step(kind, actor, arg))
+
+    @pytest.mark.parametrize("kind, actor, arg, error", [
+        (StepKind.JOIN, -1, 0, NoCandidateError),
+        (StepKind.JOIN, 8, 0, NoCandidateError),
+        (StepKind.JOIN, -1, -1, NoCandidateError),
+        (StepKind.JOIN, 1, -1, None),  # no such predecessor: the join aborts
+        (StepKind.JOIN, 1, 8, None),
+        (StepKind.FAIL, -1, None, UnknownMemberError),
+        (StepKind.FAIL, 8, None, UnknownMemberError),
+        (StepKind.FAIL, 1, -1, UnknownMemberError),
+        (StepKind.STABILIZE_FROM_SUCCESSOR, -1, None, UnknownMemberError),
+        (StepKind.STABILIZE_FROM_SUCCESSOR, 8, None, UnknownMemberError),
+        (StepKind.STABILIZE_FROM_SUCCESSOR, 1, -1, UnknownMemberError),
+        (StepKind.STABILIZE_FROM_PREDECESSOR, -1, None, NoPendingStabilizeError),
+        (StepKind.STABILIZE_FROM_PREDECESSOR, 8, 3, NoPendingStabilizeError),
+        (StepKind.STABILIZE_FROM_PREDECESSOR, 2, -1, NoPendingStabilizeError),
+        (StepKind.STABILIZE_FROM_PREDECESSOR, 2, 8, NoPendingStabilizeError),
+        (StepKind.RECTIFY, -1, 5, NoPendingNotifyError),
+        (StepKind.RECTIFY, 8, 5, NoPendingNotifyError),
+        (StepKind.RECTIFY, 0, -1, NoPendingNotifyError),
+        (StepKind.RECTIFY, 0, 8, NoPendingNotifyError),
+        (StepKind.RECTIFY, -1, -1, NoPendingNotifyError),
+    ])
+    def test_out_of_space_actor_or_argument(self, s, kind, actor, arg, error):
+        # each kind also as the plain integer a script might hold
+        for k in (kind, int(kind)):
+            if error is None:
+                assert apply_step(s, Step(k, actor, arg)) is s
+            else:
+                with pytest.raises(error):
+                    apply_step(s, Step(k, actor, arg))
+
+    @pytest.mark.parametrize("kind", [StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR])
+    @pytest.mark.parametrize("arg", [-1, 8])
+    def test_argument_of_a_kind_without_one_is_ignored(self, s, kind, arg):
+        for actor in (0, 5):
+            expected = apply_step(s, Step(kind, actor, None, forced=True))
+            assert apply_step(s, Step(kind, actor, arg, forced=True)) == expected
+
+
+class TestSharedSteps:
+    """Every enumeration hands out one Step object per distinct step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(global_states(m=4, r=2, with_pending=True))
+    def test_two_enumerations_of_a_state_return_the_same_objects(self, s):
+        first = enabled_steps(s, churn="full")
+        second = enabled_steps(s, churn="full")
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+        assert all(type(step.kind) is StepKind and not step.forced for step in first)
+
+    def test_shared_steps_equal_literal_steps(self, space3):
+        steps = enabled_steps(ideal_ring(space3, 2, [0, 2, 5]))
+        literal = [Step(StepKind.JOIN, 1, 0), Step(StepKind.JOIN, 3, 2), Step(StepKind.JOIN, 4, 2),
+                   Step(StepKind.JOIN, 6, 5), Step(StepKind.JOIN, 7, 5),
+                   Step(StepKind.STABILIZE_FROM_SUCCESSOR, 0),
+                   Step(StepKind.STABILIZE_FROM_SUCCESSOR, 2),
+                   Step(StepKind.STABILIZE_FROM_SUCCESSOR, 5)]
+        assert steps == literal
+        assert [repr(step) for step in steps] == [repr(step) for step in literal]
+        assert [type(step.kind) for step in steps] == [StepKind] * len(literal)
+
+    def test_equal_steps_of_different_states_are_one_object(self, ring4):
+        s = step_join(ring4, 10, 7)
+        mine = {step: step for step in enabled_steps(ring4)}
+        shared = [step for step in enabled_steps(s) if step in mine]
+        assert shared and all(mine[step] is step for step in shared)
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        for actor in range(2 * STEPS_CEILING + 1):
+            # keyed by plain ints, handed out with a StepKind
+            step = shared_step(int(StepKind.RECTIFY), actor, 0)
+            assert step == Step(StepKind.RECTIFY, actor, 0) and type(step.kind) is StepKind
+        assert shared_step.cache_info().currsize <= STEPS_CEILING
 
 
 class TestStepProperties:

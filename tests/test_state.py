@@ -136,6 +136,14 @@ scope_pairs = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
     lambda mr: st.tuples(*[global_states(m=mr[0], r=mr[1], max_members=3, with_pending=True)] * 2))
 
 
+def assert_unchanged_pending_is_shared(parent, post):
+    """A step that leaves a pending tuple as it was returns the parent's own."""
+    if post.pending_stabilize == parent.pending_stabilize:
+        assert post.pending_stabilize is parent.pending_stabilize
+    if post.pending_notify == parent.pending_notify:
+        assert post.pending_notify is parent.pending_notify
+
+
 def zero_field_states():
     """States that differ only in fields whose packed bits are all zero:
     member 0 pointing at itself, a continuation to 0, a (0, 0)
@@ -190,27 +198,55 @@ class TestKey:
     # 12 lists only the dead 2, and the join of 2 unstrands it
     @example(make_state(IdSpace(4), 1, [(0, 12, (4,)), (4, 0, (8,)), (8, 4, (12,)),
                                         (12, 8, (2,))]))
+    # a (0, 0) notification at the bottom of the notification bits
+    @example(make_state(IdSpace(3), 2, [(0, 0, (0, 0))], pending_notify=[(0, 0), (0, 1)]))
+    # failing 1, 3 or 5 drops the notifications at the bottom, in the
+    # middle or at the top of the notification bits
+    @example(make_state(IdSpace(3), 2, [(1, 5, (3, 5)), (3, 1, (5, 1)), (5, 3, (1, 3))],
+                        pending_stabilize=[(3, 4)],
+                        pending_notify=[(1, 5), (3, 1), (3, 4), (5, 3)]))
     def test_step_results_match_their_rebuild(self, s):
         # steps splice the key from the parent's; the constructor packs it
         # from scratch, and the two must agree. Explore reads a non-fail
         # post-state's verdict from the parent's rows and the actor's new
-        # row; the rebuilt snapshot has no rows and computes its own
-        steps = enabled_steps(s, churn="full")
-        steps += [Step(StepKind.FAIL, ident, forced=True) for ident in s.idents()]
-        for step in steps:
-            post = apply_step(s, step)
-            rebuilt = GlobalState(*fields(post))
-            assert rebuilt.key == post.key
-            assert rebuilt == post
-            if step.kind != StepKind.FAIL:
-                assert invariant_with(s, post.node(step.actor)) == invariant_holds(rebuilt), step
-        # a notification spliced in at every position, with the sender's
-        # row put back unchanged
-        sender = s.idents()[0]
-        for target in range(s.space.size):
-            post = s.derive(sender, s.node(sender), s.pending_stabilize_for(sender),
-                            sent=(target, sender))
-            assert GlobalState(*fields(post)).key == post.key
+        # row; the rebuilt snapshot has no rows and computes its own.
+        # The same state with many notifications in flight, a (0, 0) entry
+        # at the bottom of their bits, puts each one at many positions
+        low, top = 0, s.space.size - 1
+        crowded = GlobalState(s.space, s.r, s.members, s.pending_stabilize, [
+            (target, new_prdc) for target in {low, top, *s.idents()}
+            for new_prdc in {low, top, s.idents()[0]}])
+        for state in (s, crowded):
+            steps = enabled_steps(state, churn="full")
+            steps += [Step(StepKind.FAIL, ident, forced=True) for ident in state.idents()]
+            # deliver every pending notification, to a member or not
+            steps += [Step(StepKind.RECTIFY, *entry) for entry in state.pending_notify]
+            for step in steps:
+                post = apply_step(state, step)
+                rebuilt = GlobalState(*fields(post))
+                assert rebuilt.key == post.key
+                assert rebuilt == post
+                assert_unchanged_pending_is_shared(state, post)
+                if step.kind == StepKind.FAIL:
+                    assert post.pending_notify == tuple(
+                        e for e in state.pending_notify if e[0] != step.actor)
+                elif step.kind == StepKind.RECTIFY:
+                    assert post.pending_notify == tuple(
+                        e for e in state.pending_notify if e != (step.actor, step.arg))
+                if step.kind != StepKind.FAIL and post.is_member(step.actor):
+                    assert (invariant_with(state, post.node(step.actor))
+                            == invariant_holds(rebuilt)), step
+            # a notification spliced in at every position, with the
+            # sender's row put back unchanged; delivering one that is not
+            # pending changes nothing
+            sender = state.idents()[0]
+            unchanged = (sender, state.node(sender), state.pending_stabilize_for(sender))
+            for target in range(state.space.size):
+                post = state.derive(*unchanged, sent=(target, sender))
+                assert GlobalState(*fields(post)).key == post.key
+                assert_unchanged_pending_is_shared(state, post)
+                if (target, sender) not in state.pending_notify:
+                    assert state.derive(*unchanged, delivered=(target, sender)) == state
 
     def test_rejects_keys_no_snapshot_has(self, space3):
         s = make_state(space3, 2, [(0, 0, (2, 2)), (2, 0, (0, 0))])
