@@ -301,14 +301,15 @@ def explore(
 
     Checks the invariant on every distinct post-state, when it is first
     reached, and returns the first (hence minimal) violating trace, else a
-    summary. The verdict is read from the expanded state's mask rows (see
-    :func:`~chordcheck.properties.mask_rows`): the guard of an unforced
-    fail has already found it among the survivors, and every other step
-    changes only its actor's row (:func:`invariant_with`). A transition to
-    a state already visited, and so already checked, is counted but not
-    checked again; ``on_transition`` still sees every transition, with
-    both states and their principals. Hitting the visited-state cap
-    yields an inconclusive ``cap-hit`` verdict, never success.
+    summary. The verdict is read from the expanded state's memoized mask
+    rows (see :func:`~chordcheck.properties.mask_rows`): the guard of an
+    unforced fail has already found it among the survivors, and every
+    other step changes only its actor's row (:func:`invariant_with`). A
+    transition to a state already visited, and so already checked, is
+    counted but not checked again; ``on_transition`` still sees every
+    transition, with both states and their principals. Hitting the
+    visited-state cap yields an inconclusive ``cap-hit`` verdict, never
+    success.
 
     The visited set and the frontier hold packed keys, not snapshots; a
     frontier state is decoded when it is expanded. With
@@ -328,7 +329,7 @@ def explore(
     # initial state did only if it satisfies the invariant, which
     # require_valid_initial=False leaves open
     initial_checked = invariant_holds(initial)
-    nodes: dict = {}  # decoded members, shared by every expansion of this call
+    fail = StepKind.FAIL
     frontier: list[int] = [root]
     transitions = 0
     depth = 0
@@ -337,7 +338,7 @@ def explore(
     while frontier and depth < cfg.max_depth and not capped and trace is None:
         next_frontier: list[int] = []
         for key in frontier:
-            state = GlobalState.from_key(space, r, key, nodes)
+            state = GlobalState.from_key(space, r, key)
             prins = principals(state) if on_transition is not None else None
             for step in enabled_steps(state, churn=cfg.churn):
                 post = apply_step(state, step)
@@ -350,7 +351,7 @@ def explore(
                 # enabled_steps offers only unforced fails, and step_fail's
                 # guard has just found the invariant among the survivors;
                 # every other step it offers leaves its actor a member
-                if step.kind != StepKind.FAIL and not invariant_with(state, post.node(step.actor)):
+                if step.kind != fail and not invariant_with(state, post.node(step.actor)):
                     trace = run_script(initial, _path(parents, key) + [step], kind="explore")
                     break
                 parents[post_key] = (key, step)
@@ -405,6 +406,10 @@ class Schedule:
                 f"{state.live_count}"
             )
         return window
+
+
+# the kinds that restamp their actor's clock
+_STABILIZES = (StepKind.STABILIZE_FROM_SUCCESSOR, StepKind.STABILIZE_FROM_PREDECESSOR)
 
 
 class _FairScheduler:
@@ -473,7 +478,7 @@ class _FairScheduler:
         if post.mask != self.mask:
             self.mask = post.mask
             self.stamps = {ident: self.stamps.get(ident, self.round) for ident in post.idents()}
-        if step.kind in (StepKind.STABILIZE_FROM_SUCCESSOR, StepKind.STABILIZE_FROM_PREDECESSOR):
+        if step.kind in _STABILIZES:
             self.stamps[step.actor] = self.round
         if post.pending_notify != self.notify:
             self.notify = post.pending_notify

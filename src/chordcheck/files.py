@@ -29,13 +29,7 @@ from .state import GlobalState, NodeState
 TRACE_FORMAT = "chordcheck-trace/1"
 SCENARIO_VERSION = "1"
 
-_KIND_NAMES = {
-    StepKind.JOIN: "join",
-    StepKind.FAIL: "fail",
-    StepKind.STABILIZE_FROM_SUCCESSOR: "stabilize_from_successor",
-    StepKind.STABILIZE_FROM_PREDECESSOR: "stabilize_from_predecessor",
-    StepKind.RECTIFY: "rectify",
-}
+_KIND_NAMES = {kind: kind.name.lower() for kind in StepKind}
 _KINDS_BY_NAME = {name: kind for kind, name in _KIND_NAMES.items()}
 
 
@@ -50,7 +44,7 @@ def step_to_doc(step: Step) -> dict:
     doc: dict[str, Any] = {"kind": _KIND_NAMES[step.kind], "actor": step.actor}
     if step.arg is not None:
         doc["arg"] = step.arg
-    if step.kind == StepKind.FAIL and step.forced:
+    if step.forced and step.kind == StepKind.FAIL:
         doc["forced"] = True
     return doc
 

@@ -35,12 +35,15 @@ with the flags, so a caller that needs both computes it once.
 
 ``Invariant`` is the conjunction of just two properties: every member has
 a live successor, and at least r + 1 members are principal. Outside
-:func:`check_all` it is read from a snapshot's mask rows
-(:func:`mask_rows`), computed once per snapshot and kept on it:
-:func:`invariant_holds` gives the snapshot's verdict, :func:`failable_mask`
-the verdict on the survivors of every member's fail, and
-:func:`invariant_with` the verdict after one member's row is replaced or
-added, which is all a stabilize, a rectify or a join changes. The other
+:func:`check_all` it is read from a member table's mask rows
+(:func:`mask_rows`), memoized per ``(m, r, members)``, at most
+:data:`MASK_ROWS_CEILING`, since no conjunct and no fail verdict reads
+the pending entries: :func:`invariant_holds` gives the verdict,
+:func:`failable_mask` the verdict on the survivors of every member's fail,
+and :func:`invariant_with` the verdict after one member's row is replaced
+or added, which is all a stabilize, a rectify or a join changes. Unlike
+the report memo, this one keys by width: which non-members an arc that
+wraps past 0 skips depends on it (the verdicts do not). The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -82,7 +85,7 @@ class PropertyReport:
 
 
 class MaskRows(NamedTuple):
-    """What the invariant reads of one snapshot (see :func:`mask_rows`).
+    """What the invariant reads of one member table (see :func:`mask_rows`).
 
     ``others[i]`` is the union of the skip masks (see
     :func:`~chordcheck.state.member_masks`) of every member but the i-th,
@@ -91,31 +94,35 @@ class MaskRows(NamedTuple):
     ``failable`` is :func:`failable_mask`'s answer.
     """
 
-    others: list[int]
+    others: tuple[int, ...]
     skipped: int
     stranded: int
     failable: int
 
 
 def mask_rows(state: GlobalState) -> MaskRows:
-    """The mask rows of ``state``, computed on the first call and kept in
-    its ``rows`` slot."""
-    rows = state.rows
-    if rows is None:
-        rows = _mask_rows(state)
-        object.__setattr__(state, "rows", rows)  # a memo, not part of the value
-    return rows
+    """The mask rows of the members of ``state``, memoized per ``(m, r,
+    members)`` (see the module docstring); callers must not mutate them."""
+    return _mask_rows(state.space.m, state.r, state.members)
 
 
-def _mask_rows(state: GlobalState) -> MaskRows:
-    """One pass over the members' masks, then the prefix and suffix ORs of
-    their skip masks and every fail verdict (see :func:`failable_mask`)."""
-    space = state.space
-    live = state.mask
+# bounds the rows memo, which lives as long as the process: 1,024 holds
+# all 763 tables of an m=4 depth-4 exploration, which ran about 9% slower
+# at 256; benchmark peak RSS rose 0.9-1.9 MB at 1,024, 0.1-0.7 MB at 256
+MASK_ROWS_CEILING = 1024
+
+
+@lru_cache(maxsize=MASK_ROWS_CEILING)
+def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
+    """One pass over the masks of ``members`` in the space of width ``m``,
+    then the prefix and suffix ORs of their skip masks and every fail
+    verdict (see :func:`failable_mask`)."""
+    space = IdSpace(m)
+    live = sum(1 << node.ident for node in members)
     skips = []
     stranded = 0
     candidates = live
-    for node in state.members:
+    for node in members:
         skipped, entries = member_masks(space, node)
         skips.append(skipped)
         heads = entries & live
@@ -135,24 +142,20 @@ def _mask_rows(state: GlobalState) -> MaskRows:
         before |= skipped
     failable = 0
     if candidates:
-        required = state.r + 1
-        for node, other in zip(state.members, others):
+        required = r + 1
+        for node, other in zip(members, others):
             own = 1 << node.ident
             if candidates & own and (live & ~own & ~other).bit_count() >= required:
                 failable |= own
-    return MaskRows(others, after[0], stranded, failable)
+    return MaskRows(tuple(others), after[0], stranded, failable)
 
 
 def invariant_holds(state: GlobalState) -> bool:
     """Whether ``state`` satisfies the invariant: every member has a live
     successor, and at least r + 1 live identifiers are principal (not
-    skipped by any extended successor list).
-
-    Read from the snapshot's rows when it has them; otherwise they are
-    computed but not kept, so a one-off verdict does not pin them to a
-    snapshot that its caller keeps (a converge seed, or every state of a
-    collected exploration)."""
-    rows = state.rows or _mask_rows(state)
+    skipped by any extended successor list). Read from the members' mask
+    rows (see :func:`mask_rows`)."""
+    rows = mask_rows(state)
     return not rows.stranded and (state.mask & ~rows.skipped).bit_count() > state.r
 
 
@@ -162,7 +165,7 @@ def failable_mask(state: GlobalState) -> int:
     one definition of the verdict that
     :func:`~chordcheck.protocol.safely_failable` gives for one member and
     :func:`~chordcheck.protocol.enabled_steps` reads for all, kept in the
-    snapshot's mask rows.
+    members' mask rows (see :func:`mask_rows`).
 
     Failing x strands every other member whose only live entry is x, and
     a member with no live entry already is stranded unless it is the one
@@ -175,8 +178,8 @@ def invariant_with(state: GlobalState, node: NodeState) -> bool:
     its identifier, or added as a new member if there is none, whatever
     the pending entries: the verdict on the state a stabilize, a rectify
     or a join leaves, where only the actor's row changes. Read from the
-    rows of ``state`` (see :func:`mask_rows`) and the new row's masks,
-    without the post-state's rows."""
+    rows of the members of ``state`` (see :func:`mask_rows`) and the new
+    row's masks, without computing the post-state's rows."""
     rows = mask_rows(state)
     space = state.space
     skipped, entries = member_masks(space, node)

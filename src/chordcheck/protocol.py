@@ -13,7 +13,7 @@ the notification it sends or delivers. :meth:`GlobalState.derive
 snapshot, splicing its key from the parent's. :func:`apply_step` finds
 a step's function in one table indexed by its kind. The fail guard reads
 the state's fail verdicts, which
-:func:`~chordcheck.properties.failable_mask` computes once per snapshot.
+:func:`~chordcheck.properties.failable_mask` computes once per member table.
 
 :func:`enabled_steps`, the fair scheduler and converge's prelude take
 one :class:`Step` object per distinct step from :func:`shared_step`'s
@@ -257,7 +257,7 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     left without a live successor and at least r + 1 members stay
     principal. This is the guard of one fail in :func:`step_fail`, read
     from :func:`~chordcheck.properties.failable_mask`, the one definition
-    of every fail verdict, which is computed once per snapshot: when
+    of every fail verdict, which is computed once per member table: when
     :func:`enabled_steps` has asked it, the guard costs a lookup."""
     return failable_mask(state) >> member & 1 == 1
 

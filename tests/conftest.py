@@ -78,10 +78,11 @@ def scan_one_live_successor(state):
 
 
 def clear_property_memos():
-    """Empty the process-wide memos of member facts and property reports,
-    so the next check derives everything afresh."""
+    """Empty the process-wide memos of member facts, property reports and
+    mask rows, so the next check derives everything afresh."""
     properties._member_facts.cache_clear()
     properties._reports.clear()
+    properties._mask_rows.cache_clear()
 
 
 def repeated_table_record(trace):

@@ -15,6 +15,8 @@ from chordcheck import (
     GlobalState,
     IdSpace,
     Schedule,
+    Step,
+    StepKind,
     converge,
     explore,
     ideal_ring,
@@ -37,6 +39,8 @@ from chordcheck.files import (
     load_trace,
     read_trace,
     scenario_from_doc,
+    step_from_doc,
+    step_to_doc,
     write_trace,
 )
 
@@ -148,6 +152,24 @@ class TestScenarioFormat:
 
 
 class TestTraceFormat:
+    def test_step_kind_names_pinned(self):
+        # the names every trace and scenario file carries, one per kind
+        names = ["join", "fail", "stabilize_from_successor", "stabilize_from_predecessor",
+                 "rectify"]
+        steps = [Step(StepKind.JOIN, 3, 1), Step(StepKind.FAIL, 3),
+                 Step(StepKind.STABILIZE_FROM_SUCCESSOR, 3),
+                 Step(StepKind.STABILIZE_FROM_PREDECESSOR, 3, 1), Step(StepKind.RECTIFY, 3, 1)]
+        assert [step.kind for step in steps] == list(StepKind)
+        for step, name in zip(steps, names):
+            doc = step_to_doc(step)
+            assert doc["kind"] == name
+            assert step_to_doc(step._replace(kind=int(step.kind))) == doc
+            assert step_from_doc(doc) == step
+        assert step_to_doc(Step(StepKind.FAIL, 3, forced=True)) == {
+            "kind": "fail", "actor": 3, "forced": True}
+        # only a fail carries the flag into a file
+        assert "forced" not in step_to_doc(Step(StepKind.RECTIFY, 3, 1, forced=True))
+
     def test_roundtrip(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         trace = simulate(s, Schedule(seed=8), steps=25, churn="full")

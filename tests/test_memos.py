@@ -54,7 +54,8 @@ def test_every_package_memo_has_a_ceiling():
             continue  # importing it runs the command line
         module = importlib.import_module(info.name)
         caches.update({f"{info.name}.{name}": cache for name, cache in lru_caches(module).items()})
-    assert {"chordcheck.state._masks", "chordcheck.explorer._member_text",
-            "chordcheck.properties._member_facts", "chordcheck.protocol.shared_step"
+    assert {"chordcheck.state._masks", "chordcheck.state._decode_field",
+            "chordcheck.explorer._member_text", "chordcheck.properties._member_facts",
+            "chordcheck.properties._mask_rows", "chordcheck.protocol.shared_step"
             } <= caches.keys()
     assert unbounded(caches) == []

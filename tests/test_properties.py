@@ -30,7 +30,14 @@ from chordcheck import (
     valid_initial,
 )
 from chordcheck import properties
-from chordcheck.properties import FLAG_NAMES, MEMBER_FACTS_CEILING, REPORTS_CEILING
+from chordcheck.properties import (
+    FLAG_NAMES,
+    MASK_ROWS_CEILING,
+    MEMBER_FACTS_CEILING,
+    REPORTS_CEILING,
+    failable_mask,
+    mask_rows,
+)
 
 from conftest import (
     brute_force_principals,
@@ -472,6 +479,58 @@ class TestReportMemo:
             assert report.flags == flags
             assert list(report.witnesses.items()) == list(witnesses.items())
             assert report.metric == ErrorMetric(**metric)
+
+
+class TestMaskRowsMemo:
+    """The invariant's mask rows are memoized per ``(m, r, members)``: no
+    conjunct and no fail verdict reads the pending entries."""
+
+    def test_memoized_rows_equal_fresh_rows_on_every_explored_state(self):
+        result = explore(ideal_ring(IdSpace(3), 2, [0, 2, 5]),
+                         ExploreConfig(max_depth=6, churn="full", collect_states=True))
+        assert result.ok
+        assert any(s.pending_stabilize or s.pending_notify for s in result.states)
+        fresh = properties._mask_rows.__wrapped__
+        for s in result.states:
+            assert mask_rows(s) == fresh(s.space.m, s.r, s.members)
+
+    def test_pending_only_difference_shares_the_rows(self, space3):
+        bare = ideal_ring(space3, 2, [0, 2, 5])
+        busy = GlobalState(space3, 2, bare.members, [(0, 1)], [(2, 0), (5, 4)])
+        assert mask_rows(busy) is mask_rows(bare)
+        assert invariant_holds(busy) and failable_mask(busy) == failable_mask(bare)
+
+    def test_wider_space_keeps_its_own_rows_and_the_same_verdicts(self):
+        # 6 -> 4 and 4 -> 1 wrap past 0, over 7 alone at m=3 but over 7 to
+        # 15 at m=4: the skip masks differ, their live parts do not
+        nodes = [(1, 4, (6, 4)), (4, 6, (1, 6)), (6, 1, (4, 1))]
+        narrow = make_state(IdSpace(3), 2, nodes)
+        wide = make_state(IdSpace(4), 2, nodes)
+        assert narrow.members == wide.members
+        a, b = mask_rows(narrow), mask_rows(wide)
+        assert a is not b
+        assert a.skipped != b.skipped
+        assert a.skipped & narrow.mask == b.skipped & wide.mask
+        assert invariant_holds(narrow) == invariant_holds(wide)
+        assert failable_mask(narrow) == failable_mask(wide)
+        assert check_all(narrow).flags["invariant"] == invariant_holds(wide)
+
+    def test_memo_never_grows_past_its_ceiling(self):
+        rng = random.Random(47)
+        fresh = properties._mask_rows.__wrapped__
+        seen = set()
+        while len(seen) <= 2 * MASK_ROWS_CEILING:
+            s = random_global_state(rng, m=4, r=2, min_members=1, max_members=5)
+            seen.add(s.members)
+            rows = mask_rows(s)
+            assert 0 < properties._mask_rows.cache_info().currsize <= MASK_ROWS_CEILING
+            if len(seen) % 64 == 0:
+                assert rows == fresh(s.space.m, s.r, s.members)
+
+    def test_clearing_the_property_memos_clears_the_rows(self, space3):
+        mask_rows(ideal_ring(space3, 2, [0, 2, 5]))
+        clear_property_memos()
+        assert properties._mask_rows.cache_info().currsize == 0
 
 
 class TestIsIdeal:

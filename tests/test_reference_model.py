@@ -168,9 +168,9 @@ def enabled(net):
 def assert_agrees(state, forced=False):
     """The package and the model agree on ``state``'s invariant, its
     enabled steps, and every post-state with its invariant; for each
-    non-fail step, also on the verdict read from ``state``'s rows. With
-    ``forced``, every member's forced fail is applied too, whatever the
-    invariant says."""
+    non-fail step, also on the verdict read from the rows of ``state``'s
+    members. With ``forced``, every member's forced fail is applied too,
+    whatever the invariant says."""
     net = Net.of(state)
     holds = invariant(net)
     assert invariant_holds(state) == holds == check_all(state).flags["invariant"]

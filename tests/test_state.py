@@ -27,10 +27,17 @@ from chordcheck import (
 )
 from chordcheck.errors import UnknownMemberError
 from chordcheck.properties import invariant_holds, invariant_with
-from chordcheck.state import MEMBER_MASKS_CEILING, _masks, member_masks
+from chordcheck.state import (
+    DECODED_FIELDS_CEILING,
+    MEMBER_MASKS_CEILING,
+    _decode_field,
+    _masks,
+    member_masks,
+)
 
 from conftest import (
     brute_force_principals,
+    clear_property_memos,
     global_states,
     random_global_state,
     scan_best_successor,
@@ -208,8 +215,9 @@ class TestKey:
     def test_step_results_match_their_rebuild(self, s):
         # steps splice the key from the parent's; the constructor packs it
         # from scratch, and the two must agree. Explore reads a non-fail
-        # post-state's verdict from the parent's rows and the actor's new
-        # row; the rebuilt snapshot has no rows and computes its own.
+        # post-state's verdict from the rows of the parent's members and
+        # the actor's new row; the rebuilt snapshot would find its members'
+        # rows in the memo, so its verdict is computed from emptied memos.
         # The same state with many notifications in flight, a (0, 0) entry
         # at the bottom of their bits, puts each one at many positions
         low, top = 0, s.space.size - 1
@@ -234,8 +242,9 @@ class TestKey:
                     assert post.pending_notify == tuple(
                         e for e in state.pending_notify if e != (step.actor, step.arg))
                 if step.kind != StepKind.FAIL and post.is_member(step.actor):
-                    assert (invariant_with(state, post.node(step.actor))
-                            == invariant_holds(rebuilt)), step
+                    verdict = invariant_with(state, post.node(step.actor))
+                    clear_property_memos()
+                    assert verdict == invariant_holds(rebuilt), step
             # a notification spliced in at every position, with the
             # sender's row put back unchanged; delivering one that is not
             # pending changes nothing
@@ -253,10 +262,34 @@ class TestKey:
         at = s.key.bit_length() - 1  # the sentinel bit
         with pytest.raises(ValueError):
             GlobalState.from_key(space3, 2, s.key ^ 1 << at)  # no sentinel
-        with pytest.raises(ValueError):
-            # member 0's field starts above the 8-bit mask; its flag bit
-            # follows prdc and two entries (9 bits), its candidate the flag
-            GlobalState.from_key(space3, 2, s.key ^ 1 << (8 + 9 + 1))
+        # member 0's field starts above the 8-bit mask; its flag bit
+        # follows prdc and two entries (9 bits), its candidate the flag.
+        # The decode memo keeps no exception: every call raises
+        for _ in range(3):
+            with pytest.raises(ValueError, match="without its continuation flag"):
+                GlobalState.from_key(space3, 2, s.key ^ 1 << (8 + 9 + 1))
+        assert GlobalState.from_key(space3, 2, s.key) == s
+
+    def test_decoded_members_are_shared_across_calls(self, space3):
+        s = make_state(space3, 2, [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (0, 2))],
+                       pending_stabilize=[(2, 3)])
+        other = s.derive(5, NodeState(5, 0, (0, 2)))  # members 0 and 2 unchanged
+        a = GlobalState.from_key(space3, 2, s.key)
+        b = GlobalState.from_key(space3, 2, s.key)
+        c = GlobalState.from_key(space3, 2, other.key)
+        assert a == b == s and c == other
+        assert all(x is y for x, y in zip(a.members, b.members))
+        assert a.members[0] is c.members[0] and a.members[1] is c.members[1]
+        assert a.pending_stabilize == c.pending_stabilize == ((2, 3),)
+
+    def test_decode_memo_never_grows_past_its_ceiling(self):
+        rng = random.Random(37)
+        seen = set()
+        while len(seen) <= 2 * DECODED_FIELDS_CEILING:
+            s = random_global_state(rng, m=5, r=2, min_members=1, max_members=4)
+            seen.update(s.members)
+            assert GlobalState.from_key(s.space, s.r, s.key) == s
+            assert 0 < _decode_field.cache_info().currsize <= DECODED_FIELDS_CEILING
 
 
 class TestEsl:
