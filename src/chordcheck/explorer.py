@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInitialStateError, ReplayMismatchError
+from .idspace import IdSpace
 from .properties import (
     ErrorMetric,
     PropertyReport,
@@ -246,14 +248,53 @@ class ExploreConfig:
 Parents = dict[int, tuple[int, Step] | None]
 
 
+class VisitedStates(Sequence[GlobalState]):
+    """The visited states of one exploration, in BFS order, held as their
+    packed keys and decoded with :meth:`GlobalState.from_key` when read.
+
+    Indexing (negative indices too) gives a snapshot, a slice gives a list
+    of snapshots, and iteration decodes one key at a time; decoded
+    snapshots share their equal members through the decode memo. Two
+    views are equal when their space, ``r`` and keys are.
+    """
+
+    __slots__ = ("space", "r", "keys")
+
+    def __init__(self, space: IdSpace, r: int, keys: Iterable[int]):
+        self.space = space
+        self.r = r
+        self.keys = list(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: int | slice) -> GlobalState | list[GlobalState]:
+        if isinstance(index, slice):
+            return [GlobalState.from_key(self.space, self.r, key) for key in self.keys[index]]
+        return GlobalState.from_key(self.space, self.r, self.keys[index])
+
+    def __iter__(self) -> Iterator[GlobalState]:
+        space, r = self.space, self.r
+        for key in self.keys:
+            yield GlobalState.from_key(space, r, key)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VisitedStates):
+            return NotImplemented
+        return (self.space, self.r, self.keys) == (other.space, other.r, other.keys)
+
+    def __repr__(self) -> str:
+        return f"VisitedStates(space={self.space!r}, r={self.r!r}, {len(self.keys)} keys)"
+
+
 @dataclass
 class ExploreResult:
     """The verdict and counts of one exploration.
 
     With ``collect_states``, ``states`` holds every visited snapshot in BFS
-    order, as built when it was first reached, and ``parents`` maps each
-    visited state's packed key (``GlobalState.key``) to its parent's key
-    and the step taken from there, or to None for the initial state.
+    order, decoded on access (:class:`VisitedStates`), and ``parents`` maps
+    each visited state's packed key (``GlobalState.key``) to its parent's
+    key and the step taken from there, or to None for the initial state.
     """
 
     verdict: str  # ok | invariant-violated | cap-hit
@@ -262,7 +303,7 @@ class ExploreResult:
     depth_reached: int
     frontier_size: int
     trace: Trace | None = None
-    states: list[GlobalState] | None = None  # BFS order, when collect_states
+    states: Sequence[GlobalState] | None = None  # BFS order, when collect_states
     parents: Parents | None = None  # key -> (parent key, step) | None, when collect_states
 
     @property
@@ -272,9 +313,16 @@ class ExploreResult:
     def path_to(self, state: GlobalState) -> list[Step]:
         """Reconstruct a concrete step sequence from the initial state to
         any visited state, looked up by its key (requires
-        ``collect_states``)."""
+        ``collect_states``). Raises ValueError for a state of another space
+        or ``r`` than the exploration's, or one it never visited."""
         if self.parents is None:
             raise ValueError("exploration did not keep parent links")
+        if (state.space, state.r) != (self.states.space, self.states.r):
+            raise ValueError(
+                f"state of {state.space!r} with r={state.r} is not from this exploration "
+                f"of {self.states.space!r} with r={self.states.r}")
+        if state.key not in self.parents:
+            raise ValueError("state was not visited by this exploration")
         return _path(self.parents, state.key)
 
 
@@ -313,8 +361,9 @@ def explore(
 
     The visited set and the frontier hold packed keys, not snapshots; a
     frontier state is decoded when it is expanded. With
-    ``collect_states``, ``states`` holds the snapshots as they were first
-    reached, and ``parents`` the links from key to parent key.
+    ``collect_states``, ``parents`` holds the links from key to parent key,
+    and ``states`` is a view over its keys in BFS order that decodes each
+    state on access; no snapshot is kept.
     """
     cfg = cfg or ExploreConfig()
     if cfg.require_valid_initial and not valid_initial(initial):
@@ -324,7 +373,6 @@ def explore(
         )
     space, r, root = initial.space, initial.r, initial.key
     parents: Parents = {root: None}
-    states = [initial] if cfg.collect_states else None
     # every other visited state passed the check when it was reached; the
     # initial state did only if it satisfies the invariant, which
     # require_valid_initial=False leaves open
@@ -356,8 +404,6 @@ def explore(
                     break
                 parents[post_key] = (key, step)
                 next_frontier.append(post_key)
-                if states is not None:
-                    states.append(post)
                 if len(parents) >= cfg.max_states:
                     capped = True
                     break
@@ -373,7 +419,7 @@ def explore(
         depth_reached=depth,
         frontier_size=len(frontier),
         trace=trace,
-        states=states,
+        states=VisitedStates(space, r, parents) if cfg.collect_states else None,
         parents=parents if cfg.collect_states else None,
     )
 

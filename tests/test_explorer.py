@@ -44,8 +44,15 @@ from chordcheck import (
 )
 from chordcheck import explorer, protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, TraceFormatError
-from chordcheck.explorer import MEMBER_TEXTS_CEILING, _FairScheduler, _member_text, _record
+from chordcheck.explorer import (
+    MEMBER_TEXTS_CEILING,
+    VisitedStates,
+    _FairScheduler,
+    _member_text,
+    _record,
+)
 from chordcheck.files import load_scenario, read_trace, write_trace
+from chordcheck.state import _decode_field
 
 from conftest import clear_property_memos, repeated_table_record
 
@@ -256,7 +263,8 @@ class TestExplore:
         assert result.states[0] == s
 
     def test_every_visited_state_reconstructible(self, space3):
-        # soundness: a concrete step sequence reaches each visited state
+        # soundness: a concrete step sequence reaches each visited state, so
+        # a decoding fault cannot hide behind from_key agreeing with itself
         from chordcheck import apply_step
 
         s = ideal_ring(space3, 2, [0, 2, 5])
@@ -268,12 +276,17 @@ class TestExplore:
             assert cur == state
 
     def test_derived_states_are_canonical(self, space3):
-        # step results skip the constructor's validation and sorting; each
-        # must equal its rebuild through the validating constructor
+        # step results and decoded keys skip the constructor's validation
+        # and sorting; each must equal its rebuild through the validating
+        # constructor. The hook keeps each state's first step result, as
+        # reached; the collected states are decoded from their keys
         s = ideal_ring(space3, 2, [0, 2, 3, 5, 7])
-        result = explore(s, ExploreConfig(max_depth=5, churn="full", collect_states=True))
+        reached = {}
+        result = explore(s, ExploreConfig(max_depth=5, churn="full", collect_states=True),
+                         on_transition=lambda pre, step, post, *_: reached.setdefault(post.key, post))
         assert result.states_visited == 4752
-        for state in result.states:
+        assert reached.keys() <= result.parents.keys()
+        for state in [*reached.values(), *result.states]:
             rebuilt = GlobalState(state.space, state.r, state.members,
                                   state.pending_stabilize, state.pending_notify)
             assert rebuilt == state
@@ -371,6 +384,86 @@ class TestExplore:
         assert result.ok
         for state in result.states:
             assert state.members == s.members
+
+
+@functools.lru_cache(maxsize=None)
+def collected_m3_ring():
+    """The initial state and the collected depth-4 full-churn exploration of
+    the m=3 ring (0, 2, 3, 5, 7)."""
+    initial = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+    return initial, explore(initial, ExploreConfig(max_depth=4, churn="full",
+                                                    collect_states=True))
+
+
+class TestVisitedStates:
+    """``ExploreResult.states`` is a read-only view over the visited keys in
+    BFS order, decoded on access."""
+
+    def test_reads_agree_with_the_decoded_keys(self):
+        initial, result = collected_m3_ring()
+        decoded = [GlobalState.from_key(initial.space, initial.r, key) for key in result.parents]
+        states = result.states
+        assert list(states) == decoded
+        assert [states[i] for i in range(len(states))] == decoded
+        assert [states[-i] for i in range(1, len(states) + 1)] == decoded[::-1]
+        for cut in (slice(None), slice(1, None), slice(5, 900, 7), slice(-40, -3),
+                    slice(None, None, -13), slice(600, 2), slice(2_000, None)):
+            assert states[cut] == decoded[cut], cut
+            assert type(states[cut]) is list
+
+    def test_out_of_range_index_raises(self):
+        _, result = collected_m3_ring()
+        n = len(result.states)
+        for index in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                result.states[index]
+
+    def test_equal_explorations_give_equal_views(self):
+        initial, result = collected_m3_ring()
+        again = explore(initial, ExploreConfig(max_depth=4, churn="full", collect_states=True))
+        assert again.states is not result.states
+        assert again.states == result.states
+        assert again == result
+        shallower = explore(initial, ExploreConfig(max_depth=3, churn="full",
+                                                   collect_states=True))
+        assert shallower.states != result.states
+        keys = list(result.parents)
+        assert VisitedStates(IdSpace(4), 2, keys) != result.states
+        assert VisitedStates(IdSpace(3), 3, keys) != result.states
+
+    def test_path_to_refuses_an_unvisited_state(self):
+        _, result = collected_m3_ring()
+        outside = ideal_ring(IdSpace(3), 2, [1, 4, 6])
+        assert outside.key not in result.parents
+        with pytest.raises(ValueError, match="not visited"):
+            result.path_to(outside)
+
+    def test_path_to_refuses_a_state_of_another_space_or_r(self):
+        _, result = collected_m3_ring()
+        # the initial ring, in another space or with another r
+        for space, r in ((IdSpace(4), 2), (IdSpace(3), 3)):
+            with pytest.raises(ValueError, match="not from this exploration"):
+                result.path_to(ideal_ring(space, r, [0, 2, 3, 5, 7]))
+
+    def test_collected_exploration_keeps_no_snapshots(self):
+        # traced after the memos are emptied, the m=3 ring (0,2,3,5,7) at
+        # depth 6 (14,979 states) retained 2.58 MB with a view over its
+        # keys, and 7.92 MB when every collected state was kept as a
+        # snapshot; 0.47 MB without collecting
+        _decode_field.cache_clear()
+        clear_property_memos()
+        initial = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = explore(initial, ExploreConfig(max_depth=6, churn="full",
+                                                    collect_states=True))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (result.verdict, len(result.states)) == ("ok", 14_979)
+        assert retained < 4.5e6
 
 
 class TestSimulate:
@@ -803,7 +896,7 @@ class TestDigest:
             GlobalState(space3, 2, ring, pending_stabilize=[(5, 7)]),
             GlobalState(space3, 2, ring, pending_notify=[(2, 5)]),
         ]
-        for s in result.states + edge_cases:
+        for s in [*result.states, *edge_cases]:
             assert state_digest(s) == literal_digest(s), s
 
     def test_digests_pinned(self, space3):

@@ -253,7 +253,7 @@ class TestFailableMask:
         rng = random.Random(23)
         randoms = [random_global_state(rng, m=rng.randint(1, 6), r=rng.randint(1, 3),
                                        min_members=1) for _ in range(500)]
-        for s in explored.states + randoms:
+        for s in [*explored.states, *randoms]:
             for churn in ("full", "fails_only"):
                 assert enabled_steps(s, churn=churn) == per_member_enabled_steps(s, churn)
 
