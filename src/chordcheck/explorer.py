@@ -44,7 +44,15 @@ def state_digest(state: GlobalState) -> str:
     """Stable content digest of a snapshot: the sha256 of the ASCII text
     ``repr((m, r, members, pending_stabilize, pending_notify))``.
 
-    The text is assembled from one memoized text per member
+    Digests are memoized for the process under ``(m, r, key)``, at most
+    :data:`DIGESTS_CEILING` of them, dropping the oldest first: most
+    records of a run repeat a state it has already digested, and a replay
+    digests exactly its run's states. The key holds ``m`` and ``r`` because
+    the packed key alone does not tell every space and ``r`` apart (the
+    empty m=3 network packs to 256 at every ``r``). The memo holds only
+    digests computed from snapshots, never one read from a trace.
+
+    On a miss the text is assembled from one memoized text per member
     (:func:`_member_text`), so a step that changes one member formats at
     most that member anew; ``m``, ``r`` and the pending tuples are
     formatted per call. A member's text is the ``repr`` of its
@@ -53,12 +61,36 @@ def state_digest(state: GlobalState) -> str:
     comma), so the text, and every digest, is the one the literal
     ``repr`` gives.
     """
+    key = (state.space.m, state.r, state.key)
+    digest = _digests.get(key)
+    if digest is None:
+        if len(_digests) >= DIGESTS_CEILING:
+            del _digests[next(iter(_digests))]
+        digest = _digests[key] = _digest(state)
+    return digest
+
+
+def _digest(state: GlobalState) -> str:
+    """The digest of ``state``, from its members' texts (see
+    :func:`state_digest`)."""
     members = ", ".join(map(_member_text, state.members))
     if len(state.members) == 1:
         members += ","
     text = (f"({state.space.m!r}, {state.r!r}, ({members}), "
             f"{state.pending_stabilize!r}, {state.pending_notify!r})")
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# bounds the digest memo, which lives as long as the process. It must hold
+# one run's distinct states: read in run order, a FIFO memo that a run
+# overflows evicts exactly what an in-process replay of that run needs
+# next. A converge runs up to step_cap (200) records plus a window, a
+# 100-round m=6 simulate at most 100; at m=6 an entry takes about 300
+# bytes, so a full memo holds several runs in about 0.3 MB
+DIGESTS_CEILING = 1024
+
+# (m, r, key) -> digest, oldest first, like properties._reports
+_digests: dict[tuple[int, int, int], str] = {}
 
 
 # bounds the memo, which lives as long as the process: one trace and its
@@ -641,11 +673,15 @@ def replay(trace: Trace) -> list:
     Each member table's report comes from :func:`check_all`'s memo, which
     holds only reports derived from member tables, never a value read from
     a trace: a replay may find the report its run derived, and still
-    compares every record with it. The verdict, and the meta
-    derived with it (a converge trace's ``steps_to_ideal``), are
-    re-derived by the writers' one rule, :func:`_outcome`, so a trace of
-    unknown kind, and a simulate or converge trace cut short or run on,
-    is refused. Only a converge trace may carry a prelude.
+    compares every record with it. Likewise a state's digest may come
+    from :func:`state_digest`'s memo, which holds only digests computed
+    from snapshots, never one read from a trace, so every recorded digest
+    is compared with one derived from the state the replay reached. The
+    verdict, and the meta derived with it (a converge trace's
+    ``steps_to_ideal``), are re-derived by the writers' one rule,
+    :func:`_outcome`, so a trace of unknown kind, and a simulate or
+    converge trace cut short or run on, is refused. Only a converge trace
+    may carry a prelude.
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).

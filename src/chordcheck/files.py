@@ -126,12 +126,20 @@ def state_to_doc(state: GlobalState) -> dict:
 def state_from_doc(doc: dict, space: IdSpace, r: int, where: str) -> GlobalState:
     """The snapshot that a trace header's field ``where`` holds."""
     members = _members_from_doc(doc["members"], f"{where}.members", space, r)
-    pending_stabilize = tuple(tuple(e) for e in doc.get("pending_stabilize", ()))
-    pending_notify = tuple(tuple(e) for e in doc.get("pending_notify", ()))
-    for ident in (i for entry in pending_stabilize + pending_notify for i in entry):
-        if not _is_int(ident):
-            raise ValueError(f"identifiers must be integers, got {ident!r}")
+    pending_stabilize = _pending_from_doc(doc.get("pending_stabilize", []),
+                                          f"{where}.pending_stabilize")
+    pending_notify = _pending_from_doc(doc.get("pending_notify", []), f"{where}.pending_notify")
     return GlobalState(space, r, members, pending_stabilize, pending_notify)
+
+
+def _pending_from_doc(entries: object, where: str) -> tuple[tuple[int, int], ...]:
+    """The pending entries of a trace state's field ``where``, each a list
+    of two integers; ``where`` names the field in errors."""
+    _expect(isinstance(entries, list), f"field {where!r} must be a list of pairs, got {entries!r}")
+    for i, entry in enumerate(entries):
+        _expect(isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry)),
+                f"{where}[{i}] must be a list of two integers, got {entry!r}")
+    return tuple(tuple(entry) for entry in entries)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -313,18 +321,21 @@ def save_trace(trace: Trace, path: str, scenario_digest: str | None = None) -> N
 
 
 def read_trace(fh: IO[str]) -> Trace:
-    lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise TraceFormatError("trace file is empty")
+    # (the file's own line number, its document) per non-blank line
     docs = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(fh.read().splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
-            docs.append(json.loads(line))
+            doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
-        if not isinstance(docs[-1], dict):
+        if not isinstance(doc, dict):
             raise TraceFormatError(f"line {i}: not a JSON object")
-    header = docs[0]
+        docs.append((i, doc))
+    if not docs:
+        raise TraceFormatError("trace file is empty")
+    header = docs[0][1]
     if header.get("type") != "header" or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError("first line must be a trace header")
     try:
@@ -345,7 +356,7 @@ def read_trace(fh: IO[str]) -> Trace:
             prelude = [_record_from_doc(d) for d in header["prelude"]]
         records = []
         closing = None
-        for i, doc in enumerate(docs[1:], start=2):
+        for i, doc in docs[1:]:
             if closing is not None:
                 raise TraceFormatError(f"line {i}: nothing may follow the verdict line")
             if doc.get("type") == "record":

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState, apply_step, properties
+from chordcheck import GlobalState, IdSpace, NodeState, apply_step, explorer, properties
 
 
 @pytest.fixture
@@ -78,11 +78,13 @@ def scan_one_live_successor(state):
 
 
 def clear_property_memos():
-    """Empty the process-wide memos of member facts, property reports and
-    mask rows, so the next check derives everything afresh."""
+    """Empty the process-wide memos of member facts, property reports, mask
+    rows and state digests, so the next record derives everything
+    afresh."""
     properties._member_facts.cache_clear()
     properties._reports.clear()
     properties._mask_rows.cache_clear()
+    explorer._digests.clear()
 
 
 def repeated_table_record(trace):

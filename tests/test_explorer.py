@@ -896,8 +896,30 @@ class TestDigest:
             GlobalState(space3, 2, ring, pending_stabilize=[(5, 7)]),
             GlobalState(space3, 2, ring, pending_notify=[(2, 5)]),
         ]
-        for s in [*result.states, *edge_cases]:
+        states = [*result.states, *edge_cases]
+        assert len(states) > explorer.DIGESTS_CEILING
+        for s in states:
+            explorer._digests.clear()
             assert state_digest(s) == literal_digest(s), s
+        # warm: each snapshot, and an equal one decoded anew, finds its digest
+        for s in states:
+            digest = state_digest(s)
+            assert (s.space.m, s.r, s.key) in explorer._digests
+            twin = GlobalState.from_key(s.space, s.r, s.key)
+            assert twin is not s
+            assert state_digest(twin) == digest == literal_digest(s), s
+
+    def test_memo_tells_equal_keys_of_other_spaces_and_r_apart(self, space3):
+        # three snapshots that pack to one key: the empty m=3 network at
+        # r=1 and r=2, and the empty m=2 network with a notification
+        states = [GlobalState(space3, 1, ()), GlobalState(space3, 2, ()),
+                  GlobalState(IdSpace(2), 2, (), pending_notify=[(0, 0)])]
+        assert {s.key for s in states} == {256}
+        for order in (states, states[::-1]):
+            explorer._digests.clear()
+            digests = [state_digest(s) for s in order]
+            assert digests == [literal_digest(s) for s in order]
+            assert len(set(digests)) == 3
 
     def test_digests_pinned(self, space3):
         assert state_digest(ideal_ring(space3, 2, [0, 2, 5])) == \
@@ -914,6 +936,7 @@ class TestDigest:
         # whichever of the two the memo sees first, both give one text
         for first, second in ((boolean, twin), (twin, boolean)):
             _member_text.cache_clear()
+            explorer._digests.clear()
             assert state_digest(first) == state_digest(second) == literal_digest(twin)
 
     def test_memo_never_grows_past_its_ceiling(self):
@@ -931,6 +954,39 @@ class TestDigest:
             assert 0 < _member_text.cache_info().currsize <= MEMBER_TEXTS_CEILING
             if len(seen) % 64 == 0:
                 assert digest == literal_digest(state)
+
+    def test_digest_memo_never_grows_past_its_ceiling(self):
+        space = IdSpace(6)
+        rng = random.Random(41)
+        explorer._digests.clear()
+        keys = []
+        while len(keys) <= 2 * explorer.DIGESTS_CEILING:
+            state = GlobalState(space, 1, [], pending_notify=[
+                (rng.randrange(64), rng.randrange(64)) for _ in range(3)])
+            if state.key in keys:
+                continue
+            keys.append(state.key)
+            digest = state_digest(state)
+            assert 0 < len(explorer._digests) <= explorer.DIGESTS_CEILING
+            if len(keys) % 64 == 0:
+                assert digest == literal_digest(state)
+        # the oldest go first: the latest ceiling's worth is kept
+        assert [key for _, _, key in explorer._digests] == keys[-explorer.DIGESTS_CEILING:]
+
+    def test_replay_refuses_an_edited_digest_its_run_memoized(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        trace = simulate(s, Schedule(seed=9), steps=40, churn="full")
+        state = trace.initial
+        for rec in trace.records:
+            state = apply_step(state, rec.step)
+            # the run's digests are still in the memo
+            assert explorer._digests[(3, 2, state.key)] == rec.digest
+        i = 17
+        edited = "0" * 64
+        trace.records[i] = trace.records[i]._replace(digest=edited)
+        with pytest.raises(ReplayMismatchError,
+                           match=rf"records\[{i}\]: state digest '[0-9a-f]{{64}}' != recorded '{edited}'"):
+            replay(trace)
 
 
 def literal_digest(state):

@@ -296,6 +296,50 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError, match=r"seed_state\.members\[0\]\.id False outside"):
             read_trace(io.StringIO("\n".join(edited(drained, 0, seed_state=bool_seed_id)) + "\n"))
 
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda lines: lines[:1] + ["", "  "] + lines[1:2] + ["{bad"],
+                     "line 5: not valid JSON", id="json"),
+        pytest.param(lambda lines: lines[:1] + [""] + lines[1:2] + ["[1, 2]"],
+                     "line 4: not a JSON object", id="object"),
+        pytest.param(lambda lines: lines[:1] + [""] + lines[1:] + ["", lines[1]],
+                     "line 7: nothing may follow the verdict line", id="after-verdict"),
+        pytest.param(lambda lines: ["", "{bad"], "line 2: not valid JSON", id="first-line"),
+    ])
+    def test_errors_name_the_files_own_line(self, space3, edit, message):
+        # blank lines are skipped, but not left out of the count
+        buf = io.StringIO()
+        write_trace(simulate(ideal_ring(space3, 2, [0, 2, 5]), Schedule(seed=8), steps=2), buf)
+        lines = edit(buf.getvalue().splitlines())  # header, 2 records, verdict
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}"):
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("where,field,value,message", [
+        ("initial", "pending_notify", [[0, 2, 5]],
+         "initial.pending_notify[0] must be a list of two integers, got [0, 2, 5]"),
+        ("initial", "pending_stabilize", [[0]],
+         "initial.pending_stabilize[0] must be a list of two integers, got [0]"),
+        ("initial", "pending_notify", [[2, 0], {"a": 1}],
+         "initial.pending_notify[1] must be a list of two integers, got {'a': 1}"),
+        ("initial", "pending_notify", [[2, True]],
+         "initial.pending_notify[0] must be a list of two integers, got [2, True]"),
+        ("initial", "pending_notify", [[2, 0.0]],
+         "initial.pending_notify[0] must be a list of two integers, got [2, 0.0]"),
+        ("initial", "pending_stabilize", 5,
+         "field 'initial.pending_stabilize' must be a list of pairs, got 5"),
+        ("seed_state", "pending_notify", [[2]],
+         "seed_state.pending_notify[0] must be a list of two integers, got [2]"),
+    ])
+    def test_malformed_pending_entries_are_named(self, space3, where, field, value, message):
+        ring = ideal_ring(space3, 2, [0, 2, 5])
+        buf = io.StringIO()
+        write_trace(converge(GlobalState(space3, 2, ring.members, pending_notify=[(2, 0)]),
+                             Schedule(seed=1)), buf)
+        lines = buf.getvalue().splitlines()
+        header = json.loads(lines[0])
+        header[where][field] = value
+        with pytest.raises(TraceFormatError, match=f"^malformed trace: {re.escape(message)}$"):
+            read_trace(io.StringIO("\n".join([json.dumps(header)] + lines[1:]) + "\n"))
+
 
 class TestCli:
     def test_check_ideal_scenario(self, tmp_path, capsys):
@@ -576,6 +620,21 @@ class TestCli:
         header["r"] = str(header["r"])
         out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         assert main(["replay", str(out)]) == EXIT_SCHEMA
+
+    def test_replay_names_the_line_and_the_pending_entry(self, tmp_path, capsys):
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:1] + [""] + lines[1:3] + ["{bad"]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("chordcheck: line 5: not valid JSON")
+        header = json.loads(lines[0])
+        header["initial"]["pending_notify"] = [[0, 2, 5]]
+        out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["replay", str(out)]) == EXIT_SCHEMA
+        assert ("malformed trace: initial.pending_notify[0] must be a list of two integers, "
+                "got [0, 2, 5]") in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,block", [
         *[pytest.param(argv, {}, id=" ".join(argv)) for argv in (
