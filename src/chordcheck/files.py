@@ -59,26 +59,33 @@ def _expect(cond: bool, message: str) -> None:
         raise ScenarioFormatError(message)
 
 
+_NEEDS_ARG = frozenset({StepKind.JOIN, StepKind.RECTIFY})
+_TAKES_NO_ARG = frozenset({StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR})
+
+
 def step_from_doc(doc: dict) -> Step:
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"a step must be an object, got {doc!r}")
     name = doc.get("kind")
-    if not isinstance(name, str) or name not in _KINDS_BY_NAME:
+    kind = _KINDS_BY_NAME.get(name) if isinstance(name, str) else None
+    if kind is None:
         raise ScenarioFormatError(f"unknown step kind {name!r}")
-    kind = _KINDS_BY_NAME[name]
     actor = doc.get("actor")
-    if not _is_int(actor):
+    if type(actor) is not int:
         raise ScenarioFormatError(f"step actor must be an integer, got {actor!r}")
     arg = doc.get("arg")
-    if arg is not None and not _is_int(arg):
+    if arg is None:
+        if kind in _NEEDS_ARG:
+            raise ScenarioFormatError(f"{name} steps require an 'arg' identifier")
+    elif type(arg) is not int:
         raise ScenarioFormatError(f"step arg must be an integer or absent, got {arg!r}")
-    if kind in (StepKind.JOIN, StepKind.RECTIFY) and arg is None:
-        raise ScenarioFormatError(f"{name} steps require an 'arg' identifier")
-    if kind in (StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR) and arg is not None:
+    elif kind in _TAKES_NO_ARG:
         raise ScenarioFormatError(f"{name} steps take no 'arg'")
-    if kind != StepKind.FAIL and "forced" in doc:
+    if "forced" not in doc:
+        return Step(kind, actor, arg)
+    if kind is not StepKind.FAIL:
         raise ScenarioFormatError(f"{name} steps take no 'forced'")
-    forced = doc.get("forced", False)
+    forced = doc["forced"]
     if type(forced) is not bool:
         raise ScenarioFormatError(f"step forced must be true or false, got {forced!r}")
     return Step(kind, actor, arg, forced=forced)
@@ -121,15 +128,6 @@ def state_to_doc(state: GlobalState) -> dict:
         "pending_stabilize": [list(e) for e in state.pending_stabilize],
         "pending_notify": [list(e) for e in state.pending_notify],
     }
-
-
-def state_from_doc(doc: dict, space: IdSpace, r: int, where: str) -> GlobalState:
-    """The snapshot that a trace header's field ``where`` holds."""
-    members = _members_from_doc(doc["members"], f"{where}.members", space, r)
-    pending_stabilize = _pending_from_doc(doc.get("pending_stabilize", []),
-                                          f"{where}.pending_stabilize")
-    pending_notify = _pending_from_doc(doc.get("pending_notify", []), f"{where}.pending_notify")
-    return GlobalState(space, r, members, pending_stabilize, pending_notify)
 
 
 def _pending_from_doc(entries: object, where: str) -> tuple[tuple[int, int], ...]:
@@ -272,28 +270,47 @@ def _record_to_doc(rec: TraceRecord) -> dict:
     }
 
 
-def _record_from_doc(doc: dict) -> TraceRecord:
-    index, digest, flags = doc["index"], doc["state_digest"], doc["flags"]
-    cumulative = doc["cumulative_error"]
-    where = f"record {index!r}"
-    if not _is_int(index):
-        raise TraceFormatError(f"{where}: 'index' must be an integer")
+_BOOL = frozenset({bool})
+
+
+def _check_record(rec: TraceRecord, pos: int) -> None:
+    """Raise ``ValueError`` if :func:`read_trace` would refuse ``rec`` as
+    the record at position ``pos``. Every record is checked, since the text
+    memos of :func:`write_trace` are keyed by value and ``1 == True``."""
+    index, step, digest, flags, cumulative = rec
+    if type(index) is not int or index != pos:
+        raise ValueError(f"record {pos}: 'index' must be the integer {pos}, got {index!r}")
     if not isinstance(digest, str):
-        raise TraceFormatError(f"{where}: 'state_digest' must be a string")
-    if not isinstance(flags, dict) or not all(type(v) is bool for v in flags.values()):
-        raise TraceFormatError(f"{where}: 'flags' must be an object of true/false values")
-    if not _is_int(cumulative):
-        raise TraceFormatError(f"{where}: 'cumulative_error' must be an integer")
-    return TraceRecord(
-        index=index,
-        step=step_from_doc(doc["step"]),
-        digest=digest,
-        flags=dict(flags),
-        cumulative_error=cumulative,
-    )
+        raise ValueError(f"record {pos}: 'state_digest' must be a string, got {digest!r}")
+    if not _BOOL.issuperset(map(type, flags.values())):
+        raise ValueError(f"record {pos}: every flag must be true or false, got {flags!r}")
+    if type(cumulative) is not int:
+        raise ValueError(f"record {pos}: 'cumulative_error' must be an integer, got {cumulative!r}")
+    kind, actor, arg = step.kind, step.actor, step.arg
+    arg_ok = kind not in _NEEDS_ARG if arg is None else type(arg) is int and kind not in _TAKES_NO_ARG
+    if kind not in _KIND_NAMES or type(actor) is not int or not arg_ok:
+        raise ValueError(f"record {pos}: no trace step reads back as {step!r}")
+
+
+def _flags_text(flags: dict) -> str:
+    if not all(isinstance(name, str) for name in flags):
+        raise ValueError(f"flag names must be strings, got {flags!r}")
+    return _dump(flags)
 
 
 def write_trace(trace: Trace, fh: IO[str], scenario_digest: str | None = None) -> None:
+    """Write ``trace`` as line-delimited JSON: each line is the text that
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` gives.
+
+    A record line is assembled from fragments kept for this call only: the
+    text of each distinct flags dict and each distinct step is made once,
+    and the integers and the digest are formatted in place. The whole body
+    goes out in one ``fh.write``, after every record has been checked, so
+    a record that :func:`read_trace` would refuse (a ``true`` or ``1.0``
+    index or cumulative error, a digest that is not a string, a flag that
+    is not ``true``/``false``, a step of no known shape) raises
+    ``ValueError`` and nothing is written.
+    """
     header: dict[str, Any] = {
         "type": "header",
         "format": TRACE_FORMAT,
@@ -308,11 +325,28 @@ def write_trace(trace: Trace, fh: IO[str], scenario_digest: str | None = None) -
         header["scenario_digest"] = scenario_digest
     if trace.seed_state is not None:
         header["seed_state"] = state_to_doc(trace.seed_state)
+        for pos, rec in enumerate(trace.prelude):
+            _check_record(rec, pos)
         header["prelude"] = [_record_to_doc(rec) for rec in trace.prelude]
-    fh.write(_dump(header) + "\n")
-    for rec in trace.records:
-        fh.write(_dump(_record_to_doc(rec)) + "\n")
-    fh.write(_dump({"type": "verdict", "verdict": trace.verdict, "meta": trace.meta}) + "\n")
+    lines = [_dump(header)]
+    flag_texts: dict[tuple, str] = {}
+    step_texts: dict[Step, str] = {}
+    encode = json.encoder.encode_basestring_ascii
+    for pos, rec in enumerate(trace.records):
+        _check_record(rec, pos)
+        index, step, digest, flags, cumulative = rec
+        key = tuple(flags.items())
+        flag_text = flag_texts.get(key)
+        if flag_text is None:
+            flag_text = flag_texts[key] = _flags_text(flags)
+        step_text = step_texts.get(step)
+        if step_text is None:
+            step_text = step_texts[step] = _dump(step_to_doc(step))
+        lines.append(f'{{"cumulative_error":{cumulative},"flags":{flag_text},"index":{index},'
+                     f'"state_digest":{encode(digest)},"step":{step_text},"type":"record"}}')
+    lines.append(_dump({"type": "verdict", "verdict": trace.verdict, "meta": trace.meta}))
+    lines.append("")
+    fh.write("\n".join(lines))
 
 
 def save_trace(trace: Trace, path: str, scenario_digest: str | None = None) -> None:
@@ -320,51 +354,136 @@ def save_trace(trace: Trace, path: str, scenario_digest: str | None = None) -> N
         write_trace(trace, fh, scenario_digest)
 
 
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _fields(doc: dict, names: tuple[str, ...], line: int, where: str) -> list:
+    """The values of ``doc``'s fields ``names``, or a schema error naming
+    the first one missing and the line."""
+    try:
+        return [doc[name] for name in names]
+    except KeyError as exc:
+        raise TraceFormatError(f"line {line}: {where} is missing field {exc.args[0]!r}") from None
+
+
+def _record_from_doc(doc: dict, line: int, pos: int | None = None) -> TraceRecord:
+    """The record that ``doc``, read from the file's line ``line``, holds:
+    a record line, or entry ``pos`` of the header's prelude."""
+    try:
+        index, step, digest = doc["index"], doc["step"], doc["state_digest"]
+        flags, cumulative = doc["flags"], doc["cumulative_error"]
+    except KeyError as exc:
+        raise _record_error(line, pos, f"is missing field {exc.args[0]!r}") from None
+    if type(index) is not int:
+        raise _record_error(line, pos, f"field 'index' must be an integer, got {index!r}")
+    if type(digest) is not str:
+        raise _record_error(line, pos, f"field 'state_digest' must be a string, got {digest!r}")
+    if type(flags) is not dict or not _BOOL.issuperset(map(type, flags.values())):
+        raise _record_error(line, pos,
+                            f"field 'flags' must be an object of true/false values, got {flags!r}")
+    if type(cumulative) is not int:
+        raise _record_error(line, pos,
+                            f"field 'cumulative_error' must be an integer, got {cumulative!r}")
+    try:
+        step = step_from_doc(step)
+    except ScenarioFormatError as exc:
+        raise _record_error(line, pos, f"field 'step': {exc}") from None
+    return TraceRecord(index, step, digest, flags, cumulative)
+
+
+def _record_error(line: int, pos: int | None, message: str) -> TraceFormatError:
+    where = "record" if pos is None else f"prelude[{pos}]"
+    return TraceFormatError(f"line {line}: {where} {message}")
+
+
+def state_from_doc(doc: object, space: IdSpace, r: int, line: int, where: str) -> GlobalState:
+    """The snapshot that the header's field ``where`` holds; the header is
+    the file's line ``line``."""
+    if not isinstance(doc, dict):
+        raise TraceFormatError(f"line {line}: {where} must be an object, got {doc!r}")
+    try:
+        members, stabilize, notify = doc["members"], doc["pending_stabilize"], doc["pending_notify"]
+    except KeyError as exc:
+        raise TraceFormatError(f"line {line}: {where}.{exc.args[0]} is missing") from None
+    return GlobalState(space, r, _members_from_doc(members, f"{where}.members", space, r),
+                       _pending_from_doc(stabilize, f"{where}.pending_stabilize"),
+                       _pending_from_doc(notify, f"{where}.pending_notify"))
+
+
 def read_trace(fh: IO[str]) -> Trace:
+    """The trace that ``fh`` holds, checked field by field; a malformed
+    trace raises :class:`TraceFormatError` naming the field and the file's
+    own line (blank lines counted).
+
+    Each line is decoded with one ``JSONDecoder.raw_decode``; only a line
+    it cannot decode to its end (blank, padded, or not JSON) goes through
+    ``json.loads``, so every line gives the document and the error that
+    ``json.loads`` gives it.
+    """
     # (the file's own line number, its document) per non-blank line
     docs = []
     for i, line in enumerate(fh.read().splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
+            doc, end = _DECODE(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
         if not isinstance(doc, dict):
             raise TraceFormatError(f"line {i}: not a JSON object")
         docs.append((i, doc))
     if not docs:
         raise TraceFormatError("trace file is empty")
-    header = docs[0][1]
-    if header.get("type") != "header" or header.get("format") != TRACE_FORMAT:
-        raise TraceFormatError("first line must be a trace header")
+    first, header = docs[0]
+    if header.get("type") != "header":
+        raise TraceFormatError(f"line {first}: the first line must be a trace header, "
+                               f"got 'type' {header.get('type')!r}")
+    if header.get("format") != TRACE_FORMAT:
+        raise TraceFormatError(f"line {first}: header 'format' must be {TRACE_FORMAT!r}, "
+                               f"got {header.get('format')!r}")
     try:
-        m, r = header["m"], header["r"]
+        m, r, kind, initial = _fields(header, ("m", "r", "kind", "initial"), first, "header")
         if not (_is_int(m) and _is_int(r)):
-            raise TraceFormatError(f"header 'm' and 'r' must be integers, got {m!r} and {r!r}")
+            raise TraceFormatError(f"line {first}: header 'm' and 'r' must be integers, "
+                                   f"got {m!r} and {r!r}")
+        if not isinstance(kind, str):
+            raise TraceFormatError(f"line {first}: header 'kind' must be a string, got {kind!r}")
         space = IdSpace(m)
-        initial = state_from_doc(header["initial"], space, r, "initial")
+        initial = state_from_doc(initial, space, r, first, "initial")
         seed_state = None
         prelude = []
         if "seed_state" in header or "prelude" in header:
             # converge writes both or neither, and a prelude only when it
             # drained something
             if "seed_state" not in header or not header.get("prelude"):
-                raise TraceFormatError("header must carry 'seed_state' and a non-empty "
-                                       "'prelude' together, or neither")
-            seed_state = state_from_doc(header["seed_state"], space, r, "seed_state")
-            prelude = [_record_from_doc(d) for d in header["prelude"]]
+                raise TraceFormatError(f"line {first}: header must carry 'seed_state' and a "
+                                       "non-empty 'prelude' together, or neither")
+            seed_state = state_from_doc(header["seed_state"], space, r, first, "seed_state")
+            entries = header["prelude"]
+            if not isinstance(entries, list):
+                raise TraceFormatError(f"line {first}: header 'prelude' must be a list of "
+                                       f"records, got {entries!r}")
+            for pos, doc in enumerate(entries):
+                if not isinstance(doc, dict):
+                    raise _record_error(first, pos, f"must be an object, got {doc!r}")
+                prelude.append(_record_from_doc(doc, first, pos))
         records = []
         closing = None
         for i, doc in docs[1:]:
             if closing is not None:
                 raise TraceFormatError(f"line {i}: nothing may follow the verdict line")
-            if doc.get("type") == "record":
-                records.append(_record_from_doc(doc))
-            elif doc.get("type") == "verdict":
-                closing = doc
+            line_type = doc.get("type")
+            if line_type == "record":
+                records.append(_record_from_doc(doc, i))
+            elif line_type == "verdict":
+                closing = i, doc
             else:
-                raise TraceFormatError(f"unknown line type {doc.get('type')!r}")
+                raise TraceFormatError(f"line {i}: unknown line type {line_type!r}")
         if closing is None:
             raise TraceFormatError("trace has no verdict line (truncated?)")
         for where, recs in (("prelude", prelude), ("records", records)):
@@ -372,15 +491,14 @@ def read_trace(fh: IO[str]) -> Trace:
                 if rec.index != pos:
                     raise TraceFormatError(f"{where}[{pos}] carries index {rec.index}; "
                                            f"indices must run 0..{len(recs) - 1}")
-        verdict = closing.get("verdict")
-        meta = closing.get("meta", {})
-        kind = header.get("kind")
+        last, closing = closing
+        verdict, meta = _fields(closing, ("verdict", "meta"), last, "the verdict line")
         if not isinstance(verdict, str):
-            raise TraceFormatError(f"the verdict line must carry a string 'verdict', got {verdict!r}")
+            raise TraceFormatError(f"line {last}: the verdict line must carry a string 'verdict', "
+                                   f"got {verdict!r}")
         if not isinstance(meta, dict):
-            raise TraceFormatError(f"the verdict line's 'meta' must be an object, got {meta!r}")
-        if not isinstance(kind, str):
-            raise TraceFormatError(f"header 'kind' must be a string, got {kind!r}")
+            raise TraceFormatError(f"line {last}: the verdict line's 'meta' must be an object, "
+                                   f"got {meta!r}")
     except TraceFormatError:
         raise
     except (KeyError, TypeError, ValueError, ScenarioFormatError) as exc:

@@ -1,9 +1,31 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from chordcheck import GlobalState, IdSpace, NodeState, apply_step, explorer, properties
+from chordcheck import (
+    ExploreConfig,
+    GlobalState,
+    IdSpace,
+    NodeState,
+    Schedule,
+    Step,
+    StepKind,
+    apply_step,
+    converge,
+    explore,
+    explorer,
+    ideal_ring,
+    properties,
+    run_fig3,
+    run_fig4,
+    run_script,
+    simulate,
+)
+from chordcheck.files import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -85,6 +107,32 @@ def clear_property_memos():
     properties._reports.clear()
     properties._mask_rows.cache_clear()
     explorer._digests.clear()
+
+
+@pytest.fixture(scope="session")
+def every_trace_kind():
+    """One trace from each writer, by name: a script, the two flaw
+    reproductions, an explore counterexample, a full-churn m=6 simulate
+    and a converge whose header carries a prelude. Tests must not modify
+    them."""
+    space = IdSpace(3)
+    ring = ideal_ring(space, 2, [0, 2, 5])
+    stranded = load_scenario(str(SCENARIOS / "stranded_appendages_m6.json"))
+    lifecycle = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json"))
+    traces = {
+        "script": run_script(ring, [Step(StepKind.JOIN, 1, 0),
+                                    Step(StepKind.STABILIZE_FROM_SUCCESSOR, 1)]),
+        "fig3": run_fig3(),
+        "fig4": run_fig4(),
+        "explore": explore(stranded.starting_state(),
+                           ExploreConfig(max_depth=2, require_valid_initial=False)).trace,
+        "simulate": simulate(lifecycle.starting_state(), Schedule(seed=5), 100, churn="full"),
+        "converge": converge(GlobalState(space, 2, ring.members, pending_notify=[(2, 0)]),
+                             Schedule(seed=1)),
+    }
+    assert traces["explore"].verdict == "invariant-violated"
+    assert traces["converge"].prelude
+    return traces
 
 
 def repeated_table_record(trace):
