@@ -385,11 +385,16 @@ def explore(
     rows (see :func:`~chordcheck.properties.mask_rows`): the guard of an
     unforced fail has already found it among the survivors, and every
     other step changes only its actor's row (:func:`invariant_with`). A
-    transition to a state already visited, and so already checked, is
-    counted but not checked again; ``on_transition`` still sees every
-    transition, with both states and their principals. Hitting the
-    visited-state cap yields an inconclusive ``cap-hit`` verdict, never
-    success.
+    post-state that keeps its parent's ``members`` tuple (see
+    :meth:`~chordcheck.state.GlobalState.derive`) differs only in pending
+    entries, which no conjunct reads, so it inherits the verdict of its
+    parent, checked when it was reached; only a root that violates the
+    invariant, which ``require_valid_initial=False`` admits, has none to
+    hand on. A transition to a state already visited, and so already
+    checked, is counted but not checked again; ``on_transition`` still
+    sees every transition, with both states and their principals. Hitting
+    the visited-state cap yields an inconclusive ``cap-hit`` verdict,
+    never success.
 
     The visited set and the frontier hold packed keys, not snapshots; a
     frontier state is decoded when it is expanded. With
@@ -430,8 +435,13 @@ def explore(
                     continue
                 # enabled_steps offers only unforced fails, and step_fail's
                 # guard has just found the invariant among the survivors;
-                # every other step it offers leaves its actor a member
-                if step.kind != fail and not invariant_with(state, post.node(step.actor)):
+                # every other step it offers leaves its actor a member, and
+                # one that keeps the parent's members keeps its verdict,
+                # which only a violating root has not passed
+                if (step.kind != fail
+                        and (post.members is not state.members
+                             or not initial_checked and key == root)
+                        and not invariant_with(state, post.node(step.actor))):
                     trace = run_script(initial, _path(parents, key) + [step], kind="explore")
                     break
                 parents[post_key] = (key, step)

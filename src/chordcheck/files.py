@@ -253,6 +253,8 @@ def load_scenario(path: str, m_override: int | None = None, r_override: int | No
         raise ScenarioFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: not valid JSON ({exc.msg})"
         ) from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_doc(doc, m_override, r_override)
 
 
@@ -425,7 +427,7 @@ def read_trace(fh: IO[str]) -> Trace:
     for i, line in enumerate(fh.read().splitlines(), start=1):
         try:
             doc, end = _DECODE(line)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer literal too long to convert
             end = -1
         if end != len(line):
             if not line.strip():
@@ -434,6 +436,8 @@ def read_trace(fh: IO[str]) -> Trace:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer literal too long to convert
+                raise TraceFormatError(f"line {i}: not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise TraceFormatError(f"line {i}: not a JSON object")
         docs.append((i, doc))

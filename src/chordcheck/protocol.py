@@ -8,11 +8,12 @@ is exactly the interleaving the shared-state abstraction guarantees.
 
 Each step function defines its kind's effect once, as a delta: the one
 member row it replaces, adds or removes, that member's continuation, and
-the notification it sends or delivers. :meth:`GlobalState.derive
+the notification it sends or delivers. A step that leaves its member's
+row as it was hands over the row it found. :meth:`GlobalState.derive
 <chordcheck.state.GlobalState.derive>` turns the delta into the next
-snapshot, splicing its key from the parent's. :func:`apply_step` finds
-a step's function in one table indexed by its kind. The fail guard reads
-the state's fail verdicts, which
+snapshot, splicing into the parent's key only what changes.
+:func:`apply_step` finds a step's function in one table indexed by its
+kind. The fail guard reads the state's fail verdicts, which
 :func:`~chordcheck.properties.failable_mask` computes once per member table.
 
 :func:`enabled_steps`, the fair scheduler and converge's prelude take
@@ -185,7 +186,9 @@ def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalStat
     if head_node is None:
         padded = succ_list[1:] + (state.space.next_ident(succ_list[-1]),)
         return state.derive(member, NodeState(member, node.prdc, padded))
-    node = NodeState(member, node.prdc, (head,) + head_node.succ_list[:-1])
+    adopted = (head,) + head_node.succ_list[:-1]
+    if adopted != succ_list:
+        node = NodeState(member, node.prdc, adopted)
     candidate = head_node.prdc
     if state.space.between(member, candidate, head):
         return state.derive(member, node, candidate)
@@ -201,7 +204,9 @@ def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalSt
     node = state.node(member)
     cand_node = state.get(candidate)
     if cand_node is not None:
-        node = NodeState(member, node.prdc, (candidate,) + cand_node.succ_list[:-1])
+        adopted = (candidate,) + cand_node.succ_list[:-1]
+        if adopted != node.succ_list:
+            node = NodeState(member, node.prdc, adopted)
     return state.derive(member, node, sent=(node.succ_list[0], member))
 
 

@@ -29,13 +29,16 @@ its input and packs the key. Every other snapshot is made by
 :meth:`GlobalState.derive` from a step's delta (the one member row it
 replaces, adds or removes, that member's continuation, and the
 notification sent or delivered): it builds the next snapshot directly in
-canonical order from one that already is, and splices its key from the
-parent's. A changed member field is XORed in, a joining member's field
-shifted in, a failing member's shifted out, and the notification a step
-sends or delivers is shifted in or out at its sorted position, as are
-the notifications that target a failing member; nothing is packed anew.
-A pending tuple that a step leaves alone is the parent's own.
-``with_node`` and ``without_member`` are deltas too.
+canonical order from one that already is, and splices into the parent's
+key only what the delta changes. Changed list bits are XORed in, and so
+are continuation bits, read from the key and compared with the delta's;
+a joining member's field is shifted in, a failing member's shifted out,
+and the notification a step sends or delivers is shifted in or out at
+its sorted position, as are the notifications that target a failing
+member; nothing is packed anew. A row equal to the member's own leaves
+the parent's ``members`` tuple in place, and a pending tuple that a step
+leaves alone is the parent's own. ``with_node`` and ``without_member``
+are deltas too.
 
 A snapshot is a plain value and keeps nothing derived from it: what is
 derived from members is memoized by value under a named ceiling (decoded
@@ -326,10 +329,14 @@ class GlobalState(_Fields):
         ``ident`` leaves, with its continuation and the notifications that
         target it (for a non-member no row changes), and takes no
         ``candidate``. ``sent`` is a notification the step adds (duplicates
-        collapse), ``delivered`` one it removes. Only ``ident``'s key field
-        is spliced, and the ``2 * m`` bits of each notification added or
-        removed, at its sorted position; a pending tuple that does not
-        change is this snapshot's own.
+        collapse), ``delivered`` one it removes.
+
+        Only what differs from this snapshot is spliced: ``ident``'s list
+        bits when ``node`` differs from its row (an equal row keeps this
+        snapshot's ``members``), its continuation bits and entry when
+        ``candidate`` differs from the one its key field holds, and the
+        ``2 * m`` bits of each notification added or removed, at its sorted
+        position. A tuple that does not change is this snapshot's own.
         """
         space = self.space
         members = self.members
@@ -343,28 +350,29 @@ class GlobalState(_Fields):
         own = 1 << ident
         i = (mask & (own - 1)).bit_count()
         at = space.size + i * width
-        if node is not None:
-            field = _pack_lists(node, m)
-            if candidate is not None:
-                field |= (1 | candidate << 1) << lists
-            if mask & own:
+        held = 0  # the continuation bits of ident's key field: flag, then candidate
+        if mask & own:
+            field = key >> at & ((1 << width) - 1)
+            held = field >> lists
+            if node is None:
+                members = members[:i] + members[i + 1:]
+                mask ^= own
+                key = _spliced_out(key, at, width) ^ own
+            elif node != members[i]:
                 members = members[:i] + (node,) + members[i + 1:]
-                key ^= (key >> at & ((1 << width) - 1) ^ field) << at
-            else:
-                members = members[:i] + (node,) + members[i:]
-                mask |= own
-                key = _spliced_in(key, at, width, field) | own
-        elif mask & own:
-            members = members[:i] + members[i + 1:]
-            mask ^= own
-            key = _spliced_out(key, at, width) ^ own
-        if stabilize or candidate is not None:
-            # the member's continuation, if it has one, is stabilize[j:k]
+                key ^= (field & ((1 << lists) - 1) ^ _pack_lists(node, m)) << at
+        elif node is not None:
+            members = members[:i] + (node,) + members[i:]
+            mask |= own
+            key = _spliced_in(key, at, width, _pack_lists(node, m)) | own
+        cont = 0 if node is None or candidate is None else 1 | candidate << 1
+        if cont != held:
+            if node is not None:
+                key ^= (held ^ cont) << at + lists
+            # the member's entry, if it holds one, is stabilize[j]
             j = bisect_left(stabilize, (ident,))
-            k = j + (j < len(stabilize) and stabilize[j][0] == ident)
-            held = () if candidate is None else ((ident, candidate),)
-            if stabilize[j:k] != held:
-                stabilize = stabilize[:j] + held + stabilize[k:]
+            entry = ((ident, candidate),) if cont else ()
+            stabilize = stabilize[:j] + entry + stabilize[j + (held != 0):]
         # the notification bits begin above the member fields, 2 * m bits per entry
         base = space.size + len(members) * width
         pair = 2 * m

@@ -109,6 +109,31 @@ def clear_property_memos():
     explorer._digests.clear()
 
 
+def rotated(state: GlobalState, k: int) -> GlobalState:
+    """The snapshot with every identifier turned ``k`` places clockwise:
+    members, pointers and pending entries alike. The ring's shape is the
+    same, but members sit at other positions of the key."""
+    size = state.space.size
+
+    def turn(ident: int) -> int:
+        return (ident + k) % size
+
+    return GlobalState(
+        state.space, state.r,
+        (NodeState(turn(n.ident), turn(n.prdc), tuple(map(turn, n.succ_list)))
+         for n in state.members),
+        ((turn(a), turn(b)) for a, b in state.pending_stabilize),
+        ((turn(a), turn(b)) for a, b in state.pending_notify),
+    )
+
+
+def rotated_step(step: Step, k: int, size: int) -> Step:
+    """``step`` with its actor and argument turned ``k`` places clockwise
+    in a space of ``size`` identifiers."""
+    arg = None if step.arg is None else (step.arg + k) % size
+    return step._replace(actor=(step.actor + k) % size, arg=arg)
+
+
 @pytest.fixture(scope="session")
 def every_trace_kind():
     """One trace from each writer, by name: a script, the two flaw

@@ -408,6 +408,28 @@ class TestCli:
         path = write_scenario(tmp_path, doc)
         assert main(["check", path]) == EXIT_SCHEMA
 
+    def test_check_integer_too_long_to_convert_is_a_schema_error(self, tmp_path, capsys):
+        # Python refuses to convert an integer literal of more than 4,300
+        # digits, and its JSON decoder raises a plain ValueError for it
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(IDEAL3).replace('"m": 3', '"m": ' + "7" * 5_000))
+        assert main(["check", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(f"chordcheck: {path}: not valid JSON (Exceeds")
+
+    @pytest.mark.parametrize("pad", ["", "  "], ids=["unpadded", "padded"])
+    def test_replay_integer_too_long_to_convert_is_a_schema_error(self, tmp_path, capsys, pad):
+        # the padded header goes through json.loads, the other one through
+        # the raw decoder first; both name the line
+        out = tmp_path / "join.trace"
+        main(["converge", str(SCENARIOS / "join_lifecycle_m6.json"), "--seed", "5", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        header = lines[0].replace('"r":2', '"r":' + "7" * 5_000)
+        assert header != lines[0]
+        out.write_text("\n".join([pad + header + pad] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("chordcheck: line 1: not valid JSON (Exceeds")
+
     @pytest.mark.parametrize("command", ["check", "explore", "replay"])
     def test_non_utf8_file_is_a_schema_error(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"

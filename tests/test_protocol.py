@@ -4,7 +4,7 @@ frame and determinism properties, and the step-enabling rules."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chordcheck import (
@@ -41,7 +41,7 @@ from chordcheck.errors import (
 from chordcheck.properties import failable_mask, invariant_holds
 from chordcheck.protocol import STEPS_CEILING, shared_step
 
-from conftest import global_states, random_global_state
+from conftest import global_states, random_global_state, rotated, rotated_step
 
 
 @pytest.fixture
@@ -584,6 +584,31 @@ class TestStepProperties:
                     if candidate is not None:
                         head = post.node(step.actor).succ_list[0]
                         assert s.space.between(step.actor, candidate, head)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(lambda m: st.tuples(
+        global_states(m=m, r=2, max_members=6, with_pending=True), st.integers(1, 2 ** m - 1))))
+    # member 5's head 6 is dead, and the padding after its last entry 7 wraps to 0
+    @example((make_state(IdSpace(3), 2, [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (6, 7))]), 3))
+    def test_rotation_commutes_with_every_step(self, case):
+        # between, the +1 padding and every step rule see only the
+        # distances on the ring, so turning every identifier by k before a
+        # step gives the state the step gives, turned by k
+        s, k = case
+        size = s.space.size
+        turned = rotated(s, k)
+        steps = enabled_steps(s, churn="full")
+        for step in steps:
+            # the turned step, not turned's own: a join's lowest covering
+            # member need not stay the lowest one
+            assert apply_step(turned, rotated_step(step, k, size)) == rotated(apply_step(s, step), k), step
+
+        def without_join_predecessors(steps):
+            return {step._replace(arg=None) if step.kind == StepKind.JOIN else step for step in steps}
+
+        # which steps are enabled turns with the ring too, but for a join's predecessor
+        assert without_join_predecessors(enabled_steps(turned, churn="full")) == \
+            without_join_predecessors(rotated_step(step, k, size) for step in steps)
 
     @settings(max_examples=150, deadline=None)
     @given(global_states(m=3, r=2, with_pending=True))

@@ -151,6 +151,13 @@ def assert_unchanged_pending_is_shared(parent, post):
         assert post.pending_notify is parent.pending_notify
 
 
+def assert_unchanged_members_are_shared(parent, post):
+    """A step that leaves every member row as it was returns the parent's
+    own members tuple, which explore reads as an inherited verdict."""
+    if post.members == parent.members:
+        assert post.members is parent.members
+
+
 def zero_field_states():
     """States that differ only in fields whose packed bits are all zero:
     member 0 pointing at itself, a continuation to 0, a (0, 0)
@@ -235,6 +242,7 @@ class TestKey:
                 assert rebuilt.key == post.key
                 assert rebuilt == post
                 assert_unchanged_pending_is_shared(state, post)
+                assert_unchanged_members_are_shared(state, post)
                 if step.kind == StepKind.FAIL:
                     assert post.pending_notify == tuple(
                         e for e in state.pending_notify if e[0] != step.actor)
@@ -254,6 +262,7 @@ class TestKey:
                 post = state.derive(*unchanged, sent=(target, sender))
                 assert GlobalState(*fields(post)).key == post.key
                 assert_unchanged_pending_is_shared(state, post)
+                assert post.members is state.members
                 if (target, sender) not in state.pending_notify:
                     assert state.derive(*unchanged, delivered=(target, sender)) == state
 

@@ -269,13 +269,19 @@ def mutation_outcomes(trace, path, capsys):
     return outcomes
 
 
-@pytest.mark.parametrize("kind", ["simulate", "converge"])
+# the records each trace's mutants delete from: the fig3 and fig4 records
+# are forced fails and stabilizes, none of which ``mutants`` picks
+MUTATED_RECORDS = {"script": {"record (join)"}, "fig3": set(), "fig4": set(),
+                   "explore": {"record (join)"}, "simulate": {"record (join)"},
+                   "converge": {"record (rectify)"}}
+
+
+@pytest.mark.parametrize("kind", list(MUTATED_RECORDS))
 def test_every_deleted_field_is_refused_by_name_or_optional(every_trace_kind, kind, tmp_path,
                                                             capsys):
     outcomes = mutation_outcomes(every_trace_kind[kind], str(tmp_path / "mutant.trace"), capsys)
     places = {place for place, *_ in outcomes}
-    assert {"header", "initial", "initial.members[0]", "record (join)" if kind == "simulate"
-            else "record (rectify)", "verdict"} <= places
+    assert {"header", "initial", "initial.members[0]", "verdict"} | MUTATED_RECORDS[kind] <= places
     if kind == "converge":
         assert {"seed_state", "seed_state.members[0]", "prelude[0]", "prelude[0].step"} <= places
     for place, name, code, err in outcomes:
