@@ -59,7 +59,7 @@ def _expect(cond: bool, message: str) -> None:
         raise ScenarioFormatError(message)
 
 
-_NEEDS_ARG = frozenset({StepKind.JOIN, StepKind.RECTIFY})
+_NEEDS_ARG = frozenset({StepKind.JOIN, StepKind.STABILIZE_FROM_PREDECESSOR, StepKind.RECTIFY})
 _TAKES_NO_ARG = frozenset({StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR})
 
 
@@ -253,7 +253,7 @@ def load_scenario(path: str, m_override: int | None = None, r_override: int | No
         raise ScenarioFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: not valid JSON ({exc.msg})"
         ) from None
-    except ValueError as exc:  # an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # an overlong integer, or deep nesting
         raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_doc(doc, m_override, r_override)
 
@@ -427,7 +427,7 @@ def read_trace(fh: IO[str]) -> Trace:
     for i, line in enumerate(fh.read().splitlines(), start=1):
         try:
             doc, end = _DECODE(line)
-        except ValueError:  # not JSON, or an integer literal too long to convert
+        except (ValueError, RecursionError):  # not JSON, an overlong integer, or deep nesting
             end = -1
         if end != len(line):
             if not line.strip():
@@ -436,7 +436,7 @@ def read_trace(fh: IO[str]) -> Trace:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {i}: not valid JSON ({exc.msg})") from None
-            except ValueError as exc:  # an integer literal too long to convert
+            except (ValueError, RecursionError) as exc:  # an overlong integer, or deep nesting
                 raise TraceFormatError(f"line {i}: not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise TraceFormatError(f"line {i}: not a JSON object")

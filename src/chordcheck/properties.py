@@ -11,27 +11,29 @@ own variables and the live set, so they are computed once per
 most one member, so along a run almost every member is looked up, not
 recomputed.
 
-A second memo keeps one :class:`PropertyReport` per distinct
-``(r, members)``, at most :data:`REPORTS_CEILING` of them. No property
-reads the pending entries, and most steps change only those (a rectify
-that keeps the predecessor, a stabilize whose adopted list equals the
-old one, every step once the network is ideal), so along a run most
-reports are looked up, not rebuilt. ``r`` is in the key because the
-empty network's ``sufficient_principals`` witness reads it; the width of
-the space is not, since circular order among identifiers below ``2**m``
-is the same in every wider space. A memoized report, and its metric, is
-shared by every state with those members: callers must not mutate it.
+A second memo, an ``lru_cache`` on ``(m, r, members)``, keeps the
+:data:`REPORTS_CEILING` most recently used reports
+(:class:`PropertyReport`). No property reads the pending entries, and
+most steps change only those (a rectify that keeps the predecessor, a
+stabilize whose adopted list equals the old one, every step once the
+network is ideal), so along a run most reports are looked up, not
+rebuilt. ``r`` is in the key because the empty network's
+``sufficient_principals`` witness reads it. Two widths get two equal
+reports: circular order among identifiers below ``2**m`` is the same in
+every wider space. A memoized report, and its metric, is shared by every
+state with those members: callers must not mutate it.
 
 Both memos hold only values computed from member tables, never a value
 read from a trace, so a replay that finds the report its run computed
 still compares every record with a report derived from the members.
 
-The ring properties (at least one ring, at most one ring, an ordered
-ring, connected appendages) all come from the table of best successors
-that the facts give. Ideality is zero pointer error: :func:`error_metric`
-is its one definition, and the ideal flag, its witness and
-:func:`is_ideal` read the metric. :func:`check_all` returns the metric
-with the flags, so a caller that needs both computes it once.
+Every property result has one path: :func:`check_all` builds the report
+with its flags, witnesses and metric, and :func:`error_metric` and
+:func:`is_ideal` read that report. The ring properties (at least one
+ring, at most one ring, an ordered ring, connected appendages) all come
+from the table of best successors that the facts give. Ideality is zero
+pointer error: the ideal flag, its witness and :func:`is_ideal` read the
+metric.
 
 ``Invariant`` is the conjunction of just two properties: every member has
 a live successor, and at least r + 1 members are principal. Outside
@@ -41,9 +43,9 @@ a live successor, and at least r + 1 members are principal. Outside
 the pending entries: :func:`invariant_holds` gives the verdict,
 :func:`failable_mask` the verdict on the survivors of every member's fail,
 and :func:`invariant_with` the verdict after one member's row is replaced
-or added, which is all a stabilize, a rectify or a join changes. Unlike
-the report memo, this one keys by width: which non-members an arc that
-wraps past 0 skips depends on it (the verdicts do not). The other
+or added, which is all a stabilize, a rectify or a join changes. Here
+the width changes the value, not only the key: which non-members an arc
+that wraps past 0 skips depends on it (the verdicts do not). The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -203,7 +205,8 @@ def invariant_with(state: GlobalState, node: NodeState) -> bool:
     return (live & ~skipped).bit_count() > state.r
 
 
-def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:
+def _ring_flags(space: IdSpace, members: tuple[NodeState, ...],
+                succ: dict[int, int | None]) -> list[tuple[str, bool, object]]:
     """The four ring properties as (name, flag, witness), all read from one
     walk of the best-successor table ``succ`` (see
     :func:`~chordcheck.state.best_successors` and
@@ -223,7 +226,7 @@ def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[s
             at_most_witness = (start, stray)
 
     ordered_witness = None
-    arc = state.space.arc
+    arc = space.arc
     ring_mask = sum(1 << n for n in ring)
     for n1 in ring:
         n2 = succ[n1]
@@ -235,7 +238,7 @@ def _ring_flags(state: GlobalState, succ: dict[int, int | None]) -> list[tuple[s
 
     stranded = tuple(member for member, cycle in ends.items() if cycle is None)
     return [
-        ("at_least_one_ring", bool(ring), None if ring else state.idents()),
+        ("at_least_one_ring", bool(ring), None if ring else tuple(n.ident for n in members)),
         ("at_most_one_ring", at_most_witness is None, at_most_witness),
         ("ordered_ring", ordered_witness is None, ordered_witness),
         ("connected_appendages", not stranded, stranded),
@@ -257,41 +260,31 @@ def is_ideal(state: GlobalState) -> bool:
 # 1,024 facts, 28.6 MB at 512 and 4,096, which ran no faster
 REPORTS_CEILING = 128
 
-# (r, members) -> the report of every snapshot with those members, oldest
-# first: a report is built from a snapshot but keyed without its width and
-# pending entries, which an lru_cache could not leave out of its key
-_reports: dict[tuple[int, tuple[NodeState, ...]], PropertyReport] = {}
-
 
 def check_all(state: GlobalState) -> PropertyReport:
     """Evaluate every named property and collect witnesses for failures.
 
-    The report is memoized under ``(state.r, state.members)`` (see the
-    module docstring), so a later state with the same members, whatever
-    its pending entries, gets the same object back: callers must not
-    mutate the report or its metric. When the memo is full, its oldest
-    report is dropped."""
-    key = (state.r, state.members)
-    report = _reports.get(key)
-    if report is None:
-        if len(_reports) >= REPORTS_CEILING:
-            del _reports[next(iter(_reports))]
-        report = _reports[key] = _report(state)
-    return report
+    The report is memoized under ``(m, r, members)`` (see the module
+    docstring), so a later state with the same members, whatever its
+    pending entries, gets the same object back: callers must not mutate
+    the report or its metric."""
+    return _report(state.space.m, state.r, state.members)
 
 
-def _report(state: GlobalState) -> PropertyReport:
-    """Every flag, witness and the metric of ``state``, from its member
-    rows (see :func:`check_all`)."""
-    rows = _rows(state)
-    metric = _metric(state, rows)
-    required = state.r + 1
+@lru_cache(maxsize=REPORTS_CEILING)
+def _report(m: int, r: int, members: tuple[NodeState, ...]) -> PropertyReport:
+    """Every flag, witness and the metric of a network of ``members`` in
+    the space of width ``m``, from their facts (see :func:`check_all`)."""
+    live = sum(1 << node.ident for node in members)
+    rows = [_member_facts(m, live, node) for node in members]
+    metric = _metric(members, rows)
+    required = r + 1
     stranded = []
     duplicated = []
     disorder = None
     succ = {}
     skipped = 0
-    for node, (head, skips, repeats, triple, _, _, _) in zip(state.members, rows):
+    for node, (head, skips, repeats, triple, _, _, _) in zip(members, rows):
         ident = node.ident
         succ[ident] = head
         if head is None:
@@ -301,17 +294,17 @@ def _report(state: GlobalState) -> PropertyReport:
             duplicated.append(ident)
         if disorder is None and triple is not None:
             disorder = (ident, triple)
-    principal = state.mask & ~skipped
+    principal = live & ~skipped
     enough = principal.bit_count() >= required
     checks = [
         ("one_live_successor", not stranded, tuple(stranded)),
         ("sufficient_principals", enough, None if enough else {
-            "principals": tuple(n.ident for n in state.members if principal >> n.ident & 1),
+            "principals": tuple(n.ident for n in members if principal >> n.ident & 1),
             "required": required,
         }),
         ("no_duplicates", not duplicated, tuple(duplicated)),
         ("ordered_successor_lists", disorder is None, disorder),
-        *_ring_flags(state, succ),
+        *_ring_flags(IdSpace(m), members, succ),
         ("ideal", metric.ideal, metric.witness),
     ]
     flags = {name: ok for name, ok, _ in checks}
@@ -361,13 +354,9 @@ class ErrorMetric:
 
 
 def error_metric(state: GlobalState) -> ErrorMetric:
-    """The error metric of ``state``: the metric of :func:`check_all`'s
-    memoized report for these members if there is one, else read from
-    the member facts alone."""
-    report = _reports.get((state.r, state.members))
-    if report is not None:
-        return report.metric
-    return _metric(state, _rows(state))
+    """The error metric of ``state``: the metric of its
+    :func:`check_all` report, so that the metric has one code path."""
+    return check_all(state).metric
 
 
 class MemberFacts(NamedTuple):
@@ -458,19 +447,12 @@ def _member_facts(m: int, mask: int, node: NodeState) -> MemberFacts:
     )
 
 
-def _rows(state: GlobalState) -> list[MemberFacts]:
-    """The facts of every member of ``state``, in member order."""
-    m = state.space.m
-    mask = state.mask
-    return [_member_facts(m, mask, node) for node in state.members]
-
-
-def _metric(state: GlobalState, rows: list[MemberFacts]) -> ErrorMetric:
+def _metric(members: tuple[NodeState, ...], rows: list[MemberFacts]) -> ErrorMetric:
     succ_err: dict[int, int] = {}
     pred_err: dict[int, int] = {}
     list_err: dict[int, int] = {}
     witness = None
-    for node, (_, _, _, _, succ_error, pred_error, list_error) in zip(state.members, rows):
+    for node, (_, _, _, _, succ_error, pred_error, list_error) in zip(members, rows):
         ident = node.ident
         succ_err[ident] = succ_error
         pred_err[ident] = pred_error

@@ -104,7 +104,7 @@ def clear_property_memos():
     rows and state digests, so the next record derives everything
     afresh."""
     properties._member_facts.cache_clear()
-    properties._reports.clear()
+    properties._report.cache_clear()
     properties._mask_rows.cache_clear()
     explorer._digests.clear()
 

@@ -48,6 +48,9 @@ from conftest import repeated_table_record
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+# one JSON value nested deeper than the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
@@ -88,6 +91,8 @@ class TestScenarioFormat:
             (lambda d: d.update(version=1), "unsupported scenario version 1"),
             (lambda d: d.update(events=[{"kind": "warp", "actor": 0}]), "kind"),
             (lambda d: d.update(events=[{"kind": "join", "actor": 1}]), "require an 'arg'"),
+            (lambda d: d.update(events=[{"kind": "stabilize_from_predecessor", "actor": 0}]),
+             "stabilize_from_predecessor steps require an 'arg'"),
             (lambda d: d.update(events=[{"kind": "fail", "actor": 0, "arg": 2}]), "no 'arg'"),
             (lambda d: d.update(converge={"steps": 10}), "unknown converge setting 'steps'"),
             (lambda d: d.update(explore={"max_depth": "6"}), "explore.max_depth must be int"),
@@ -429,6 +434,22 @@ class TestCli:
         capsys.readouterr()
         assert main(["replay", str(out)]) == EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("chordcheck: line 1: not valid JSON (Exceeds")
+
+    def test_check_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys):
+        # the JSON decoder raises RecursionError for nesting this deep
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(IDEAL3).replace('"m": 3', '"m": ' + DEEP))
+        assert main(["check", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            f"chordcheck: {path}: not valid JSON (maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("pad", ["", "  "], ids=["unpadded", "padded"])
+    def test_replay_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys, pad):
+        path = tmp_path / "deep.trace"
+        path.write_text("\n" + pad + DEEP + pad + "\n")
+        assert main(["replay", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            "chordcheck: line 2: not valid JSON (maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("command", ["check", "explore", "replay"])
     def test_non_utf8_file_is_a_schema_error(self, tmp_path, capsys, command):

@@ -10,12 +10,11 @@ import pkgutil
 import types
 
 import chordcheck
-from chordcheck import GlobalState, IdSpace, Schedule, check_all, converge, ideal_ring
+from chordcheck import GlobalState, IdSpace, Schedule, converge, ideal_ring
 from chordcheck import replay, simulate, state_digest, step_join
 
 # each oldest-first dict memo, and the name of the constant that bounds it
 DICT_MEMOS = {
-    "chordcheck.properties._reports": ("chordcheck.properties", "REPORTS_CEILING"),
     "chordcheck.explorer._digests": ("chordcheck.explorer", "DIGESTS_CEILING"),
 }
 
@@ -71,8 +70,8 @@ def test_every_package_memo_has_a_ceiling():
                        for name, cache in lru_caches(module).items()})
     assert {"chordcheck.state._masks", "chordcheck.state._decode_field",
             "chordcheck.explorer._member_text", "chordcheck.properties._member_facts",
-            "chordcheck.properties._mask_rows", "chordcheck.protocol.shared_step"
-            } <= caches.keys()
+            "chordcheck.properties._mask_rows", "chordcheck.properties._report",
+            "chordcheck.protocol.shared_step"} <= caches.keys()
     assert unbounded(caches) == []
 
 
@@ -90,11 +89,9 @@ def test_every_dict_memo_has_a_ceiling_and_keeps_to_it():
         replay(converge(step_join(ring, 1 + seed % 8, 0), Schedule(seed=seed)))
         for name, ceiling in ceilings.items():
             assert len(dicts[name]) <= ceiling, name
-    # then one distinct member table and one distinct state per round
+    # then one distinct state per round
     for i in range(2 * max(ceilings.values()) + 1):
         low, high = i % 64, i // 64
-        check_all(ring.with_node(ring.node(0)._replace(prdc=low))
-                  .with_node(ring.node(9)._replace(prdc=high)))
         state_digest(GlobalState(IdSpace(6), 2, [], pending_notify=[(low, high)]))
         for name, ceiling in ceilings.items():
             assert len(dicts[name]) <= ceiling, name

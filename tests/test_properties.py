@@ -324,8 +324,8 @@ def fresh_report(state):
 
 
 class TestMemberFacts:
-    """``check_all`` and ``error_metric`` read per-member facts from a memo
-    that every state of the process shares."""
+    """``check_all``, and ``error_metric`` through it, read per-member facts
+    from a memo that every state of the process shares."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(any_states, min_size=1, max_size=5))
@@ -339,8 +339,8 @@ class TestMemberFacts:
         for s, report in zip(states, shared):
             fresh = fresh_report(s)
             same_report(report, fresh)
-            properties._reports.clear()
-            # no stored report: the metric is read from the facts alone
+            properties._report.cache_clear()
+            # no stored report: error_metric builds one
             assert error_metric(s) == fresh.metric
             flags, witnesses, metric = literal_report(s)
             assert report.flags == flags
@@ -412,8 +412,8 @@ def other_pending(draw, state):
 
 
 class TestReportMemo:
-    """The report memo keeps one report per ``(r, members)``: no property
-    reads the pending entries."""
+    """The report memo keeps one report per ``(m, r, members)``: no
+    property reads the pending entries."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -448,7 +448,8 @@ class TestReportMemo:
         wide = make_state(IdSpace(4), 2, nodes)
         report = fresh_report(narrow)
         assert not report.flags["ordered_ring"]
-        assert check_all(wide) is report
+        # each width keys its own report, and the two are equal
+        same_report(check_all(wide), report)
         same_report(report, fresh_report(narrow))
         same_report(report, fresh_report(wide))
 
@@ -459,8 +460,8 @@ class TestReportMemo:
             s = random_global_state(rng, m=4, r=2, min_members=1, max_members=4)
             seen.add((s.r, s.members))
             report = check_all(s)
-            assert 0 < len(properties._reports) <= REPORTS_CEILING
-            assert properties._reports[s.r, s.members] is report
+            assert 0 < properties._report.cache_info().currsize <= REPORTS_CEILING
+            assert check_all(s) is report
             if len(seen) % 32 == 0:
                 same_report(report, fresh_report(s))
 
@@ -471,14 +472,29 @@ class TestReportMemo:
         clear_property_memos()
         states = explore(ideal_ring(space, 2, [0, 2, 5]),
                          ExploreConfig(max_depth=3, churn="full", collect_states=True)).states
+        tables = set()
         for seed, state in enumerate(states[::7]):
-            replay(converge(state, Schedule(seed=seed)))
-        assert len(properties._reports) > 10
-        for (r, members), report in list(properties._reports.items()):
-            flags, witnesses, metric = literal_report(GlobalState(space, r, members))
+            trace = converge(state, Schedule(seed=seed))
+            replay(trace)
+            # a run checks its initial state and each record's, not the
+            # seed state its prelude starts from
+            tables.add(trace.initial.members)
+            for start, records in ((trace.seed_state, trace.prelude),
+                                   (trace.initial, trace.records)):
+                for rec in records:
+                    start = apply_step(start, rec.step)
+                    tables.add(start.members)
+        stored = properties._report.cache_info()
+        # the memo holds the report of every table the runs met, and only those
+        assert 10 < stored.currsize == stored.misses == len(tables)
+        for members in tables:
+            s = GlobalState(space, 2, members)
+            report = check_all(s)
+            flags, witnesses, metric = literal_report(s)
             assert report.flags == flags
             assert list(report.witnesses.items()) == list(witnesses.items())
             assert report.metric == ErrorMetric(**metric)
+        assert properties._report.cache_info().misses == stored.misses
 
 
 class TestMaskRowsMemo:

@@ -80,6 +80,8 @@ class TestWrite:
         ("records", lambda recs: {2: recs[2]._replace(step=Step(StepKind.RECTIFY, 3, 1)),
                                   3: recs[3]._replace(step=Step(StepKind.RECTIFY, 3, True))}),
         ("records", lambda recs: {2: recs[2]._replace(step=Step(StepKind.JOIN, 3))}),
+        ("records", lambda recs: {2: recs[2]._replace(
+            step=Step(StepKind.STABILIZE_FROM_PREDECESSOR, 3))}),
         ("records", lambda recs: {2: recs[2]._replace(step=Step(StepKind.FAIL, 3, 4))}),
         ("records", lambda recs: {2: recs[2]._replace(step=Step(7, 3))}),
         ("prelude", lambda recs: {0: recs[0]._replace(index=False)}),
@@ -242,7 +244,7 @@ def mutants(lines):
     chosen = {}
     for line, doc in enumerate(docs[1:-1], start=1):
         chosen.setdefault(doc["step"]["kind"], line)
-    for kind in ("join", "rectify"):
+    for kind in ("join", "stabilize_from_predecessor", "rectify"):
         if kind not in chosen:
             continue
         line = chosen[kind]
@@ -270,9 +272,12 @@ def mutation_outcomes(trace, path, capsys):
 
 
 # the records each trace's mutants delete from: the fig3 and fig4 records
-# are forced fails and stabilizes, none of which ``mutants`` picks
+# are fails and stabilize_from_successor steps, which take no ``arg`` and
+# which ``mutants`` does not pick
 MUTATED_RECORDS = {"script": {"record (join)"}, "fig3": set(), "fig4": set(),
-                   "explore": {"record (join)"}, "simulate": {"record (join)"},
+                   "explore": {"record (join)"},
+                   "simulate": {"record (join)", "record (stabilize_from_predecessor)",
+                                "record (rectify)"},
                    "converge": {"record (rectify)"}}
 
 
