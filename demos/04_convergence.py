@@ -8,7 +8,7 @@ then first successors and predecessors become exact, then list tails
 propagate backward.
 """
 
-from chordcheck import IdSpace, Schedule, converge, ideal_ring, simulate
+from chordcheck import IdSpace, Schedule, converge, error_metric, ideal_ring, replay, simulate
 
 space = IdSpace(3)
 initial = ideal_ring(space, 2, [0, 2, 3, 5, 7])
@@ -29,7 +29,8 @@ print(f"  verdict: {trace.verdict} after {trace.meta['steps_to_ideal']} steps"
 
 print()
 print("  round | cumulative pointer error | list errors outstanding")
-metrics = trace.metrics
+# replay re-derives every round's report from the trace's steps
+metrics = [error_metric(trace.initial)] + [report.metric for report in replay(trace)]
 for i, metric in enumerate(metrics):
     bar = "#" * metric.cumulative
     lists = sum(metric.list_error.values())

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .errors import InvalidInitialStateError, ReplayMismatchError
 from .idspace import IdSpace
 from .properties import (
-    ErrorMetric,
     PropertyReport,
     check_all,
     error_metric,
@@ -37,7 +36,7 @@ from .properties import (
     valid_initial,
 )
 from .protocol import Step, StepKind, apply_step, enabled_steps, shared_step
-from .state import GlobalState, NodeState, principals
+from .state import GlobalState, NodeState
 
 
 def state_digest(state: GlobalState) -> str:
@@ -135,7 +134,6 @@ class Trace:
     meta: dict = field(default_factory=dict)
     seed_state: GlobalState | None = None
     prelude: list[TraceRecord] = field(default_factory=list)
-    metrics: list[ErrorMetric] | None = None  # transient; not serialized
 
     def final_state(self) -> GlobalState:
         state = self.initial
@@ -362,7 +360,7 @@ class ExploreResult:
         return _path(self.parents, state.key)
 
 
-TransitionHook = Callable[[GlobalState, Step, GlobalState, frozenset, frozenset], None]
+TransitionHook = Callable[[GlobalState, Step, GlobalState], None]
 
 
 def _path(parents: Parents, key: int) -> list[Step]:
@@ -395,10 +393,10 @@ def explore(
     parent, checked when it was reached; only a root that violates the
     invariant, which ``require_valid_initial=False`` admits, has none to
     hand on. A transition to a state already visited, and so already
-    checked, is counted but not checked again; ``on_transition`` still
-    sees every transition, with both states and their principals. Hitting
-    the visited-state cap yields an inconclusive ``cap-hit`` verdict,
-    never success.
+    checked, is counted but not checked again; ``on_transition(pre, step,
+    post)`` still sees every transition. Reaching the visited-state cap,
+    which the root alone does for a cap of 1, yields an inconclusive
+    ``cap-hit`` verdict, never success.
 
     The visited set and the frontier hold packed keys, not snapshots; a
     frontier state is decoded when it is expanded. With
@@ -422,19 +420,18 @@ def explore(
     frontier: list[int] = [root]
     transitions = 0
     depth = 0
-    capped = False
+    capped = len(parents) >= cfg.max_states
     trace = None
     while frontier and depth < cfg.max_depth and not capped and trace is None:
         next_frontier: list[int] = []
         for key in frontier:
             state = GlobalState.from_key(space, r, key)
-            prins = principals(state) if on_transition is not None else None
             for step in enabled_steps(state, churn=cfg.churn):
                 post = apply_step(state, step)
                 transitions += 1
                 post_key = post.key
                 if on_transition is not None:
-                    on_transition(state, step, post, prins, principals(post))
+                    on_transition(state, step, post)
                 if post_key in parents and (initial_checked or post_key != root):
                     continue
                 # enabled_steps offers only unforced fails, and step_fail's
@@ -618,8 +615,6 @@ def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
     records = []
     index = 0
     for member, candidate in state.pending_stabilize:
-        if not state.is_member(member):
-            continue
         step = shared_step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
         records.append(_record(index, step, state)[0])
@@ -645,8 +640,8 @@ def converge(
     The seed state must satisfy the invariant (mid-operation states with
     repair traffic in flight are accepted; the traffic is drained first
     and recorded as the trace prelude). Records carry the full property
-    flags and the cumulative pointer error; per-step error metrics are
-    kept on the returned trace for analysis.
+    flags and the cumulative pointer error; each step's full error metric
+    is in the report :func:`replay` returns for its record.
     """
     if step_cap < 0:
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
@@ -655,8 +650,7 @@ def converge(
     start, prelude = _drain_prelude(initial)
     sched = _FairScheduler(start, schedule, churn="none")
     records: list[TraceRecord] = []
-    metrics: list[ErrorMetric] = [error_metric(start)]
-    ideal = metrics[0].ideal
+    ideal = error_metric(start).ideal
     # until ideal, run up to step_cap steps; from then on, one more window
     limit = sched.window if ideal else step_cap
     state = start
@@ -667,9 +661,8 @@ def converge(
             break
         state = apply_step(state, step)
         sched.account(step, state)
-        record, report = _record(index, step, state)
+        record = _record(index, step, state)[0]
         records.append(record)
-        metrics.append(report.metric)
         index += 1
         if not ideal and record.flags["ideal"]:
             ideal = True
@@ -678,7 +671,7 @@ def converge(
             break
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "step_cap": step_cap}
     return _trace("converge", start, records, state, meta,
-                  seed_state=initial if prelude else None, prelude=prelude, metrics=metrics)
+                  seed_state=initial if prelude else None, prelude=prelude)
 
 
 def replay(trace: Trace) -> list:

@@ -130,13 +130,15 @@ def state_to_doc(state: GlobalState) -> dict:
     }
 
 
-def _pending_from_doc(entries: object, where: str) -> tuple[tuple[int, int], ...]:
+def _pending_from_doc(entries: object, where: str, space: IdSpace) -> tuple[tuple[int, int], ...]:
     """The pending entries of a trace state's field ``where``, each a list
-    of two integers; ``where`` names the field in errors."""
+    of two identifiers of ``space``; ``where`` names the field in errors."""
     _expect(isinstance(entries, list), f"field {where!r} must be a list of pairs, got {entries!r}")
     for i, entry in enumerate(entries):
         _expect(isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry)),
                 f"{where}[{i}] must be a list of two integers, got {entry!r}")
+        _expect(all(map(space.contains, entry)),
+                f"{where}[{i}] holds an identifier outside [0, {space.size}), got {entry!r}")
     return tuple(tuple(entry) for entry in entries)
 
 
@@ -407,9 +409,14 @@ def state_from_doc(doc: object, space: IdSpace, r: int, line: int, where: str) -
         members, stabilize, notify = doc["members"], doc["pending_stabilize"], doc["pending_notify"]
     except KeyError as exc:
         raise TraceFormatError(f"line {line}: {where}.{exc.args[0]} is missing") from None
-    return GlobalState(space, r, _members_from_doc(members, f"{where}.members", space, r),
-                       _pending_from_doc(stabilize, f"{where}.pending_stabilize"),
-                       _pending_from_doc(notify, f"{where}.pending_notify"))
+    try:
+        return GlobalState(space, r, _members_from_doc(members, f"{where}.members", space, r),
+                           _pending_from_doc(stabilize, f"{where}.pending_stabilize", space),
+                           _pending_from_doc(notify, f"{where}.pending_notify", space))
+    except ScenarioFormatError as exc:  # a field's own check, which names its path
+        raise TraceFormatError(f"line {line}: {exc}") from None
+    except ValueError as exc:  # fields that disagree: a continuation its owner cannot hold
+        raise TraceFormatError(f"line {line}: {where}: {exc}") from None
 
 
 def read_trace(fh: IO[str]) -> Trace:
@@ -452,12 +459,15 @@ def read_trace(fh: IO[str]) -> Trace:
                                f"got {header.get('format')!r}")
     try:
         m, r, kind, initial = _fields(header, ("m", "r", "kind", "initial"), first, "header")
-        if not (_is_int(m) and _is_int(r)):
-            raise TraceFormatError(f"line {first}: header 'm' and 'r' must be integers, "
-                                   f"got {m!r} and {r!r}")
+        if not (_is_int(m) and _is_int(r) and r >= 1):
+            raise TraceFormatError(f"line {first}: header 'm' and 'r' must be integers, 'r' "
+                                   f"positive, got {m!r} and {r!r}")
         if not isinstance(kind, str):
             raise TraceFormatError(f"line {first}: header 'kind' must be a string, got {kind!r}")
-        space = IdSpace(m)
+        try:
+            space = IdSpace(m)
+        except ValueError as exc:
+            raise TraceFormatError(f"line {first}: header 'm': {exc}") from None
         initial = state_from_doc(initial, space, r, first, "initial")
         seed_state = None
         prelude = []

@@ -390,20 +390,8 @@ def _next_live(mask: int, ident: int) -> int:
 def _disorder(space: IdSpace, node: NodeState) -> tuple[int, int, int] | None:
     """The first triple of the member's ESL, in ``combinations`` order,
     that is out of clockwise order; None if there is none."""
-    ident = node.ident
-    size = space.size
-    last = 0
-    for entry in node.succ_list:
-        offset = (entry - ident) % size
-        if offset <= last:
-            break
-        last = offset
-    else:
-        # offsets from the owner strictly increase: the ESL runs clockwise
-        # within one turn, so every triple of it is in order
-        return None
     between = space.between
-    for x, y, z in combinations((ident,) + node.succ_list, 3):
+    for x, y, z in combinations((node.ident,) + node.succ_list, 3):
         if not between(x, y, z):
             return (x, y, z)
     return None

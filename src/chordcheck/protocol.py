@@ -140,6 +140,8 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
         raise AlreadyMemberError(f"identifier {joiner} is already a member")
     if not state.space.contains(joiner):
         raise NoCandidateError(f"identifier {joiner} is outside the identifier space")
+    if new_prdc is None:
+        raise ValueError(f"a join of {joiner} needs a predecessor identifier, got None")
     target = state.get(new_prdc)
     if target is None:
         return state  # abort: chosen predecessor died before the step
@@ -303,8 +305,7 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
             steps.append(step(kind, node.ident, None))
     kind = StepKind.STABILIZE_FROM_PREDECESSOR
     for member, candidate in state.pending_stabilize:
-        if state.is_member(member):
-            steps.append(step(kind, member, candidate))
+        steps.append(step(kind, member, candidate))
     kind = StepKind.RECTIFY
     for target, new_prdc in state.pending_notify:
         if state.is_member(target):

@@ -25,10 +25,12 @@ from chordcheck import (
     StepKind,
     check_all,
     converge,
+    error_metric,
     explore,
     ideal_ring,
     invariant_holds,
     make_state,
+    principals,
     replay,
     run_fig3,
     run_fig4,
@@ -205,14 +207,21 @@ def test_c2_invariant_implication_exhaustive_and_random():
 
 class TransitionAudit:
     """Observer for every explored transition: invariant preservation is
-    checked by the explorer itself; this tracks principal preservation."""
+    checked by the explorer itself; this tracks principal preservation.
+    The explorer hands over every transition of one state in a row, so
+    the pre-state's principals are kept for the next call."""
 
     def __init__(self):
         self.transitions = 0
         self.principal_violations = []
+        self.pre_key = None
+        self.pre_principals = None
 
-    def __call__(self, pre, step, post, pre_principals, post_principals):
+    def __call__(self, pre, step, post):
         self.transitions += 1
+        if pre.key != self.pre_key:
+            self.pre_key, self.pre_principals = pre.key, principals(pre)
+        pre_principals, post_principals = self.pre_principals, principals(post)
         exempt = step.kind == StepKind.FAIL and step.actor in pre_principals
         expected = pre_principals - {step.actor} if exempt else pre_principals
         if not post_principals >= expected:
@@ -291,7 +300,7 @@ def test_c4_fig3_reproduction(capsys):
 
 def test_c5_fig4_reproduction(capsys):
     started = time.perf_counter()
-    from chordcheck import build_fig4_state, principals
+    from chordcheck import build_fig4_state
 
     first_stage = build_fig4_state()
     flags = check_all(first_stage).flags
@@ -313,13 +322,14 @@ def test_c5_fig4_reproduction(capsys):
 # criteria 6 + 7 (+ the replay half of 9): convergence battery
 
 
-def _monotonicity_problem(trace):
+def _monotonicity_problem(trace, reports):
     """Check one converge trace against the repair-phase structure:
     (a) once every first successor is live, the cumulative pointer error
     never increases and reaches (and stays) 0; (b) once every member has
     performed r - 1 list-refreshing stabilize steps after that point, all
-    list errors are 0."""
-    metrics = trace.metrics
+    list errors are 0. ``reports`` are the trace's per-record reports, as
+    ``replay`` re-derives them."""
+    metrics = [error_metric(trace.initial)] + [report.metric for report in reports]
     s = metrics[0].s
     t_live = None
     for i, metric in enumerate(metrics):
@@ -392,15 +402,18 @@ def convergence_battery(exploration):
             continue
         outcome["converged"] += 1
         outcome["worst_steps"] = max(outcome["worst_steps"], trace.meta["steps_to_ideal"])
-        problem = _monotonicity_problem(trace)
-        if problem is not None:
-            outcome["monotonicity_problems"].append((state, problem))
         r0 = time.perf_counter()
         try:
-            replay(trace)
+            reports = replay(trace)
         except Exception as exc:  # noqa: BLE001 - recorded and reported
             outcome["replay_mismatches"].append((state, repr(exc)))
-        replay_time += time.perf_counter() - r0
+            outcome["monotonicity_problems"].append((state, "no metrics: replay failed"))
+            continue
+        finally:
+            replay_time += time.perf_counter() - r0
+        problem = _monotonicity_problem(trace, reports)
+        if problem is not None:
+            outcome["monotonicity_problems"].append((state, problem))
     outcome["elapsed"] = time.perf_counter() - started - replay_time
     outcome["replay_elapsed"] = replay_time
     return outcome

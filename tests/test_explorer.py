@@ -32,7 +32,6 @@ from chordcheck import (
     ideal_ring,
     is_ideal,
     make_state,
-    principals,
     replay,
     run_fig3,
     run_fig4,
@@ -140,7 +139,7 @@ class TestExplore:
         monkeypatch.setattr(protocol, "safely_failable", counting)
         fails = []
 
-        def on_transition(state, step, post, pre_principals, post_principals):
+        def on_transition(state, step, post):
             if step.kind == StepKind.FAIL:
                 fails.append(step)
 
@@ -264,6 +263,19 @@ class TestExplore:
         assert result.verdict == "cap-hit"
         assert not result.ok
 
+    @pytest.mark.parametrize("cap,pinned", [
+        (1, ("cap-hit", 1, 0, 0, 1)),
+        (2, ("cap-hit", 2, 1, 1, 1)),
+        (50, ("cap-hit", 50, 90, 3, 8)),
+    ])
+    def test_visited_states_never_exceed_the_cap(self, space3, cap, pinned):
+        # the root alone fills a cap of 1; larger caps stop at the state
+        # that reaches them
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        result = explore(s, ExploreConfig(max_depth=6, max_states=cap))
+        assert (result.verdict, result.states_visited, result.transitions,
+                result.depth_reached, result.frontier_size) == pinned
+
     def test_collected_states_are_reachable_and_deduped(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=3, collect_states=True))
@@ -292,7 +304,7 @@ class TestExplore:
         s = ideal_ring(space3, 2, [0, 2, 3, 5, 7])
         reached = {}
         result = explore(s, ExploreConfig(max_depth=5, churn="full", collect_states=True),
-                         on_transition=lambda pre, step, post, *_: reached.setdefault(post.key, post))
+                         on_transition=lambda pre, step, post: reached.setdefault(post.key, post))
         assert result.states_visited == 4752
         assert reached.keys() <= result.parents.keys()
         for state in [*reached.values(), *result.states]:
@@ -345,11 +357,9 @@ class TestExplore:
                          on_transition=lambda *args: seen.append(args))
         assert result.ok
         assert len(seen) == result.transitions
-        assert len({post for _, _, post, _, _ in seen}) < len(seen)  # revisits happen
-        for pre, step, post, pre_principals, post_principals in seen:
+        assert len({post for _, _, post in seen}) < len(seen)  # revisits happen
+        for pre, step, post in seen:
             assert apply_step(pre, step) == post
-            assert pre_principals == principals(pre)
-            assert post_principals == principals(post)
 
     def test_fig3_counterexample_pinned(self):
         result = explore(build_fig3_state(), ExploreConfig(max_depth=2, require_valid_initial=False))
@@ -439,6 +449,12 @@ class TestVisitedStates:
         keys = list(result.parents)
         assert VisitedStates(IdSpace(4), 2, keys) != result.states
         assert VisitedStates(IdSpace(3), 3, keys) != result.states
+
+    def test_path_to_needs_collected_states(self):
+        ring = ideal_ring(IdSpace(3), 2, [0, 2, 5])
+        result = explore(ring, ExploreConfig(max_depth=2))
+        with pytest.raises(ValueError, match="did not keep parent links"):
+            result.path_to(ring)
 
     def test_path_to_refuses_an_unvisited_state(self):
         _, result = collected_m3_ring()
@@ -635,10 +651,12 @@ class TestConverge:
         s = ideal_ring(space3, 2, [0, 2, 5])
         stage1 = step_join(s, 1, 0)
         trace = converge(stage1, Schedule(seed=4))
-        assert trace.metrics is not None
-        assert len(trace.metrics) == len(trace.records) + 1
-        assert trace.metrics[0].cumulative == error_metric(trace.initial).cumulative
-        assert trace.metrics[-1].cumulative == 0
+        metrics = [error_metric(trace.initial)] + [report.metric for report in replay(trace)]
+        assert len(metrics) == len(trace.records) + 1
+        assert metrics[0].cumulative > 0
+        assert [metric.cumulative for metric in metrics[1:]] == \
+            [rec.cumulative_error for rec in trace.records]
+        assert metrics[-1].cumulative == 0
 
 
 class TestReplay:

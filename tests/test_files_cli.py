@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,11 @@ from chordcheck import (
     explore,
     ideal_ring,
     make_state,
+    replay,
     run_fig3,
     simulate,
 )
+from chordcheck import cli
 from chordcheck.cli import (
     EXIT_CAP_HIT,
     EXIT_NOT_CONVERGED,
@@ -33,11 +36,12 @@ from chordcheck.cli import (
     EXIT_VIOLATION,
     main,
 )
-from chordcheck.errors import ScenarioFormatError, TraceFormatError
+from chordcheck.errors import ReplayMismatchError, ScenarioFormatError, TraceFormatError
 from chordcheck.files import (
     load_scenario,
     load_trace,
     read_trace,
+    save_trace,
     scenario_from_doc,
     step_from_doc,
     step_to_doc,
@@ -84,6 +88,7 @@ class TestScenarioFormat:
         "mutate, message",
         [
             (lambda d: d.update(m="three"), "'m'"),
+            (lambda d: d.update(m=40), "bit width m must be an integer in 1..16, got 40"),
             (lambda d: d["init"][0].update(succ_list=[2]), "exactly r=2"),
             (lambda d: d["init"][0].update(id=8), "outside"),
             (lambda d: d["init"].append(dict(d["init"][0])), "duplicates"),
@@ -342,7 +347,7 @@ class TestTraceFormat:
         lines = buf.getvalue().splitlines()
         header = json.loads(lines[0])
         header[where][field] = value
-        with pytest.raises(TraceFormatError, match=f"^malformed trace: {re.escape(message)}$"):
+        with pytest.raises(TraceFormatError, match=f"^line 1: {re.escape(message)}$"):
             read_trace(io.StringIO("\n".join([json.dumps(header)] + lines[1:]) + "\n"))
 
 
@@ -676,7 +681,7 @@ class TestCli:
         header["initial"]["pending_notify"] = [[0, 2, 5]]
         out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         assert main(["replay", str(out)]) == EXIT_SCHEMA
-        assert ("malformed trace: initial.pending_notify[0] must be a list of two integers, "
+        assert ("line 1: initial.pending_notify[0] must be a list of two integers, "
                 "got [0, 2, 5]") in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,block", [
@@ -745,3 +750,48 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert json.loads(lines[0])["type"] == "header"
         assert json.loads(lines[-1])["type"] == "verdict"
+
+
+class TestRefusalPaths:
+    """The refusals that a malformed input or a misused call meets, each
+    with the exit code the command line gives it."""
+
+    @pytest.mark.parametrize("command,what", [("check", "scenario"), ("replay", "trace")])
+    def test_unreadable_path(self, tmp_path, capsys, command, what):
+        missing = str(tmp_path / "missing")
+        assert main([command, missing]) == EXIT_SCHEMA
+        assert f"cannot read {what} {missing}" in capsys.readouterr().err
+
+    def test_initial_that_the_prelude_does_not_reach(self, every_trace_kind, tmp_path, capsys):
+        # the notification the prelude delivered, put back in flight
+        path = tmp_path / "converge.trace"
+        save_trace(every_trace_kind["converge"], str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["initial"]["pending_notify"] == []
+        header["initial"]["pending_notify"] = [[2, 0]]
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["replay", str(path)]) == EXIT_VIOLATION
+        assert "prelude does not reproduce the initial state" in capsys.readouterr().err
+
+    def test_prelude_without_seed_state(self, every_trace_kind):
+        with pytest.raises(ReplayMismatchError, match="prelude but no seed state"):
+            replay(replace(every_trace_kind["converge"], seed_state=None))
+
+    def test_repro_violating_no_flag(self, tmp_path, capsys):
+        out = tmp_path / "fig4.trace"
+        assert main(["repro", "fig4", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        closing = json.loads(lines[-1])
+        closing["meta"]["violates"] = "tidy"
+        out.write_text("\n".join([*lines[:-1], json.dumps(closing)]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_VIOLATION
+        assert "'violates' must name a flag of its last record, got 'tidy'" in capsys.readouterr().err
+
+    def test_repro_that_does_not_reproduce(self, monkeypatch, capsys):
+        real = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda name: replace(real(name), verdict="unexpected-pass"))
+        assert main(["repro", "fig4"]) == EXIT_VIOLATION
+        assert "fig4: the expected violation did not reproduce" in capsys.readouterr().err

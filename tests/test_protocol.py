@@ -126,6 +126,11 @@ class TestJoin:
         with pytest.raises(NoCandidateError, match="outside"):
             step_join(ideal_ring(space3, 2, [0, 2, 5]), joiner, 0)
 
+    def test_rejects_join_without_predecessor(self, space3):
+        ring = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="join of 1 needs a predecessor"):
+            apply_step(ring, Step(StepKind.JOIN, 1))
+
     def test_new_member_not_yet_anyones_successor(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         s2 = step_join(s, 4, 2)
@@ -432,6 +437,10 @@ class TestEnabledSteps:
         fails = [st.actor for st in enabled_steps(s, churn="fails_only")
                  if st.kind == StepKind.FAIL]
         assert fails == []
+
+    def test_unknown_churn_policy_refused(self, space3):
+        with pytest.raises(ValueError, match="unknown churn policy 'most'"):
+            enabled_steps(ideal_ring(space3, 2, [0, 2, 5]), churn="most")
 
     def test_canonical_order_deterministic(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])

@@ -78,6 +78,10 @@ class TestGlobalState:
         with pytest.raises(ValueError, match="length"):
             make_state(space3, 2, [(0, 0, (1,))])
 
+    def test_rejects_lists_of_length_zero(self, space3):
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+            GlobalState(space3, 0, [])
+
     def test_rejects_duplicate_members(self, space3):
         with pytest.raises(ValueError, match="duplicate"):
             make_state(space3, 2, [(0, 0, (1, 2)), (0, 1, (2, 3))])

@@ -46,6 +46,11 @@ class TestWrite:
         assert json.loads(lines[-1]) == {"type": "verdict", "verdict": trace.verdict,
                                          "meta": json.loads(json.dumps(trace.meta))}
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_read_back_equals_the_written_trace(self, every_trace_kind, kind):
+        trace = every_trace_kind[kind]
+        assert read_trace(io.StringIO(written(trace))) == trace
+
     def test_the_body_goes_out_in_one_write(self, every_trace_kind):
         class Counting(io.StringIO):
             calls = 0
@@ -179,12 +184,26 @@ class TestNamedFields:
         (lambda docs: docs[0].pop("m"), "line 1: header is missing field 'm'"),
         (lambda docs: docs[0].pop("r"), "line 1: header is missing field 'r'"),
         (lambda docs: docs[0]["initial"].pop("members"), "line 1: initial.members is missing"),
+        (lambda docs: docs[0]["initial"]["members"][0].pop("id"),
+         "line 1: initial.members[0] is missing field 'id'"),
+        (lambda docs: docs[0]["initial"].update(pending_notify=[[1]]),
+         "line 1: initial.pending_notify[0] must be a list of two integers, got [1]"),
+        (lambda docs: docs[0]["initial"].update(pending_notify=[[2, 8]]),
+         "line 1: initial.pending_notify[0] holds an identifier outside [0, 8), got [2, 8]"),
+        (lambda docs: docs[0]["initial"].update(pending_stabilize=[[1, 2]]),
+         "line 1: initial: a stabilize in flight is owned by a non-member"),
+        (lambda docs: docs[0].update(m=0),
+         "line 1: header 'm': bit width m must be an integer in 1..16, got 0"),
+        (lambda docs: docs[0].update(r=0),
+         "line 1: header 'm' and 'r' must be integers, 'r' positive, got 3 and 0"),
         (lambda docs: docs[0]["seed_state"].pop("pending_notify"),
          "line 1: seed_state.pending_notify is missing"),
         (lambda docs: docs[0].update(initial=[]), "line 1: initial must be an object, got []"),
         (lambda docs: docs[0].update(seed_state=7), "line 1: seed_state must be an object, got 7"),
         (lambda docs: docs[0]["prelude"].__setitem__(0, "x"),
          "line 1: prelude[0] must be an object, got 'x'"),
+        (lambda docs: docs[0].update(prelude={"index": 0}),
+         "line 1: header 'prelude' must be a list of records, got {'index': 0}"),
         (lambda docs: docs[0]["prelude"][0].pop("flags"),
          "line 1: prelude[0] is missing field 'flags'"),
         (lambda docs: docs[2].pop("step"), "line 3: record is missing field 'step'"),
