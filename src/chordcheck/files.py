@@ -370,33 +370,37 @@ def _fields(doc: dict, names: tuple[str, ...], line: int, where: str) -> list:
         raise TraceFormatError(f"line {line}: {where} is missing field {exc.args[0]!r}") from None
 
 
-def _record_from_doc(doc: dict, line: int, pos: int | None = None) -> TraceRecord:
+def _record_from_doc(doc: dict, line: int, pos: int, prelude: bool = False) -> TraceRecord:
     """The record that ``doc``, read from the file's line ``line``, holds:
-    a record line, or entry ``pos`` of the header's prelude."""
+    the ``pos``-th record line, or entry ``pos`` of the header's prelude
+    (``prelude``). Its index must be ``pos``."""
+    where = f"prelude[{pos}]" if prelude else "record"
     try:
         index, step, digest = doc["index"], doc["step"], doc["state_digest"]
         flags, cumulative = doc["flags"], doc["cumulative_error"]
     except KeyError as exc:
-        raise _record_error(line, pos, f"is missing field {exc.args[0]!r}") from None
+        raise _record_error(line, where, f"is missing field {exc.args[0]!r}") from None
     if type(index) is not int:
-        raise _record_error(line, pos, f"field 'index' must be an integer, got {index!r}")
+        raise _record_error(line, where, f"field 'index' must be an integer, got {index!r}")
+    if index != pos:
+        raise _record_error(line, where, f"carries index {index}, expected {pos} "
+                                         "(indices run from 0 in order)")
     if type(digest) is not str:
-        raise _record_error(line, pos, f"field 'state_digest' must be a string, got {digest!r}")
+        raise _record_error(line, where, f"field 'state_digest' must be a string, got {digest!r}")
     if type(flags) is not dict or not _BOOL.issuperset(map(type, flags.values())):
-        raise _record_error(line, pos,
+        raise _record_error(line, where,
                             f"field 'flags' must be an object of true/false values, got {flags!r}")
     if type(cumulative) is not int:
-        raise _record_error(line, pos,
+        raise _record_error(line, where,
                             f"field 'cumulative_error' must be an integer, got {cumulative!r}")
     try:
         step = step_from_doc(step)
     except ScenarioFormatError as exc:
-        raise _record_error(line, pos, f"field 'step': {exc}") from None
+        raise _record_error(line, where, f"field 'step': {exc}") from None
     return TraceRecord(index, step, digest, flags, cumulative)
 
 
-def _record_error(line: int, pos: int | None, message: str) -> TraceFormatError:
-    where = "record" if pos is None else f"prelude[{pos}]"
+def _record_error(line: int, where: str, message: str) -> TraceFormatError:
     return TraceFormatError(f"line {line}: {where} {message}")
 
 
@@ -484,8 +488,9 @@ def read_trace(fh: IO[str]) -> Trace:
                                        f"records, got {entries!r}")
             for pos, doc in enumerate(entries):
                 if not isinstance(doc, dict):
-                    raise _record_error(first, pos, f"must be an object, got {doc!r}")
-                prelude.append(_record_from_doc(doc, first, pos))
+                    raise _record_error(first, f"prelude[{pos}]",
+                                        f"must be an object, got {doc!r}")
+                prelude.append(_record_from_doc(doc, first, pos, prelude=True))
         records = []
         closing = None
         for i, doc in docs[1:]:
@@ -493,18 +498,14 @@ def read_trace(fh: IO[str]) -> Trace:
                 raise TraceFormatError(f"line {i}: nothing may follow the verdict line")
             line_type = doc.get("type")
             if line_type == "record":
-                records.append(_record_from_doc(doc, i))
+                records.append(_record_from_doc(doc, i, len(records)))
             elif line_type == "verdict":
                 closing = i, doc
             else:
                 raise TraceFormatError(f"line {i}: unknown line type {line_type!r}")
         if closing is None:
-            raise TraceFormatError("trace has no verdict line (truncated?)")
-        for where, recs in (("prelude", prelude), ("records", records)):
-            for pos, rec in enumerate(recs):
-                if rec.index != pos:
-                    raise TraceFormatError(f"{where}[{pos}] carries index {rec.index}; "
-                                           f"indices must run 0..{len(recs) - 1}")
+            raise TraceFormatError(f"line {docs[-1][0]}: trace ends without a verdict line "
+                                   "(truncated?)")
         last, closing = closing
         verdict, meta = _fields(closing, ("verdict", "meta"), last, "the verdict line")
         if not isinstance(verdict, str):

@@ -43,9 +43,12 @@ a live successor, and at least r + 1 members are principal. Outside
 the pending entries: :func:`invariant_holds` gives the verdict,
 :func:`failable_mask` the verdict on the survivors of every member's fail,
 and :func:`invariant_with` the verdict after one member's row is replaced
-or added, which is all a stabilize, a rectify or a join changes. Here
-the width changes the value, not only the key: which non-members an arc
-that wraps past 0 skips depends on it (the verdicts do not). The other
+or added, which is all a stabilize, a rectify or a join changes. The
+same rows hold the join table, the one definition of the join rule,
+which :mod:`~chordcheck.protocol` reads for its joins: it depends on
+the member table alone too. Here the width changes the value, not only
+the key: which non-members an arc that wraps past 0 skips, and which
+ones a member covers, depend on it (the verdicts do not). The other
 structural properties (no duplicates, ordered lists, one ordered ring,
 connected appendages) are consequences of the invariant, which the test
 suite and the explorer verify rather than assume.
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .idspace import IdSpace
@@ -94,12 +97,22 @@ class MaskRows(NamedTuple):
     in member order, and ``skipped`` the union of all of them.
     ``stranded`` has a bit set for each member with no live entry.
     ``failable`` is :func:`failable_mask`'s answer.
+
+    ``joins`` is the join table: every non-member identifier that some
+    member covers (strictly inside the arc from the member to the head of
+    its successor list), in ascending order, each followed by its lowest
+    covering member, flat: ``(joiner, predecessor, joiner, ...)``. It is
+    what :func:`~chordcheck.protocol.enabled_steps` offers as joins and
+    :func:`~chordcheck.protocol.lookup_predecessor` answers. It is flat
+    because a 2-tuple per joiner would take about 48 bytes more each, and an m=6
+    table of the benchmark's simulate holds about 59 joiners.
     """
 
     others: tuple[int, ...]
     skipped: int
     stranded: int
     failable: int
+    joins: tuple[int, ...]
 
 
 def mask_rows(state: GlobalState) -> MaskRows:
@@ -110,25 +123,41 @@ def mask_rows(state: GlobalState) -> MaskRows:
 
 # bounds the rows memo, which lives as long as the process: 1,024 holds
 # all 763 tables of an m=4 depth-4 exploration, which ran about 9% slower
-# at 256; benchmark peak RSS rose 0.9-1.9 MB at 1,024, 0.1-0.7 MB at 256
+# at 256; benchmark peak RSS rose 0.9-1.9 MB at 1,024, 0.1-0.7 MB at 256.
+# With its join table an entry holds about 770 bytes at m=4 and 1.6 kB at
+# m=6 (590 and 700 bytes without), so a full memo holds 0.8-1.7 MB
 MASK_ROWS_CEILING = 1024
 
 
 @lru_cache(maxsize=MASK_ROWS_CEILING)
 def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
-    """One pass over the masks of ``members`` in the space of width ``m``,
-    then the prefix and suffix ORs of their skip masks and every fail
-    verdict (see :func:`failable_mask`)."""
+    """One pass over the masks and covering arcs of ``members`` in the
+    space of width ``m``, then the prefix and suffix ORs of their skip
+    masks, every fail verdict (see :func:`failable_mask`) and the join
+    table (see :class:`MaskRows`)."""
     space = IdSpace(m)
+    arc = space.arc
     live = sum(1 << node.ident for node in members)
     skips = []
     stranded = 0
     candidates = live
+    covered = 0
+    joiners = []  # (joiner, predecessor)
     for node in members:
+        ident = node.ident
+        # members come in ascending order, and each claims only what no
+        # lower member covers: every joiner gets its lowest covering member
+        claimed = arc(ident, node.succ_list[0]) & ~covered
+        covered |= claimed
+        claimed &= ~live
+        while claimed:
+            low = claimed & -claimed
+            joiners.append((low.bit_length() - 1, ident))
+            claimed ^= low
         skipped, entries = member_masks(space, node)
         skips.append(skipped)
         heads = entries & live
-        own = 1 << node.ident
+        own = 1 << ident
         if not heads:
             stranded |= own
             candidates &= own  # already stranded: only its own fail unstrands it
@@ -149,7 +178,9 @@ def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
             own = 1 << node.ident
             if candidates & own and (live & ~own & ~other).bit_count() >= required:
                 failable |= own
-    return MaskRows(tuple(others), after[0], stranded, failable)
+    joiners.sort()
+    joins = tuple(chain.from_iterable(joiners))
+    return MaskRows(tuple(others), after[0], stranded, failable, joins)
 
 
 def invariant_holds(state: GlobalState) -> bool:

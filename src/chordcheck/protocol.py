@@ -13,8 +13,11 @@ row as it was hands over the row it found. :meth:`GlobalState.derive
 <chordcheck.state.GlobalState.derive>` turns the delta into the next
 snapshot, splicing into the parent's key only what changes.
 :func:`apply_step` finds a step's function in one table indexed by its
-kind. The fail guard reads the state's fail verdicts, which
-:func:`~chordcheck.properties.failable_mask` computes once per member table.
+kind. The fail guard reads the state's fail verdicts, and the joins
+read the state's join table, both kept in the member table's mask rows
+(:func:`~chordcheck.properties.mask_rows`), computed once per member
+table. The join, fail and stabilize-from-successor guards test
+membership on the state's ``mask`` bits.
 
 :func:`enabled_steps`, the fair scheduler and converge's prelude take
 one :class:`Step` object per distinct step from :func:`shared_step`'s
@@ -40,7 +43,7 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .properties import failable_mask
+from .properties import failable_mask, mask_rows
 from .state import GlobalState, NodeState
 
 
@@ -91,60 +94,40 @@ def shared_step(kind: int, actor: int, arg: int | None) -> Step:
 CHURN_POLICIES = ("none", "joins_only", "fails_only", "full")
 
 
-def _join_predecessors(state: GlobalState) -> dict[int, int]:
-    """Every covered non-member identifier, mapped to its join predecessor.
-
-    A member p covers the identifiers strictly inside the arc from p to
-    the head of its successor list. Members are taken in ascending order
-    and each claims only what no lower member has covered, so every
-    identifier maps to its lowest covering member. One arc mask per
-    member does the work of one ``between`` scan per identifier.
-    """
-    arc = state.space.arc
-    free = ~state.mask
-    covered = 0
-    table: dict[int, int] = {}
-    for node in state.members:
-        ident = node.ident
-        claimed = arc(ident, node.succ_list[0]) & ~covered
-        covered |= claimed
-        claimed &= free
-        while claimed:
-            low = claimed & -claimed
-            table[low.bit_length() - 1] = ident
-            claimed ^= low
-    return table
-
-
 def lookup_predecessor(state: GlobalState, joiner: int) -> int:
     """Find a member p with ``between(p, joiner, head(p.succ_list))``.
 
     Omniscient oracle: the lowest such member wins, so results are
-    deterministic. Raises NoCandidateError when no member covers the
-    joiner (possible in corrupted states; surfaced, never silently
-    patched).
+    deterministic. Read from the join table of the members' mask rows
+    (see :class:`~chordcheck.properties.MaskRows`), which
+    :func:`enabled_steps` reads too. Raises NoCandidateError when no
+    member covers the joiner (possible in corrupted states; surfaced,
+    never silently patched).
     """
-    if state.is_member(joiner):
+    if joiner >= 0 and state.mask >> joiner & 1:
         raise AlreadyMemberError(f"identifier {joiner} is already a member")
-    target = _join_predecessors(state).get(joiner)
-    if target is None:
-        raise NoCandidateError(f"no member covers identifier {joiner}")
-    return target
+    joins = mask_rows(state).joins
+    for i in range(0, len(joins), 2):
+        if joins[i] == joiner:
+            return joins[i + 1]
+    raise NoCandidateError(f"no member covers identifier {joiner}")
 
 
 def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
     """Join: copy the chosen predecessor's successor list and adopt it as
     predecessor. If the chosen predecessor has died, the join aborts and
     the state is unchanged (the node must retry later)."""
-    if state.is_member(joiner):
-        raise AlreadyMemberError(f"identifier {joiner} is already a member")
-    if not state.space.contains(joiner):
+    mask = state.mask
+    if not 0 <= joiner < state.space.size:
         raise NoCandidateError(f"identifier {joiner} is outside the identifier space")
+    if mask >> joiner & 1:
+        raise AlreadyMemberError(f"identifier {joiner} is already a member")
     if new_prdc is None:
         raise ValueError(f"a join of {joiner} needs a predecessor identifier, got None")
-    target = state.get(new_prdc)
-    if target is None:
+    if new_prdc < 0 or not mask >> new_prdc & 1:
         return state  # abort: chosen predecessor died before the step
+    # a member's position in ``members`` is the count of lower members
+    target = state.members[(mask & ((1 << new_prdc) - 1)).bit_count()]
     return state.derive(joiner, NodeState(joiner, new_prdc, target.succ_list))
 
 
@@ -157,7 +140,7 @@ def step_fail(state: GlobalState, member: int, forced: bool = False) -> GlobalSt
     successor and at least r + 1 members stay principal. ``forced`` exists
     solely to script flaw reproductions that violate them deliberately.
     """
-    if not state.is_member(member):
+    if member < 0 or not state.mask >> member & 1:
         raise UnknownMemberError(f"identifier {member} is not a member")
     if not forced and not safely_failable(state, member):
         raise FailUnsafeError(
@@ -177,17 +160,22 @@ def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalStat
     candidate is captured for the follow-up step, otherwise the operation
     completes and the successor is notified.
     """
-    node = state.node(member)
+    mask = state.mask
+    if member < 0 or not mask >> member & 1:
+        raise UnknownMemberError(f"identifier {member} is not a member")
     if state.pending_stabilize_for(member) is not None:
         raise StabilizeInProgressError(
             f"member {member} has a stabilize in flight and cannot start another"
         )
+    members = state.members
+    # a member's position in ``members`` is the count of lower members
+    node = members[(mask & ((1 << member) - 1)).bit_count()]
     succ_list = node.succ_list
     head = succ_list[0]
-    head_node = state.get(head)
-    if head_node is None:
+    if not mask >> head & 1:
         padded = succ_list[1:] + (state.space.next_ident(succ_list[-1]),)
         return state.derive(member, NodeState(member, node.prdc, padded))
+    head_node = members[(mask & ((1 << head) - 1)).bit_count()]
     adopted = (head,) + head_node.succ_list[:-1]
     if adopted != succ_list:
         node = NodeState(member, node.prdc, adopted)
@@ -275,8 +263,11 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     Every non-member identifier that some member covers joins, in
     ascending order, at the predecessor :func:`lookup_predecessor` would
     pick; a candidate no member covers gets no step. Unforced fails are
-    offered only for safely-failable members, all found in one pass (see
-    :func:`~chordcheck.properties.failable_mask`). The list is
+    offered only for safely-failable members (see
+    :func:`~chordcheck.properties.failable_mask`). Both are read from the
+    members' mask rows (see :class:`~chordcheck.properties.MaskRows`),
+    computed once per member table, so a state whose table was met
+    before pays one lookup for its joins and fails. The list is
     deterministic for a given state and churn policy, and is built in
     ``Step.sort_key`` order (by kind, then actor, then argument), so it is
     never sorted. Each step is :func:`shared_step`'s one object for it.
@@ -285,15 +276,17 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
         raise ValueError(f"unknown churn policy {churn!r}")
     step = shared_step
     steps: list[Step] = []
+    rows = None if churn == "none" else mask_rows(state)
 
     if churn in ("joins_only", "full"):
         kind = StepKind.JOIN
-        for ident, target in sorted(_join_predecessors(state).items()):
+        joins = iter(rows.joins)
+        for ident, target in zip(joins, joins):
             steps.append(step(kind, ident, target))
 
     if churn in ("fails_only", "full"):
         kind = StepKind.FAIL
-        failable = failable_mask(state)
+        failable = rows.failable
         for node in state.members:
             if failable >> node.ident & 1:
                 steps.append(step(kind, node.ident, None))

@@ -336,7 +336,10 @@ class GlobalState(_Fields):
         snapshot's ``members``), its continuation bits and entry when
         ``candidate`` differs from the one its key field holds, and the
         ``2 * m`` bits of each notification added or removed, at its sorted
-        position. A tuple that does not change is this snapshot's own.
+        position; a step that sends, delivers and drops no notification
+        does not look at that section. A tuple that does not change is
+        this snapshot's own. The new snapshot is filled in place, as
+        :func:`_frozen` fills one, without validation or sort.
         """
         space = self.space
         members = self.members
@@ -373,27 +376,39 @@ class GlobalState(_Fields):
             j = bisect_left(stabilize, (ident,))
             entry = ((ident, candidate),) if cont else ()
             stabilize = stabilize[:j] + entry + stabilize[j + (held != 0):]
-        # the notification bits begin above the member fields, 2 * m bits per entry
-        base = space.size + len(members) * width
-        pair = 2 * m
-        if node is None and mask != self.mask:
-            # the notifications that target the leaving member sit together, from j to k
-            j = bisect_left(notify, (ident,))
-            k = bisect_left(notify, (ident + 1,), j)
-            if j < k:
-                notify = notify[:j] + notify[k:]
-                key = _spliced_out(key, base + j * pair, (k - j) * pair)
-        if delivered is not None:
-            j = bisect_left(notify, delivered)
-            if notify[j:j + 1] == (delivered,):
-                notify = notify[:j] + notify[j + 1:]
-                key = _spliced_out(key, base + j * pair, pair)
-        if sent is not None:
-            j = bisect_left(notify, sent)
-            if notify[j:j + 1] != (sent,):
-                notify = notify[:j] + (sent,) + notify[j:]
-                key = _spliced_in(key, base + j * pair, pair, sent[0] | sent[1] << m)
-        return _frozen(space, self.r, members, stabilize, notify, mask, key)
+        left = node is None and mask != self.mask
+        if notify and (left or delivered is not None) or sent is not None:
+            # the notification bits begin above the member fields, 2 * m bits per entry
+            base = space.size + len(members) * width
+            pair = 2 * m
+            if left:
+                # the notifications that target the leaving member sit together, from j to k
+                j = bisect_left(notify, (ident,))
+                k = bisect_left(notify, (ident + 1,), j)
+                if j < k:
+                    notify = notify[:j] + notify[k:]
+                    key = _spliced_out(key, base + j * pair, (k - j) * pair)
+            if delivered is not None:
+                j = bisect_left(notify, delivered)
+                if notify[j:j + 1] == (delivered,):
+                    notify = notify[:j] + notify[j + 1:]
+                    key = _spliced_out(key, base + j * pair, pair)
+            if sent is not None:
+                j = bisect_left(notify, sent)
+                if notify[j:j + 1] != (sent,):
+                    notify = notify[:j] + (sent,) + notify[j:]
+                    key = _spliced_in(key, base + j * pair, pair, sent[0] | sent[1] << m)
+        # filled in place, as _frozen does, without its call
+        new = object.__new__(_Fields)
+        new.space = space
+        new.r = self.r
+        new.members = members
+        new.pending_stabilize = stabilize
+        new.pending_notify = notify
+        new.mask = mask
+        new.key = key
+        new.__class__ = GlobalState
+        return new
 
     def with_node(self, node: NodeState) -> GlobalState:
         """Add ``node``, or replace the member with its identifier, keeping

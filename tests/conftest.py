@@ -127,6 +127,29 @@ def rotated(state: GlobalState, k: int) -> GlobalState:
     )
 
 
+def doubled(state: GlobalState) -> GlobalState:
+    """The snapshot embedded in the space one bit wider, every identifier
+    doubled: members, pointers and pending entries alike. Circular order
+    among the doubled identifiers is the order among the originals, and
+    the odd identifiers between them are new and free."""
+
+    def double(ident: int) -> int:
+        return 2 * ident
+
+    return GlobalState(
+        IdSpace(state.space.m + 1), state.r,
+        (NodeState(double(n.ident), double(n.prdc), tuple(map(double, n.succ_list)))
+         for n in state.members),
+        ((double(a), double(b)) for a, b in state.pending_stabilize),
+        ((double(a), double(b)) for a, b in state.pending_notify),
+    )
+
+
+def doubled_step(step: Step) -> Step:
+    """``step`` with its actor and argument doubled (see :func:`doubled`)."""
+    return step._replace(actor=2 * step.actor, arg=None if step.arg is None else 2 * step.arg)
+
+
 def rotated_step(step: Step, k: int, size: int) -> Step:
     """``step`` with its actor and argument turned ``k`` places clockwise
     in a space of ``size`` identifiers."""

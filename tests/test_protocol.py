@@ -41,7 +41,14 @@ from chordcheck.errors import (
 from chordcheck.properties import failable_mask, invariant_holds
 from chordcheck.protocol import STEPS_CEILING, shared_step
 
-from conftest import global_states, random_global_state, rotated, rotated_step
+from conftest import (
+    doubled,
+    doubled_step,
+    global_states,
+    random_global_state,
+    rotated,
+    rotated_step,
+)
 
 
 @pytest.fixture
@@ -497,6 +504,37 @@ class TestMalformedSteps:
                 with pytest.raises(error):
                     apply_step(s, Step(k, actor, arg))
 
+    @pytest.mark.parametrize("call, args, error, message", [
+        (step_join, (-1, 0), NoCandidateError, "identifier -1 is outside the identifier space"),
+        (step_join, (8, 0), NoCandidateError, "identifier 8 is outside the identifier space"),
+        (step_join, (2, 0), AlreadyMemberError, "identifier 2 is already a member"),
+        (step_join, (1, None), ValueError, "a join of 1 needs a predecessor identifier, got None"),
+        (step_fail, (-1,), UnknownMemberError, "identifier -1 is not a member"),
+        (step_fail, (8,), UnknownMemberError, "identifier 8 is not a member"),
+        (step_fail, (1,), UnknownMemberError, "identifier 1 is not a member"),
+        (step_fail, (1, True), UnknownMemberError, "identifier 1 is not a member"),
+        (step_fail, (2,), FailUnsafeError, "fail of 2 would leave a member with no live "
+                                           "successor or fewer than r + 1 = 3 principal members"),
+        (step_stabilize_from_successor, (-1,), UnknownMemberError, "identifier -1 is not a member"),
+        (step_stabilize_from_successor, (8,), UnknownMemberError, "identifier 8 is not a member"),
+        (step_stabilize_from_successor, (1,), UnknownMemberError, "identifier 1 is not a member"),
+        (lookup_predecessor, (-1,), NoCandidateError, "no member covers identifier -1"),
+        (lookup_predecessor, (8,), NoCandidateError, "no member covers identifier 8"),
+        (lookup_predecessor, (2,), AlreadyMemberError, "identifier 2 is already a member"),
+    ])
+    def test_guards_keep_their_exceptions_and_messages(self, space3, call, args, error, message):
+        with pytest.raises(error) as info:
+            call(ideal_ring(space3, 2, [0, 2, 5]), *args)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_guards_let_members_and_covered_non_members_through(self, space3):
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        assert step_join(s, 1, 1) is s  # a non-member predecessor: the join aborts
+        assert step_join(s, 1, 2).node(1) == NodeState(1, 2, (5, 0))
+        assert step_fail(s, 2, forced=True).idents() == (0, 5)
+        assert step_stabilize_from_successor(s, 2).pending_notify == ((5, 2),)
+        assert [lookup_predecessor(s, j) for j in (1, 3, 4, 6, 7)] == [0, 2, 2, 5, 5]
+
     @pytest.mark.parametrize("kind", [StepKind.FAIL, StepKind.STABILIZE_FROM_SUCCESSOR])
     @pytest.mark.parametrize("arg", [-1, 8])
     def test_argument_of_a_kind_without_one_is_ignored(self, s, kind, arg):
@@ -618,6 +656,72 @@ class TestStepProperties:
         # which steps are enabled turns with the ring too, but for a join's predecessor
         assert without_join_predecessors(enabled_steps(turned, churn="full")) == \
             without_join_predecessors(rotated_step(step, k, size) for step in steps)
+
+    def test_lowest_covering_join_does_not_commute_with_rotation(self, space3):
+        # 0 and 2 both cover 3 (both heads are 4), and 0 is the lower; turned
+        # by 6 they become 6 and 0, both covering 1, and the lower is now 0,
+        # the turned 2: a join through every covering member would commute
+        s = make_state(space3, 2, [(0, 4, (4, 0)), (2, 0, (4, 0)), (4, 2, (0, 2))])
+        turned = rotated(s, 6)
+        assert Step(StepKind.JOIN, 3, 0) in enabled_steps(s)
+        assert rotated_step(Step(StepKind.JOIN, 3, 0), 6, 8) == Step(StepKind.JOIN, 1, 6)
+        assert [step for step in enabled_steps(turned) if step.kind == StepKind.JOIN
+                and step.actor == 1] == [Step(StepKind.JOIN, 1, 0)]
+        assert lookup_predecessor(turned, 1) == 0
+        assert [p for p in turned.idents()
+                if space3.between(p, 1, turned.node(p).succ_list[0])] == [0, 6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(
+        lambda m: global_states(m=m, r=2, max_members=6, with_pending=True)))
+    # member 5's head 6 is dead and its last entry 7 is the top of the space:
+    # the pad wraps to 0 at m=3 but is 15 at m=4
+    @example(make_state(IdSpace(3), 2, [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (6, 7))]))
+    def test_doubling_commutes_with_every_step_but_the_pad(self, s):
+        # doubling every identifier into the space one bit wider keeps
+        # circular order and membership, so every guard, the join table and
+        # every step rule agree; the one place the width enters is the
+        # padding after a dead head, one past the last entry
+        wide = doubled(s)
+        join = StepKind.JOIN
+        steps = enabled_steps(s, churn="full")
+        # the odd identifiers are new, free and may be covered: their joins are extra
+        assert [step for step in enabled_steps(wide, churn="full")
+                if step.kind != join or step.actor % 2 == 0] == list(map(doubled_step, steps))
+        for step in steps:
+            post, wide_post = apply_step(s, step), apply_step(wide, doubled_step(step))
+            dead_head = (step.kind == StepKind.STABILIZE_FROM_SUCCESSOR
+                         and not s.is_member(s.node(step.actor).succ_list[0]))
+            if not dead_head:
+                assert wide_post == doubled(post), step
+                continue
+            # only the padded entry differs: the odd successor of the doubled
+            # last entry, not the double of its successor
+            node, wide_node = post.node(step.actor), wide_post.node(2 * step.actor)
+            last = s.node(step.actor).succ_list[-1]
+            assert wide_node.succ_list[-1] == 2 * last + 1 != 2 * node.succ_list[-1]
+            padded = wide_node._replace(succ_list=wide_node.succ_list[:-1]
+                                        + (2 * node.succ_list[-1],))
+            assert wide_post.with_node(padded) == doubled(post), step
+
+        def refusal(call, *args):
+            try:
+                call(*args)
+            except Exception as exc:  # compared by type
+                return type(exc)
+            return None
+
+        # every guard refuses the doubled identifier as it refuses the original
+        size = s.space.size
+        anchor = s.members[0].ident
+        for ident, wide_ident in [(-1, -1), (size, 2 * size)] + [(i, 2 * i) for i in range(size)]:
+            for call, arg, wide_arg in ((lookup_predecessor, (), ()),
+                                        (step_join, (anchor,), (2 * anchor,)),
+                                        (step_fail, (), ()),
+                                        (step_stabilize_from_successor, (), ())):
+                assert refusal(call, wide, wide_ident, *wide_arg) == refusal(call, s, ident, *arg)
+            if refusal(lookup_predecessor, s, ident) is None:
+                assert lookup_predecessor(wide, wide_ident) == 2 * lookup_predecessor(s, ident)
 
     @settings(max_examples=150, deadline=None)
     @given(global_states(m=3, r=2, with_pending=True))

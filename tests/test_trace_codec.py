@@ -215,6 +215,13 @@ class TestNamedFields:
          "line 3: record field 'step': step actor must be an integer, got None"),
         (lambda docs: docs[2].update(type="recrod"), "line 3: unknown line type 'recrod'"),
         (lambda docs: docs[-1].pop("meta"), "the verdict line is missing field 'meta'"),
+        (lambda docs: docs[1].update(index=99),
+         "line 2: record carries index 99, expected 0 (indices run from 0 in order)"),
+        (lambda docs: docs[3].update(index=1),
+         "line 4: record carries index 1, expected 2 (indices run from 0 in order)"),
+        (lambda docs: docs[0]["prelude"][0].update(index=99),
+         "line 1: prelude[0] carries index 99, expected 0 (indices run from 0 in order)"),
+        (lambda docs: docs.pop(), "line 7: trace ends without a verdict line (truncated?)"),
     ])
     def test_missing_fields_are_named(self, every_trace_kind, edit, message):
         docs = [json.loads(line) for line in written(every_trace_kind["converge"]).splitlines()]
@@ -315,3 +322,46 @@ def test_every_deleted_field_is_refused_by_name_or_optional(every_trace_kind, ki
             assert code in (EXIT_SCHEMA, EXIT_VIOLATION), (place, name, err)
             # the field, and the line or the field's whole path
             assert name in err and ("line " in err or place in err), (place, name, err)
+
+
+# the line mutants that read and replay clean: a script trace, and a repro
+# trace whose violation already shows one record earlier, do not record
+# their length, so each without its last record is a valid shorter trace
+UNREFUSED_LINE_MUTANTS = {("script", "drop", "last"), ("fig4", "drop", "last")}
+
+
+def line_mutants(lines):
+    """Each (operation, place, lines) with one line dropped or repeated:
+    the header, the first, middle and last record lines, and the verdict
+    line; a line that two places name is mutated once."""
+    last = len(lines) - 1
+    places = {"header": 0, "first": 1, "middle": last // 2, "last": last - 1, "verdict": last}
+    done = set()
+    for place, at in places.items():
+        if at in done or not 0 <= at <= last:
+            continue
+        done.add(at)
+        yield "drop", place, lines[:at] + lines[at + 1:]
+        yield "repeat", place, lines[:at + 1] + lines[at:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_dropped_or_repeated_line_is_refused(every_trace_kind, kind, tmp_path, capsys):
+    path = str(tmp_path / "mutant.trace")
+    save_trace(every_trace_kind[kind], path, "0" * 64)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    outcomes = []
+    for op, place, edited in line_mutants(lines):
+        with open(path, "w") as fh:
+            fh.write("\n".join(edited) + "\n")
+        code = main(["replay", path])
+        err = capsys.readouterr().err
+        outcomes.append((op, place, code))
+        if (kind, op, place) in UNREFUSED_LINE_MUTANTS:
+            assert code == EXIT_OK, (op, place, err)
+        elif code == EXIT_SCHEMA:
+            assert re.match(r"chordcheck: line \d+: ", err), (op, place, err)
+        else:
+            assert code == EXIT_VIOLATION and "replay mismatch: " in err, (op, place, code, err)
+    assert {"header", "first", "verdict"} <= {place for _, place, _ in outcomes}
