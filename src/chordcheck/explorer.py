@@ -35,7 +35,7 @@ from .properties import (
     invariant_with,
     valid_initial,
 )
-from .protocol import Step, StepKind, apply_step, enabled_steps, shared_step
+from .protocol import Step, StepKind, apply_step, check_churn, enabled_steps, shared_step
 from .state import GlobalState, NodeState
 
 
@@ -277,6 +277,7 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         if self.max_depth < 0 or self.max_states < 1:
             raise ValueError("max_depth must be >= 0 and max_states positive")
+        check_churn(self.churn)
 
 
 Parents = dict[int, tuple[int, Step] | None]
@@ -585,6 +586,7 @@ def simulate(
     Deterministic for a given seed. The churn policy decides whether joins
     and unforced fails are offered to the scheduler.
     """
+    check_churn(churn)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not valid_initial(initial):

@@ -40,7 +40,11 @@ a live successor, and at least r + 1 members are principal. Outside
 :func:`check_all` it is read from a member table's mask rows
 (:func:`mask_rows`), memoized per ``(m, r, members)``, at most
 :data:`MASK_ROWS_CEILING`, since no conjunct and no fail verdict reads
-the pending entries: :func:`invariant_holds` gives the verdict,
+the pending entries. A one-entry slot in front of that memo answers a
+repeat of the ``members`` tuple object asked last, by identity, so a
+step's guard and the explorer's verdict, which ask for the table
+:func:`~chordcheck.protocol.enabled_steps` has just fetched, do not
+hash it again. :func:`invariant_holds` gives the verdict,
 :func:`failable_mask` the verdict on the survivors of every member's fail,
 and :func:`invariant_with` the verdict after one member's row is replaced
 or added, which is all a stabilize, a rectify or a join changes. The
@@ -117,8 +121,24 @@ class MaskRows(NamedTuple):
 
 def mask_rows(state: GlobalState) -> MaskRows:
     """The mask rows of the members of ``state``, memoized per ``(m, r,
-    members)`` (see the module docstring); callers must not mutate them."""
-    return _mask_rows(state.space.m, state.r, state.members)
+    members)`` (see the module docstring); callers must not mutate them.
+
+    A repeat of the ``members`` tuple object asked last, with the same
+    ``m`` and ``r``, is answered from a one-entry slot before the memo
+    hashes the tuple: the guard of a fail and the explorer's verdict ask
+    for the table that :func:`~chordcheck.protocol.enabled_steps` has just
+    fetched. The slot holds a reference to that tuple, so no other tuple
+    can take its identity while it is there."""
+    global _last_rows
+    members = state.members
+    m = state.space.m
+    r = state.r
+    last = _last_rows
+    if members is last[0] and m == last[1] and r == last[2]:
+        return last[3]
+    rows = _mask_rows(m, r, members)
+    _last_rows = (members, m, r, rows)
+    return rows
 
 
 # bounds the rows memo, which lives as long as the process: 1,024 holds
@@ -127,6 +147,9 @@ def mask_rows(state: GlobalState) -> MaskRows:
 # With its join table an entry holds about 770 bytes at m=4 and 1.6 kB at
 # m=6 (590 and 700 bytes without), so a full memo holds 0.8-1.7 MB
 MASK_ROWS_CEILING = 1024
+
+# (members, m, r, rows) of the table mask_rows answered last; see there
+_last_rows: tuple = (None, 0, 0, None)
 
 
 @lru_cache(maxsize=MASK_ROWS_CEILING)

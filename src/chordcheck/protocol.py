@@ -12,12 +12,16 @@ the notification it sends or delivers. A step that leaves its member's
 row as it was hands over the row it found. :meth:`GlobalState.derive
 <chordcheck.state.GlobalState.derive>` turns the delta into the next
 snapshot, splicing into the parent's key only what changes.
-:func:`apply_step` finds a step's function in one table indexed by its
-kind. The fail guard reads the state's fail verdicts, and the joins
-read the state's join table, both kept in the member table's mask rows
-(:func:`~chordcheck.properties.mask_rows`), computed once per member
-table. The join, fail and stabilize-from-successor guards test
-membership on the state's ``mask`` bits.
+:func:`apply_step` unpacks a step once and calls its kind's rule
+directly, and a rule builds the row it changes without ``NodeState``'s
+Python-level constructor. The fail guard reads the state's fail
+verdicts, and the joins read the state's join table, both kept in the
+member table's mask rows (:func:`~chordcheck.properties.mask_rows`),
+computed once per member table; the guard of a fail that
+:func:`enabled_steps` offered finds them in the rows' last-table slot,
+without hashing the table again. The join, fail and
+stabilize-from-successor guards test membership on the state's ``mask``
+bits.
 
 :func:`enabled_steps`, the fair scheduler and converge's prelude take
 one :class:`Step` object per distinct step from :func:`shared_step`'s
@@ -53,6 +57,12 @@ class StepKind(IntEnum):
     STABILIZE_FROM_SUCCESSOR = 2
     STABILIZE_FROM_PREDECESSOR = 3
     RECTIFY = 4
+
+
+# the kinds, bound once: reading a member off the enum class costs about
+# 190 ns under Python 3.11
+_KINDS = tuple(StepKind)
+_JOIN, _FAIL, _FROM_SUCCESSOR, _FROM_PREDECESSOR, _RECTIFY = _KINDS
 
 
 class Step(NamedTuple):
@@ -94,6 +104,18 @@ def shared_step(kind: int, actor: int, arg: int | None) -> Step:
 CHURN_POLICIES = ("none", "joins_only", "fails_only", "full")
 
 
+def check_churn(churn: str) -> None:
+    """Refuse a churn policy outside :data:`CHURN_POLICIES` with
+    ValueError."""
+    if churn not in CHURN_POLICIES:
+        raise ValueError(f"unknown churn policy {churn!r}")
+
+
+# the rules build a changed row with this, not ``NodeState(...)``, whose
+# Python-level ``__new__`` costs about 330 ns where this costs 150 ns
+_tuple_new = tuple.__new__
+
+
 def lookup_predecessor(state: GlobalState, joiner: int) -> int:
     """Find a member p with ``between(p, joiner, head(p.succ_list))``.
 
@@ -128,7 +150,7 @@ def step_join(state: GlobalState, joiner: int, new_prdc: int) -> GlobalState:
         return state  # abort: chosen predecessor died before the step
     # a member's position in ``members`` is the count of lower members
     target = state.members[(mask & ((1 << new_prdc) - 1)).bit_count()]
-    return state.derive(joiner, NodeState(joiner, new_prdc, target.succ_list))
+    return state.derive(joiner, _tuple_new(NodeState, (joiner, new_prdc, target.succ_list)))
 
 
 def step_fail(state: GlobalState, member: int, forced: bool = False) -> GlobalState:
@@ -174,11 +196,11 @@ def step_stabilize_from_successor(state: GlobalState, member: int) -> GlobalStat
     head = succ_list[0]
     if not mask >> head & 1:
         padded = succ_list[1:] + (state.space.next_ident(succ_list[-1]),)
-        return state.derive(member, NodeState(member, node.prdc, padded))
+        return state.derive(member, _tuple_new(NodeState, (member, node.prdc, padded)))
     head_node = members[(mask & ((1 << head) - 1)).bit_count()]
     adopted = (head,) + head_node.succ_list[:-1]
     if adopted != succ_list:
-        node = NodeState(member, node.prdc, adopted)
+        node = _tuple_new(NodeState, (member, node.prdc, adopted))
     candidate = head_node.prdc
     if state.space.between(member, candidate, head):
         return state.derive(member, node, candidate)
@@ -196,7 +218,7 @@ def step_stabilize_from_predecessor(state: GlobalState, member: int) -> GlobalSt
     if cand_node is not None:
         adopted = (candidate,) + cand_node.succ_list[:-1]
         if adopted != node.succ_list:
-            node = NodeState(member, node.prdc, adopted)
+            node = _tuple_new(NodeState, (member, node.prdc, adopted))
     return state.derive(member, node, sent=(node.succ_list[0], member))
 
 
@@ -212,38 +234,35 @@ def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
     node = state.get(member)
     if node is not None and (state.space.between(node.prdc, new_prdc, member)
                              or not state.is_member(node.prdc)):
-        node = NodeState(member, new_prdc, node.succ_list)
+        node = _tuple_new(NodeState, (member, new_prdc, node.succ_list))
     # a dead target has no row (None), so only the notification goes
     return state.derive(member, node, state.pending_stabilize_for(member), delivered=entry)
 
 
-def _apply_stabilize_from_predecessor(state: GlobalState, step: Step) -> GlobalState:
-    """STABILIZE_FROM_PREDECESSOR, refusing a step whose argument names
-    another candidate than the one its member captured."""
-    expected = state.pending_stabilize_for(step.actor)
-    if step.arg is not None and expected is not None and step.arg != expected:
-        raise NoPendingStabilizeError(f"member {step.actor} captured {expected}, not {step.arg}")
-    return step_stabilize_from_predecessor(state, step.actor)
-
-
-# each kind's step function, indexed by StepKind
-_APPLY = (
-    lambda state, step: step_join(state, step.actor, step.arg),
-    lambda state, step: step_fail(state, step.actor, step.forced),
-    lambda state, step: step_stabilize_from_successor(state, step.actor),
-    _apply_stabilize_from_predecessor,
-    lambda state, step: step_rectify(state, step.actor, step.arg),
-)
-
-
 def apply_step(state: GlobalState, step: Step) -> GlobalState:
-    """Apply one atomic step, through the rule its kind indexes in one
-    table. A kind that is not an integer in the range of ``StepKind``
-    raises ValueError."""
-    kind = step.kind
-    if not (isinstance(kind, int) and 0 <= kind < len(_APPLY)):
-        raise ValueError(f"unknown step kind {kind!r}")
-    return _APPLY[kind](state, step)
+    """Apply one atomic step: call its kind's rule with the step's fields.
+    A kind that is not an integer in the range of ``StepKind`` raises
+    ValueError; a plain integer in that range names the kind of its value.
+    A STABILIZE_FROM_PREDECESSOR whose argument names another candidate
+    than the one its member captured raises NoPendingStabilizeError."""
+    kind, actor, arg, forced = step
+    if kind.__class__ is not StepKind:
+        if not (isinstance(kind, int) and 0 <= kind < len(_KINDS)):
+            raise ValueError(f"unknown step kind {kind!r}")
+        kind = _KINDS[kind]
+    if kind is _JOIN:
+        return step_join(state, actor, arg)
+    if kind is _FROM_SUCCESSOR:
+        return step_stabilize_from_successor(state, actor)
+    if kind is _FAIL:
+        return step_fail(state, actor, forced)
+    if kind is _RECTIFY:
+        return step_rectify(state, actor, arg)
+    if arg is not None:
+        expected = state.pending_stabilize_for(actor)
+        if expected is not None and arg != expected:
+            raise NoPendingStabilizeError(f"member {actor} captured {expected}, not {arg}")
+    return step_stabilize_from_predecessor(state, actor)
 
 
 def safely_failable(state: GlobalState, member: int) -> bool:
@@ -272,34 +291,33 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     ``Step.sort_key`` order (by kind, then actor, then argument), so it is
     never sorted. Each step is :func:`shared_step`'s one object for it.
     """
-    if churn not in CHURN_POLICIES:
-        raise ValueError(f"unknown churn policy {churn!r}")
+    check_churn(churn)
     step = shared_step
     steps: list[Step] = []
     rows = None if churn == "none" else mask_rows(state)
 
     if churn in ("joins_only", "full"):
-        kind = StepKind.JOIN
+        kind = _JOIN
         joins = iter(rows.joins)
         for ident, target in zip(joins, joins):
             steps.append(step(kind, ident, target))
 
     if churn in ("fails_only", "full"):
-        kind = StepKind.FAIL
+        kind = _FAIL
         failable = rows.failable
         for node in state.members:
             if failable >> node.ident & 1:
                 steps.append(step(kind, node.ident, None))
 
-    kind = StepKind.STABILIZE_FROM_SUCCESSOR
+    kind = _FROM_SUCCESSOR
     blocked = {member for member, _ in state.pending_stabilize}
     for node in state.members:
         if node.ident not in blocked:
             steps.append(step(kind, node.ident, None))
-    kind = StepKind.STABILIZE_FROM_PREDECESSOR
+    kind = _FROM_PREDECESSOR
     for member, candidate in state.pending_stabilize:
         steps.append(step(kind, member, candidate))
-    kind = StepKind.RECTIFY
+    kind = _RECTIFY
     for target, new_prdc in state.pending_notify:
         if state.is_member(target):
             steps.append(step(kind, target, new_prdc))

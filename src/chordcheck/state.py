@@ -360,8 +360,17 @@ class GlobalState(_Fields):
             if node is None:
                 members = members[:i] + members[i + 1:]
                 mask ^= own
-                key = _spliced_out(key, at, width) ^ own
-            elif node != members[i]:
+                # its field spliced out, and its bit cleared
+                key = (key >> (at + width) << at | key & ((1 << at) - 1)) ^ own
+                if notify:
+                    # the notifications that target it sit together, from j to k
+                    j = bisect_left(notify, (ident,))
+                    k = bisect_left(notify, (ident + 1,), j)
+                    if j < k:
+                        notify = notify[:j] + notify[k:]
+                        key = _spliced_out(key, space.size + len(members) * width + j * 2 * m,
+                                           (k - j) * 2 * m)
+            elif node is not members[i] and node != members[i]:
                 members = members[:i] + (node,) + members[i + 1:]
                 key ^= (field & ((1 << lists) - 1) ^ _pack_lists(node, m)) << at
         elif node is not None:
@@ -376,18 +385,10 @@ class GlobalState(_Fields):
             j = bisect_left(stabilize, (ident,))
             entry = ((ident, candidate),) if cont else ()
             stabilize = stabilize[:j] + entry + stabilize[j + (held != 0):]
-        left = node is None and mask != self.mask
-        if notify and (left or delivered is not None) or sent is not None:
+        if delivered is not None or sent is not None:
             # the notification bits begin above the member fields, 2 * m bits per entry
             base = space.size + len(members) * width
             pair = 2 * m
-            if left:
-                # the notifications that target the leaving member sit together, from j to k
-                j = bisect_left(notify, (ident,))
-                k = bisect_left(notify, (ident + 1,), j)
-                if j < k:
-                    notify = notify[:j] + notify[k:]
-                    key = _spliced_out(key, base + j * pair, (k - j) * pair)
             if delivered is not None:
                 j = bisect_left(notify, delivered)
                 if notify[j:j + 1] == (delivered,):

@@ -41,7 +41,7 @@ from chordcheck import (
     step_join,
     valid_initial,
 )
-from chordcheck import explorer, protocol
+from chordcheck import explorer, properties, protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, TraceFormatError
 from chordcheck.explorer import (
     MEMBER_TEXTS_CEILING,
@@ -120,6 +120,11 @@ class TestExplore:
         assert result.states_visited == 1
         assert result.transitions == 0
 
+    def test_unknown_churn_policy_refused_by_the_config(self):
+        # a depth-0 exploration enumerates nothing, so enabled_steps would never see it
+        with pytest.raises(ValueError, match="unknown churn policy 'bogus'"):
+            ExploreConfig(max_depth=0, churn="bogus")
+
     def test_ideal_ring_full_churn_no_violations(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=4, churn="full"))
@@ -167,11 +172,17 @@ class TestExplore:
         for name in calls:
             monkeypatch.setattr(explorer, name, counting(name))
         s = ideal_ring(IdSpace(4), 2, [0, 3, 6, 9, 12])
+        before = properties._mask_rows.cache_info()
         result = explore(s, ExploreConfig(max_depth=4, churn="full"))
         assert (result.verdict, result.states_visited, result.transitions,
                 result.frontier_size) == ("ok", 10_517, 35_896, 8_753)
         assert calls == {"apply_step": 35_896, "enabled_steps": 10_517 - 8_753,
                          "invariant_with": 2_610}
+        # one rows-memo lookup per expansion and one for the root's check:
+        # a fail guard and a verdict reuse the table enabled_steps fetched
+        lookups = properties._mask_rows.cache_info()
+        lookups = lookups.hits + lookups.misses - before.hits - before.misses
+        assert lookups <= 10_517 - 8_753 + 1
 
     def test_fail_post_states_are_not_rechecked(self, monkeypatch):
         # step_fail's guard has already tested the survivors, so explore
@@ -538,6 +549,12 @@ class TestSimulate:
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
         with pytest.raises(ValueError):
             simulate(s, Schedule(seed=1, fairness_window=2), steps=5)
+
+    def test_unknown_churn_policy_refused_before_any_step(self, space3):
+        # a run of no steps enumerates nothing, so enabled_steps would never see it
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="unknown churn policy 'bogus'"):
+            simulate(s, Schedule(seed=1), steps=0, churn="bogus")
 
 
 CHURNS = ["full", "joins_only", "fails_only", "none"]

@@ -74,6 +74,43 @@ IDEAL3 = {
 }
 
 
+def field_paths(node, prefix=()):
+    """The path of every field of a JSON document, in document order:
+    each key of an object and each element of a list, at every depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for name, value in items:
+        yield prefix + (name,)
+        yield from field_paths(value, prefix + (name,))
+
+
+# the fields of the shipped scenarios whose deletion leaves a scenario
+# that loads: a member or an event its list can do without, and the
+# optional blocks and settings; the deletion of any other field is refused
+DELETABLE_FIELDS = {
+    "ideal_ring_m3.json": {
+        ("init", 0), ("init", 1), ("init", 2),
+        ("explore",), ("explore", "max_depth"), ("explore", "churn"),
+        ("simulate",), ("simulate", "steps"), ("simulate", "churn"),
+        ("converge",), ("converge", "step_cap"),
+    },
+    "join_lifecycle_m6.json": {
+        ("init", 0), ("init", 1), ("init", 2), ("init", 3), ("init", 4),
+        ("converge",), ("converge", "step_cap"),
+    },
+    "size_one_m6.json": set(),  # its one member is all of a non-empty 'init'
+    "stranded_appendages_m6.json": {
+        ("init", 0), ("init", 1), ("init", 2),
+        ("events",), ("events", 0), ("events", 0, "forced"),
+        ("explore",), ("explore", "max_depth"), ("explore", "allow_invalid_initial"),
+    },
+}
+
+
 class TestScenarioFormat:
     def test_roundtrip(self):
         scenario = scenario_from_doc(IDEAL3)
@@ -139,6 +176,31 @@ class TestScenarioFormat:
         mutate(doc)
         with pytest.raises(ScenarioFormatError, match=re.escape(message)):
             scenario_from_doc(doc)
+
+    def test_each_deleted_field_of_a_shipped_scenario_is_named_or_loads(self):
+        loaded = {}
+        refused = 0
+        for path in sorted(SCENARIOS.glob("*.json")):
+            doc = json.loads(path.read_text())
+            loaded[path.name] = set()
+            for field in field_paths(doc):
+                mutant = json.loads(json.dumps(doc))
+                *outer, last = field
+                holder = mutant
+                for name in outer:
+                    holder = holder[name]
+                del holder[last]
+                try:
+                    scenario_from_doc(mutant)
+                except ScenarioFormatError as exc:
+                    # a key is named itself, a list element by its list
+                    name = last if isinstance(last, str) else outer[-1]
+                    assert name in str(exc), (path.name, field, str(exc))
+                    refused += 1
+                else:
+                    loaded[path.name].add(field)
+        assert loaded == DELETABLE_FIELDS
+        assert (refused, sum(map(len, loaded.values()))) == (80, 27)
 
     def test_null_config_blocks_give_no_settings(self):
         scenario = scenario_from_doc({**IDEAL3, "explore": None, "simulate": None, "converge": None})

@@ -39,6 +39,8 @@ from chordcheck.properties import (
     mask_rows,
 )
 
+from chordcheck.state import _frozen
+
 from conftest import (
     brute_force_principals,
     clear_property_memos,
@@ -542,6 +544,22 @@ class TestMaskRowsMemo:
             assert 0 < properties._mask_rows.cache_info().currsize <= MASK_ROWS_CEILING
             if len(seen) % 64 == 0:
                 assert rows == fresh(s.space.m, s.r, s.members)
+
+    def test_one_members_tuple_gets_its_rows_in_each_width(self):
+        # the last-table slot answers a repeat of one tuple object: asked
+        # for that object at m=3 and then at m=4, where 6 -> 4 and 4 -> 1
+        # wrap past 0 over other identifiers, it must not answer for the
+        # other width
+        nodes = [(1, 4, (6, 4)), (4, 6, (1, 6)), (6, 1, (4, 1))]
+        narrow = make_state(IdSpace(3), 2, nodes)
+        wide = make_state(IdSpace(4), 2, nodes)
+        wide = _frozen(wide.space, wide.r, narrow.members, wide.pending_stabilize,
+                       wide.pending_notify, wide.mask, wide.key)
+        assert wide == make_state(IdSpace(4), 2, nodes) and wide.members is narrow.members
+        fresh = properties._mask_rows.__wrapped__
+        for s in (narrow, wide, narrow, narrow, wide):
+            assert mask_rows(s) == fresh(s.space.m, s.r, s.members)
+        assert mask_rows(narrow) != mask_rows(wide)
 
     def test_clearing_the_property_memos_clears_the_rows(self, space3):
         mask_rows(ideal_ring(space3, 2, [0, 2, 5]))

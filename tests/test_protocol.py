@@ -504,6 +504,21 @@ class TestMalformedSteps:
                 with pytest.raises(error):
                     apply_step(s, Step(k, actor, arg))
 
+    def test_plain_integer_kind_gives_the_same_post_state(self):
+        # a StepKind member takes apply_step's fast path; a plain integer
+        # must reach the same rule with the same fields
+        kinds = set()
+        differ = []
+
+        def compare(pre, step, post):
+            kinds.add(step.kind)
+            if apply_step(pre, step._replace(kind=int(step.kind))) != post:
+                differ.append((pre, step))
+
+        s = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        assert explore(s, ExploreConfig(max_depth=4, churn="full"), compare).ok
+        assert kinds == set(StepKind) and differ == []
+
     @pytest.mark.parametrize("call, args, error, message", [
         (step_join, (-1, 0), NoCandidateError, "identifier -1 is outside the identifier space"),
         (step_join, (8, 0), NoCandidateError, "identifier 8 is outside the identifier space"),
