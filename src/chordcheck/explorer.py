@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InvalidInitialStateError, ReplayMismatchError
+from .errors import InvalidInitialStateError, ProtocolError, ReplayMismatchError
 from .idspace import IdSpace
 from .properties import (
     PropertyReport,
@@ -345,21 +345,6 @@ class ExploreResult:
     def ok(self) -> bool:
         return self.verdict == "ok"
 
-    def path_to(self, state: GlobalState) -> list[Step]:
-        """Reconstruct a concrete step sequence from the initial state to
-        any visited state, looked up by its key (requires
-        ``collect_states``). Raises ValueError for a state of another space
-        or ``r`` than the exploration's, or one it never visited."""
-        if self.parents is None:
-            raise ValueError("exploration did not keep parent links")
-        if (state.space, state.r) != (self.states.space, self.states.r):
-            raise ValueError(
-                f"state of {state.space!r} with r={state.r} is not from this exploration "
-                f"of {self.states.space!r} with r={self.states.r}")
-        if state.key not in self.parents:
-            raise ValueError("state was not visited by this exploration")
-        return _path(self.parents, state.key)
-
 
 TransitionHook = Callable[[GlobalState, Step, GlobalState], None]
 
@@ -384,8 +369,10 @@ def explore(
 
     Checks the invariant on every distinct post-state, when it is first
     reached, and returns the first (hence minimal) violating trace, else a
-    summary. The verdict is read from the expanded state's memoized mask
-    rows (see :func:`~chordcheck.properties.mask_rows`): the guard of an
+    summary. The root's verdict is the ``invariant`` flag of its
+    :func:`~chordcheck.properties.check_all` report; a post-state's is
+    read from the expanded state's memoized mask rows (see
+    :func:`~chordcheck.properties.mask_rows`): the guard of an
     unforced fail has already found it among the survivors, and every
     other step changes only its actor's row (:func:`invariant_with`). A
     post-state that keeps its parent's ``members`` tuple (see
@@ -587,6 +574,8 @@ def simulate(
     and unforced fails are offered to the scheduler.
     """
     check_churn(churn)
+    if type(steps) is not int:  # a bool is no count
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not valid_initial(initial):
@@ -645,6 +634,8 @@ def converge(
     flags and the cumulative pointer error; each step's full error metric
     is in the report :func:`replay` returns for its record.
     """
+    if type(step_cap) is not int:  # a bool is no count
+        raise ValueError(f"step_cap must be an integer, got {step_cap!r}")
     if step_cap < 0:
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not invariant_holds(initial):
@@ -726,10 +717,15 @@ _FIELD_LABELS = {"digest": "state digest", "flags": "property flags",
 
 def _rederive(state: GlobalState, recs: list[TraceRecord], where: str) -> tuple[GlobalState, list]:
     """Apply the steps of ``recs`` to ``state`` and check that each record
-    is the one :func:`_record` gives; the final state and the reports."""
+    is the one :func:`_record` gives; the final state and the reports. A
+    step that the state refuses is a mismatch too: the trace does not
+    describe a run from its own start."""
     reports = []
     for rec in recs:
-        state = apply_step(state, rec.step)
+        try:
+            state = apply_step(state, rec.step)
+        except ProtocolError as exc:
+            raise ReplayMismatchError(f"{where}[{rec.index}]: step refused: {exc}") from None
         record, report = _record(rec.index, rec.step, state)
         if record != rec:
             name = next(f for f, a, b in zip(rec._fields, record, rec) if a != b)

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ScenarioFormatError, TraceFormatError
 from .explorer import Trace, TraceRecord
 from .idspace import IdSpace
-from .protocol import CHURN_POLICIES, Step, StepKind
+from .protocol import CHURN_POLICIES, Step, StepKind, apply_step
 from .state import GlobalState, NodeState
 
 TRACE_FORMAT = "chordcheck-trace/1"
@@ -147,8 +147,6 @@ def _pending_from_doc(entries: object, where: str, space: IdSpace) -> tuple[tupl
 
 @dataclass
 class Scenario:
-    space: IdSpace
-    r: int
     initial: GlobalState
     events: list[Step] = field(default_factory=list)
     explore_config: dict = field(default_factory=dict)
@@ -158,8 +156,6 @@ class Scenario:
 
     def starting_state(self) -> GlobalState:
         """The initial network with any scripted events applied."""
-        from .protocol import apply_step
-
         state = self.initial
         for step in self.events:
             state = apply_step(state, step)
@@ -232,8 +228,6 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
         events.append(step)
 
     return Scenario(
-        space=space,
-        r=r,
         initial=GlobalState(space, r, nodes),
         events=events,
         explore_config=_config_block(doc, "explore"),

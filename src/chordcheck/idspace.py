@@ -29,7 +29,7 @@ class IdSpace:
     size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 1 <= self.m <= MAX_BITS:
+        if type(self.m) is not int or not 1 <= self.m <= MAX_BITS:  # a bool is no width
             raise ValueError(f"bit width m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
         object.__setattr__(self, "size", 1 << self.m)
 

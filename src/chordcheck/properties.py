@@ -36,26 +36,28 @@ pointer error: the ideal flag, its witness and :func:`is_ideal` read the
 metric.
 
 ``Invariant`` is the conjunction of just two properties: every member has
-a live successor, and at least r + 1 members are principal. Outside
-:func:`check_all` it is read from a member table's mask rows
+a live successor, and at least r + 1 members are principal. A snapshot's
+verdict is the ``invariant`` flag of its report, so :func:`invariant_holds`
+and :func:`valid_initial` read :func:`check_all` as every trace record
+does, and one member table is evaluated once for all of them.
+
+The step layer reads the invariant from a member table's mask rows
 (:func:`mask_rows`), memoized per ``(m, r, members)``, at most
 :data:`MASK_ROWS_CEILING`, since no conjunct and no fail verdict reads
 the pending entries. A one-entry slot in front of that memo answers a
 repeat of the ``members`` tuple object asked last, by identity, so a
 step's guard and the explorer's verdict, which ask for the table
 :func:`~chordcheck.protocol.enabled_steps` has just fetched, do not
-hash it again. :func:`invariant_holds` gives the verdict,
-:func:`failable_mask` the verdict on the survivors of every member's fail,
-and :func:`invariant_with` the verdict after one member's row is replaced
-or added, which is all a stabilize, a rectify or a join changes. The
-same rows hold the join table, the one definition of the join rule,
-which :mod:`~chordcheck.protocol` reads for its joins: it depends on
-the member table alone too. Here the width changes the value, not only
-the key: which non-members an arc that wraps past 0 skips, and which
-ones a member covers, depend on it (the verdicts do not). The other
-structural properties (no duplicates, ordered lists, one ordered ring,
-connected appendages) are consequences of the invariant, which the test
-suite and the explorer verify rather than assume.
+hash it again. The rows hold every fail verdict and the join table, the
+one definition of the join rule (see :class:`MaskRows`), which
+:mod:`~chordcheck.protocol` reads, and :func:`invariant_with` gives the
+verdict after one member's row is replaced or added, which is all a
+stabilize, a rectify or a join changes. Here the width changes the
+value, not only the key: which non-members an arc that wraps past 0
+skips, and which ones a member covers, depend on it (the verdicts do
+not). The other structural properties (no duplicates, ordered lists, one
+ordered ring, connected appendages) are consequences of the invariant,
+which the test suite and the explorer verify rather than assume.
 """
 
 from __future__ import annotations
@@ -100,7 +102,14 @@ class MaskRows(NamedTuple):
     :func:`~chordcheck.state.member_masks`) of every member but the i-th,
     in member order, and ``skipped`` the union of all of them.
     ``stranded`` has a bit set for each member with no live entry.
-    ``failable`` is :func:`failable_mask`'s answer.
+    ``failable`` holds every fail verdict at once: bit x is set iff x is a
+    member and the invariant holds for the survivors of x failing, the one
+    definition of the verdict that
+    :func:`~chordcheck.protocol.safely_failable` gives for one member and
+    :func:`~chordcheck.protocol.enabled_steps` reads for all. Failing x
+    strands every other member whose only live entry is x, and a member
+    with no live entry already is stranded unless it is the one that
+    fails; the survivors' skip union is ``others``.
 
     ``joins`` is the join table: every non-member identifier that some
     member covers (strictly inside the arc from the member to the head of
@@ -156,8 +165,8 @@ _last_rows: tuple = (None, 0, 0, None)
 def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
     """One pass over the masks and covering arcs of ``members`` in the
     space of width ``m``, then the prefix and suffix ORs of their skip
-    masks, every fail verdict (see :func:`failable_mask`) and the join
-    table (see :class:`MaskRows`)."""
+    masks, every fail verdict and the join table (see
+    :class:`MaskRows`)."""
     space = IdSpace(m)
     arc = space.arc
     live = sum(1 << node.ident for node in members)
@@ -209,24 +218,9 @@ def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
 def invariant_holds(state: GlobalState) -> bool:
     """Whether ``state`` satisfies the invariant: every member has a live
     successor, and at least r + 1 live identifiers are principal (not
-    skipped by any extended successor list). Read from the members' mask
-    rows (see :func:`mask_rows`)."""
-    rows = mask_rows(state)
-    return not rows.stranded and (state.mask & ~rows.skipped).bit_count() > state.r
-
-
-def failable_mask(state: GlobalState) -> int:
-    """Every fail verdict of ``state`` at once: bit x is set iff x is a
-    member and the invariant holds for the survivors of x failing: the
-    one definition of the verdict that
-    :func:`~chordcheck.protocol.safely_failable` gives for one member and
-    :func:`~chordcheck.protocol.enabled_steps` reads for all, kept in the
-    members' mask rows (see :func:`mask_rows`).
-
-    Failing x strands every other member whose only live entry is x, and
-    a member with no live entry already is stranded unless it is the one
-    that fails. The survivors' skip union is ``others`` of the rows."""
-    return mask_rows(state).failable
+    skipped by any extended successor list). The ``invariant`` flag of
+    its :func:`check_all` report."""
+    return check_all(state).flags["invariant"]
 
 
 def invariant_with(state: GlobalState, node: NodeState) -> bool:
@@ -371,8 +365,9 @@ def _report(m: int, r: int, members: tuple[NodeState, ...]) -> PropertyReport:
 
 
 def valid_initial(state: GlobalState) -> bool:
-    """A network may be initialized in any state satisfying the invariant,
-    with no repair traffic already in flight."""
+    """A network may be initialized in any state satisfying the invariant
+    (:func:`invariant_holds`, read from its report), with no repair
+    traffic already in flight."""
     return (
         not state.pending_stabilize
         and not state.pending_notify

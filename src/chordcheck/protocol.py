@@ -19,7 +19,9 @@ verdicts, and the joins read the state's join table, both kept in the
 member table's mask rows (:func:`~chordcheck.properties.mask_rows`),
 computed once per member table; the guard of a fail that
 :func:`enabled_steps` offered finds them in the rows' last-table slot,
-without hashing the table again. The join, fail and
+without hashing the table again. The rows serve the steps alone: a
+snapshot's own verdicts come from its property report
+(:func:`~chordcheck.properties.check_all`). The join, fail and
 stabilize-from-successor guards test membership on the state's ``mask``
 bits.
 
@@ -47,7 +49,7 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .properties import failable_mask, mask_rows
+from .properties import mask_rows
 from .state import GlobalState, NodeState
 
 
@@ -79,9 +81,6 @@ class Step(NamedTuple):
     actor: int
     arg: int | None = None
     forced: bool = False
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (int(self.kind), self.actor, -1 if self.arg is None else self.arg)
 
 
 # bounds the memo, which lives as long as the process: one run hands out
@@ -270,10 +269,12 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     assumptions: the invariant holds among the survivors, so nobody is
     left without a live successor and at least r + 1 members stay
     principal. This is the guard of one fail in :func:`step_fail`, read
-    from :func:`~chordcheck.properties.failable_mask`, the one definition
-    of every fail verdict, which is computed once per member table: when
-    :func:`enabled_steps` has asked it, the guard costs a lookup."""
-    return failable_mask(state) >> member & 1 == 1
+    from the ``failable`` row of the members' mask rows (see
+    :class:`~chordcheck.properties.MaskRows`), the one definition of every
+    fail verdict, which is computed once per member table: when
+    :func:`enabled_steps` has fetched the rows, the guard finds them in
+    the last-table slot."""
+    return mask_rows(state).failable >> member & 1 == 1
 
 
 def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
@@ -283,13 +284,13 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     ascending order, at the predecessor :func:`lookup_predecessor` would
     pick; a candidate no member covers gets no step. Unforced fails are
     offered only for safely-failable members (see
-    :func:`~chordcheck.properties.failable_mask`). Both are read from the
-    members' mask rows (see :class:`~chordcheck.properties.MaskRows`),
-    computed once per member table, so a state whose table was met
-    before pays one lookup for its joins and fails. The list is
-    deterministic for a given state and churn policy, and is built in
-    ``Step.sort_key`` order (by kind, then actor, then argument), so it is
-    never sorted. Each step is :func:`shared_step`'s one object for it.
+    :func:`safely_failable`). Both are read from the members' mask rows
+    (see :class:`~chordcheck.properties.MaskRows`), computed once per
+    member table, so a state whose table was met before pays one lookup
+    for its joins and fails. The list is deterministic for a given state
+    and churn policy, and is built in canonical order (by kind, then
+    actor, then argument, a missing argument first), so it is never
+    sorted. Each step is :func:`shared_step`'s one object for it.
     """
     check_churn(churn)
     step = shared_step

@@ -37,8 +37,7 @@ and the notification a step sends or delivers is shifted in or out at
 its sorted position, as are the notifications that target a failing
 member; nothing is packed anew. A row equal to the member's own leaves
 the parent's ``members`` tuple in place, and a pending tuple that a step
-leaves alone is the parent's own. ``with_node`` and ``without_member``
-are deltas too.
+leaves alone is the parent's own. ``with_node`` is a delta too.
 
 A snapshot is a plain value and keeps nothing derived from it: what is
 derived from members is memoized by value under a named ceiling (decoded
@@ -182,6 +181,8 @@ class GlobalState(_Fields):
         pending_stabilize: Iterable[tuple[int, int]] = (),
         pending_notify: Iterable[tuple[int, int]] = (),
     ) -> None:
+        if type(r) is not int:  # a bool is no length
+            raise ValueError(f"successor list length r must be an integer, got {r!r}")
         if r < 1:
             raise ValueError(f"successor list length r must be >= 1, got {r}")
         members = tuple(sorted(members))
@@ -413,14 +414,10 @@ class GlobalState(_Fields):
 
     def with_node(self, node: NodeState) -> GlobalState:
         """Add ``node``, or replace the member with its identifier, keeping
-        that member's continuation."""
+        that member's continuation. No step calls it; acceptance criterion
+        2 builds its random states with it, one checked row at a time."""
         _check_node(node, self.r, self.space.size)
         return self.derive(node.ident, node, self.pending_stabilize_for(node.ident))
-
-    def without_member(self, ident: int) -> GlobalState:
-        """Drop the member, the continuation it owns and the notifications
-        that target it; the same snapshot for a non-member."""
-        return self.derive(ident)
 
 
 def make_state(
@@ -508,7 +505,10 @@ def _masks(m: int, ident: int, succ_list: tuple[int, ...]) -> tuple[int, int]:
 
 def principals(state: GlobalState) -> frozenset[int]:
     """Members not skipped by any extended successor list: outside the
-    union of the members' ``skipped`` masks (see :func:`member_masks`)."""
+    union of the members' ``skipped`` masks (see :func:`member_masks`).
+    The properties read the union from their own rows; this set stays for
+    the flaw reproductions and because the benchmark's tracer
+    (``perfbench/tracer.py``) names it as a layer."""
     space = state.space
     skipped = 0
     for node in state.members:
@@ -545,7 +545,10 @@ def ring_members(state: GlobalState) -> frozenset[int]:
     """Members that reach themselves by following best successors.
 
     A chain that hits a member with no live successor classifies its start
-    as an appendage; so does a chain that enters a cycle elsewhere.
+    as an appendage; so does a chain that enters a cycle elsewhere. The
+    ring properties walk the same chains in
+    :func:`~chordcheck.properties.check_all`; this set stays because the
+    benchmark's tracer (``perfbench/tracer.py``) names it as a layer.
     """
     ends = chain_cycles(best_successors(state))
     return frozenset(member for member, cycle in ends.items() if cycle and member in cycle)

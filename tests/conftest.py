@@ -101,11 +101,12 @@ def scan_one_live_successor(state):
 
 def clear_property_memos():
     """Empty the process-wide memos of member facts, property reports, mask
-    rows and state digests, so the next record derives everything
-    afresh."""
+    rows (with the last-table slot in front of them) and state digests, so
+    the next record derives everything afresh."""
     properties._member_facts.cache_clear()
     properties._report.cache_clear()
     properties._mask_rows.cache_clear()
+    properties._last_rows = (None, 0, 0, None)
     explorer._digests.clear()
 
 

@@ -132,7 +132,7 @@ class TestExplore:
         assert result.states_visited > 100
 
     def test_each_fail_transition_asks_safely_failable_once(self, monkeypatch):
-        # enabled_steps reads every fail verdict from one failable_mask pass;
+        # enabled_steps reads every fail verdict from one pass over the rows;
         # only step_fail's guard asks safely_failable, once per fail applied
         callers = []
         real = protocol.safely_failable
@@ -302,8 +302,13 @@ class TestExplore:
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=3, collect_states=True))
         for state in result.states[:: max(1, len(result.states) // 100)]:
+            path = []
+            key = state.key
+            while result.parents[key] is not None:
+                key, step = result.parents[key]
+                path.append(step)
             cur = s
-            for step in result.path_to(state):
+            for step in reversed(path):
                 cur = apply_step(cur, step)
             assert cur == state
 
@@ -461,26 +466,6 @@ class TestVisitedStates:
         assert VisitedStates(IdSpace(4), 2, keys) != result.states
         assert VisitedStates(IdSpace(3), 3, keys) != result.states
 
-    def test_path_to_needs_collected_states(self):
-        ring = ideal_ring(IdSpace(3), 2, [0, 2, 5])
-        result = explore(ring, ExploreConfig(max_depth=2))
-        with pytest.raises(ValueError, match="did not keep parent links"):
-            result.path_to(ring)
-
-    def test_path_to_refuses_an_unvisited_state(self):
-        _, result = collected_m3_ring()
-        outside = ideal_ring(IdSpace(3), 2, [1, 4, 6])
-        assert outside.key not in result.parents
-        with pytest.raises(ValueError, match="not visited"):
-            result.path_to(outside)
-
-    def test_path_to_refuses_a_state_of_another_space_or_r(self):
-        _, result = collected_m3_ring()
-        # the initial ring, in another space or with another r
-        for space, r in ((IdSpace(4), 2), (IdSpace(3), 3)):
-            with pytest.raises(ValueError, match="not from this exploration"):
-                result.path_to(ideal_ring(space, r, [0, 2, 3, 5, 7]))
-
     def test_collected_exploration_keeps_no_snapshots(self):
         # traced after the memos are emptied, the m=3 ring (0,2,3,5,7) at
         # depth 6 (14,979 states) retained 2.58 MB with a view over its
@@ -544,6 +529,18 @@ class TestSimulate:
             simulate(s, Schedule(seed=1), steps=-1)
         with pytest.raises(ValueError, match="step_cap"):
             converge(s, Schedule(seed=1), step_cap=-1)
+
+    def test_bool_steps_rejected(self, space3):
+        # true is no count: the run's own verdict rule would refuse it
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="steps must be an integer, got True"):
+            simulate(s, Schedule(seed=1), True)
+
+    def test_bool_step_cap_rejected(self, space3):
+        # true is no count: a trace would record "step_cap":true
+        s = ideal_ring(space3, 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="step_cap must be an integer, got True"):
+            converge(s, Schedule(seed=1), step_cap=True)
 
     def test_window_must_cover_members(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])

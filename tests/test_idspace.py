@@ -27,7 +27,9 @@ class TestConstruction:
         assert IdSpace(3).size == 8
         assert IdSpace(6).size == 64
 
-    @pytest.mark.parametrize("m", [0, -1, 17, "3"])
+    # True is an int to isinstance, but a trace would record "m":true and
+    # then refuse to read it
+    @pytest.mark.parametrize("m", [0, -1, 17, "3", True])
     def test_rejects_bad_width(self, m):
         with pytest.raises(ValueError):
             IdSpace(m)

@@ -30,18 +30,19 @@ from chordcheck import (
     valid_initial,
 )
 from chordcheck import properties
+from chordcheck.cli import main
 from chordcheck.properties import (
     FLAG_NAMES,
     MASK_ROWS_CEILING,
     MEMBER_FACTS_CEILING,
     REPORTS_CEILING,
-    failable_mask,
     mask_rows,
 )
 
 from chordcheck.state import _frozen
 
 from conftest import (
+    SCENARIOS,
     brute_force_principals,
     clear_property_memos,
     global_states,
@@ -203,7 +204,7 @@ def related_states(state):
     members share its facts."""
     yield state
     for node in state.members:
-        yield state.without_member(node.ident)
+        yield state.derive(node.ident)
     if state.space.m < 6:
         yield GlobalState(IdSpace(state.space.m + 1), state.r, state.members,
                           state.pending_stabilize, state.pending_notify)
@@ -472,14 +473,17 @@ class TestReportMemo:
         # literal report of its members: no caller mutated a shared one
         space = IdSpace(3)
         clear_property_memos()
-        states = explore(ideal_ring(space, 2, [0, 2, 5]),
-                         ExploreConfig(max_depth=3, churn="full", collect_states=True)).states
-        tables = set()
+        ring = ideal_ring(space, 2, [0, 2, 5])
+        states = explore(ring, ExploreConfig(max_depth=3, churn="full",
+                                             collect_states=True)).states
+        # explore reads its root's invariant from the root's report
+        tables = {ring.members}
         for seed, state in enumerate(states[::7]):
             trace = converge(state, Schedule(seed=seed))
             replay(trace)
-            # a run checks its initial state and each record's, not the
-            # seed state its prelude starts from
+            # a run reads its seed state's invariant from its report, then
+            # checks its initial state and each record's
+            tables.add(state.members)
             tables.add(trace.initial.members)
             for start, records in ((trace.seed_state, trace.prelude),
                                    (trace.initial, trace.records)):
@@ -503,6 +507,26 @@ class TestMaskRowsMemo:
     """The invariant's mask rows are memoized per ``(m, r, members)``: no
     conjunct and no fail verdict reads the pending entries."""
 
+    def test_snapshot_verdicts_read_no_rows(self, capsys):
+        # a snapshot's invariant is its report's flag: converge's seed
+        # check, every record, every replay and `chordcheck check` read
+        # reports, and only the steps (joins, fail guards) read the rows
+        states = explore(ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7]),
+                         ExploreConfig(max_depth=4, churn="full", collect_states=True)).states
+        clear_property_memos()
+        sample = states[::len(states) // 24]
+        assert len(sample) >= 20
+        for seed, state in enumerate(sample):
+            replay(converge(state, Schedule(seed=seed)))
+        scenarios = sorted(SCENARIOS.glob("*.json"))
+        assert len(scenarios) == 4
+        for path in scenarios:
+            main(["check", str(path)])
+        assert '"valid_initial": true' in capsys.readouterr().out
+        lookups = properties._mask_rows.cache_info()
+        assert (lookups.hits, lookups.misses, lookups.currsize) == (0, 0, 0)
+        assert properties._last_rows[0] is None
+
     def test_memoized_rows_equal_fresh_rows_on_every_explored_state(self):
         result = explore(ideal_ring(IdSpace(3), 2, [0, 2, 5]),
                          ExploreConfig(max_depth=6, churn="full", collect_states=True))
@@ -516,7 +540,7 @@ class TestMaskRowsMemo:
         bare = ideal_ring(space3, 2, [0, 2, 5])
         busy = GlobalState(space3, 2, bare.members, [(0, 1)], [(2, 0), (5, 4)])
         assert mask_rows(busy) is mask_rows(bare)
-        assert invariant_holds(busy) and failable_mask(busy) == failable_mask(bare)
+        assert invariant_holds(busy) and mask_rows(busy).failable == mask_rows(bare).failable
 
     def test_wider_space_keeps_its_own_rows_and_the_same_verdicts(self):
         # 6 -> 4 and 4 -> 1 wrap past 0, over 7 alone at m=3 but over 7 to
@@ -530,7 +554,7 @@ class TestMaskRowsMemo:
         assert a.skipped != b.skipped
         assert a.skipped & narrow.mask == b.skipped & wide.mask
         assert invariant_holds(narrow) == invariant_holds(wide)
-        assert failable_mask(narrow) == failable_mask(wide)
+        assert mask_rows(narrow).failable == mask_rows(wide).failable
         assert check_all(narrow).flags["invariant"] == invariant_holds(wide)
 
     def test_memo_never_grows_past_its_ceiling(self):

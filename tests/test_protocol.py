@@ -38,7 +38,7 @@ from chordcheck.errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from chordcheck.properties import failable_mask, invariant_holds
+from chordcheck.properties import invariant_holds, mask_rows
 from chordcheck.protocol import STEPS_CEILING, shared_step
 
 from conftest import (
@@ -87,6 +87,12 @@ def literal_join_predecessor(state, joiner):
     return None
 
 
+def canonical_key(step):
+    """The order ``enabled_steps`` builds its list in: by kind, then
+    actor, then argument, a missing argument first."""
+    return (int(step.kind), step.actor, -1 if step.arg is None else step.arg)
+
+
 class TestJoinEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 6).flatmap(
@@ -95,7 +101,7 @@ class TestJoinEnumeration:
         free = [i for i in range(s.space.size) if not s.is_member(i)]
         for churn in ("joins_only", "full"):
             steps = enabled_steps(s, churn=churn)
-            assert steps == sorted(steps, key=Step.sort_key)
+            assert steps == sorted(steps, key=canonical_key)
             joins = {st.actor: st.arg for st in steps if st.kind == StepKind.JOIN}
             assert len(joins) == sum(st.kind == StepKind.JOIN for st in steps)
             # a candidate gets a step exactly when some member covers it,
@@ -176,7 +182,7 @@ class TestFail:
         assert invariant_holds(s) == check_all(s).flags["invariant"]
         for member in s.idents():
             safe = safely_failable(s, member)
-            assert safe == invariant_holds(s.without_member(member)), member
+            assert safe == invariant_holds(s.derive(member)), member
             try:
                 step_fail(s, member)
             except FailUnsafeError:
@@ -227,35 +233,35 @@ class TestFailableMask:
     @settings(max_examples=300, deadline=None)
     @given(varied_states)
     def test_every_bit_is_the_single_fail_verdict(self, s):
-        failable = failable_mask(s)
+        failable = mask_rows(s).failable
         assert failable & ~s.mask == 0
         for x in s.idents():
             bit = failable >> x & 1 == 1
-            assert bit == safely_failable(s, x) == invariant_holds(s.without_member(x)), x
+            assert bit == safely_failable(s, x) == invariant_holds(s.derive(x)), x
 
     def test_member_listing_only_itself_live_is_not_stranded_by_its_fail(self):
         ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
         # 1's only live entry is 1 itself; its list skips every other member
         s = ring.with_node(NodeState(1, 0, (1, 2)))
-        assert failable_mask(s) == 1 << 1
+        assert mask_rows(s).failable == 1 << 1
         assert safely_failable(s, 1)
 
     def test_one_stranded_member_may_fail_and_blocks_every_other_fail(self):
         ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
-        assert failable_mask(ring) == sum(1 << x for x in (0, 4, 8, 12))
+        assert mask_rows(ring).failable == sum(1 << x for x in (0, 4, 8, 12))
         # 1 has no live entry and skips no one
         s = ring.with_node(NodeState(1, 0, (2, 3)))
         assert not invariant_holds(s)
-        assert failable_mask(s) == 1 << 1
+        assert mask_rows(s).failable == 1 << 1
         assert safely_failable(s, 1)
         # failing 4 leaves enough principals; only 1's stranding refuses it
-        assert len(principals(s.without_member(4))) >= 3
+        assert len(principals(s.derive(4))) >= 3
         assert not safely_failable(s, 4)
 
     def test_two_stranded_members_leave_no_fail(self):
         ring = ideal_ring(IdSpace(4), 2, [0, 4, 8, 12])
         s = ring.with_node(NodeState(1, 0, (2, 3))).with_node(NodeState(5, 4, (6, 7)))
-        assert failable_mask(s) == 0
+        assert mask_rows(s).failable == 0
         assert not any(safely_failable(s, x) for x in s.idents())
         assert [st for st in enabled_steps(s) if st.kind == StepKind.FAIL] == []
 
@@ -452,7 +458,7 @@ class TestEnabledSteps:
     def test_canonical_order_deterministic(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         assert enabled_steps(s) == enabled_steps(s)
-        keys = [st.sort_key() for st in enabled_steps(s)]
+        keys = [canonical_key(st) for st in enabled_steps(s)]
         assert keys == sorted(keys)
 
 

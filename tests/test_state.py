@@ -48,7 +48,7 @@ from conftest import (
 def literal_safely_failable(state, member):
     """Literal definition: after the member fails, every survivor still
     has a live successor and at least r + 1 members are principal."""
-    after = state.without_member(member)
+    after = state.derive(member)
     return (scan_one_live_successor(after)[0]
             and len(brute_force_principals(after)) >= state.r + 1)
 
@@ -81,6 +81,16 @@ class TestGlobalState:
     def test_rejects_lists_of_length_zero(self, space3):
         with pytest.raises(ValueError, match="r must be >= 1, got 0"):
             GlobalState(space3, 0, [])
+
+    def test_rejects_a_bool_list_length(self, space3):
+        # a trace of such a state would record "r":true and refuse to read it
+        message = "successor list length r must be an integer, got True"
+        with pytest.raises(ValueError, match=message):
+            GlobalState(space3, True, [NodeState(0, 0, (0,))])
+        with pytest.raises(ValueError, match=message):
+            ideal_ring(space3, True, [0, 2, 5])
+        with pytest.raises(ValueError, match=message):
+            make_state(space3, True, [(0, 0, (0,))])
 
     def test_rejects_duplicate_members(self, space3):
         with pytest.raises(ValueError, match="duplicate"):

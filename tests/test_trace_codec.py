@@ -330,17 +330,23 @@ def test_every_deleted_field_is_refused_by_name_or_optional(every_trace_kind, ki
 UNREFUSED_LINE_MUTANTS = {("script", "drop", "last"), ("fig4", "drop", "last")}
 
 
-def line_mutants(lines):
-    """Each (operation, place, lines) with one line dropped or repeated:
-    the header, the first, middle and last record lines, and the verdict
-    line; a line that two places name is mutated once."""
+def line_places(lines):
+    """Each (place, index) of the lines that mutants edit: the header, the
+    first, middle and last record lines, and the verdict line; a line
+    that two places name comes once."""
     last = len(lines) - 1
     places = {"header": 0, "first": 1, "middle": last // 2, "last": last - 1, "verdict": last}
     done = set()
     for place, at in places.items():
-        if at in done or not 0 <= at <= last:
-            continue
-        done.add(at)
+        if at not in done and 0 <= at <= last:
+            done.add(at)
+            yield place, at
+
+
+def line_mutants(lines):
+    """Each (operation, place, lines) with one line of ``line_places``
+    dropped or repeated."""
+    for place, at in line_places(lines):
         yield "drop", place, lines[:at] + lines[at + 1:]
         yield "repeat", place, lines[:at + 1] + lines[at:]
 
@@ -365,3 +371,93 @@ def test_every_dropped_or_repeated_line_is_refused(every_trace_kind, kind, tmp_p
         else:
             assert code == EXIT_VIOLATION and "replay mismatch: " in err, (op, place, code, err)
     assert {"header", "first", "verdict"} <= {place for _, place, _ in outcomes}
+
+
+def retyped(value):
+    """``value`` as a JSON value of another type: a boolean as its integer,
+    an integer as its float, a float as its integer, a string as its
+    length, null as 0."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return float(value)
+    if type(value) is float:
+        return int(value)
+    if type(value) is str:
+        return len(value)
+    assert value is None
+    return 0
+
+
+def leaf_edits(doc, path=()):
+    """Each (operation, path, value) of ``doc``: every list emptied and
+    lengthened by a copy of its last entry, and every leaf retyped; a
+    list already empty is not emptied again."""
+    if isinstance(doc, dict):
+        for name in sorted(doc):
+            yield from leaf_edits(doc[name], path + (name,))
+    elif isinstance(doc, list):
+        if doc:
+            yield "empty", path, []
+            yield "lengthen", path, doc + doc[-1:]
+        for i, value in enumerate(doc):
+            yield from leaf_edits(value, path + (i,))
+    else:
+        yield "retype", path, retyped(doc)
+
+
+def edited_doc(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# the leaf mutants that read and replay clean. The header's creation time,
+# tool version and scenario digest, and a prelude entry's type, are
+# written for people and never read (see OPTIONAL); a repeated pending
+# notification collapses into the one it repeats; and these meta entries
+# of the verdict line are never read back: a repro's scenario, m and r, a
+# simulate's seed, window and churn, and a converge's seed, and its
+# step_cap once it has converged
+UNREFUSED_LEAF_MUTANTS = (
+    {(kind, "header", "retype", (name,)) for kind in KINDS
+     for name in ("created_at", "tool_version", "scenario_digest")}
+    | {("converge", "header", "retype", ("prelude", 0, "type")),
+       ("converge", "header", "lengthen", ("seed_state", "pending_notify"))}
+    | {(kind, "verdict", "retype", ("meta", name)) for kind, names in (
+        ("fig3", ("scenario", "m", "r")), ("fig4", ("scenario", "m", "r")),
+        ("simulate", ("seed", "fairness_window", "churn")), ("converge", ("seed", "step_cap")))
+       for name in names}
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_retyped_emptied_or_lengthened_leaf_is_refused(every_trace_kind, kind, tmp_path,
+                                                             capsys):
+    path = str(tmp_path / "mutant.trace")
+    save_trace(every_trace_kind[kind], path, "0" * 64)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    clean = set()
+    for place, at in line_places(lines):
+        doc = json.loads(lines[at])
+        for op, where, value in leaf_edits(doc):
+            with open(path, "w") as fh:
+                fh.write("\n".join([*lines[:at], canonical(edited_doc(doc, where, value)),
+                                    *lines[at + 1:]]) + "\n")
+            # an exception other than the refusals fails the test here
+            code = main(["replay", path])
+            err = capsys.readouterr().err
+            if code == EXIT_OK:
+                clean.add((kind, place, op, where))
+            elif code == EXIT_SCHEMA:
+                # the line, and the field by its name or its list's
+                name = [key for key in where if isinstance(key, str)][-1]
+                assert f"line {at + 1}" in err and name in err, (place, op, where, err)
+            else:
+                assert code == EXIT_VIOLATION and "replay mismatch: " in err, (
+                    place, op, where, code, err)
+    assert clean == {mutant for mutant in UNREFUSED_LEAF_MUTANTS if mutant[0] == kind}
