@@ -99,15 +99,12 @@ def _output_trace(trace: Trace, out: str | None, scenario_digest: str | None = N
 def _load(args) -> Scenario:
     if args.m is not None and not 1 <= args.m <= MAX_BITS:
         raise _UsageError(f"--m must be in 1..{MAX_BITS}, got {args.m}")
-    if args.r is not None and args.r < 1:
-        raise _UsageError(f"--r must be >= 1, got {args.r}")
-    return load_scenario(args.scenario, m_override=args.m, r_override=args.r)
+    return load_scenario(args.scenario, m_override=args.m)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="path to a scenario JSON file")
     p.add_argument("--m", type=int, default=None, help="override the identifier bit width")
-    p.add_argument("--r", type=int, default=None, help="override the successor list length")
 
 
 def build_parser() -> argparse.ArgumentParser:

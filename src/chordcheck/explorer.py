@@ -155,6 +155,12 @@ def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, Pr
 _KINDS = ("script", "repro", "explore", "simulate", "converge")
 # the kinds whose traces can say ``ok`` are told apart by these meta entries
 _MARKS = {"script": set(), "simulate": {"steps_requested"}, "repro": {"violates"}}
+# the type of each meta entry a kind's writer records, where it is present
+_META_TYPES = {
+    "repro": {"scenario": str, "m": int, "r": int, "violates": str},
+    "simulate": {"seed": int, "fairness_window": int, "churn": str, "steps_requested": int},
+    "converge": {"seed": int, "fairness_window": int, "step_cap": int},
+}
 
 
 def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalState,
@@ -184,28 +190,31 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
     first, a simulate trace the second and a script trace neither.
 
     A trace that no rule judges (an unknown kind, meta that does not mark
-    its kind, a repro trace whose ``violates`` names no flag, an explore
-    trace that is no counterexample, a simulate or converge trace of
-    another length than its run stops at) raises
-    :class:`ReplayMismatchError`.
+    its kind or holds an entry of another type than its writer records, a
+    repro trace whose ``violates`` names no flag, an explore trace that is
+    no counterexample, a simulate or converge trace of another length than
+    its run stops at) raises :class:`ReplayMismatchError`.
     """
     marks = _MARKS.get(kind)
     if marks is not None and marks != meta.keys() & {"violates", "steps_requested"}:
         raise ReplayMismatchError(f"the meta of a {kind} trace must carry exactly {sorted(marks)} "
                                   "of 'violates' and 'steps_requested'")
+    for name, expected in _META_TYPES.get(kind, {}).items():
+        if name in meta and type(meta[name]) is not expected:
+            raise ReplayMismatchError(f"a {kind} trace records meta {name!r} as "
+                                      f"{expected.__name__}, got {meta[name]!r}")
     if kind == "script":
         return "ok", {}
     if kind == "simulate":
         requested = meta["steps_requested"]
-        if type(requested) is not int or not (
-                len(records) == requested or len(records) < requested and not final.live_count):
+        if not (len(records) == requested or len(records) < requested and not final.live_count):
             raise ReplayMismatchError(
                 f"a simulate trace with steps_requested {requested!r} has {len(records)} "
                 "records, and its final state has members")
         return "ok", {}
     if kind == "repro":
-        violates = meta.get("violates")
-        if not records or type(violates) is not str or violates not in records[-1].flags:
+        violates = meta["violates"]
+        if not records or violates not in records[-1].flags:
             raise ReplayMismatchError(
                 f"a repro trace's meta 'violates' must name a flag of its last record, "
                 f"got {violates!r}")
@@ -227,10 +236,10 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
             expected = meta.get("step_cap")
         elif converged:
             window = meta.get("fairness_window")
-            expected = steps_to_ideal + window if type(window) is int else window
+            expected = None if window is None else steps_to_ideal + window
         else:
             expected = ideal.index(False, steps_to_ideal) + 1
-        if type(expected) is not int or len(records) != expected:
+        if len(records) != expected:
             raise ReplayMismatchError(
                 f"a converge trace with steps_to_ideal {steps_to_ideal!r} has {len(records)} "
                 f"records; its run stops after {expected!r}")
@@ -473,6 +482,10 @@ class Schedule:
     seed: int
     fairness_window: int | None = None
 
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int or type(self.fairness_window) not in (int, type(None)):
+            raise ValueError(f"seed and fairness_window must be integers, got {self!r}")
+
     def window_for(self, state: GlobalState) -> int:
         window = self.fairness_window
         if window is None:
@@ -604,19 +617,16 @@ def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
     remains-ideal claims hold over the measured records.
     """
     records = []
-    index = 0
     for member, candidate in state.pending_stabilize:
         step = shared_step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         state = apply_step(state, step)
-        records.append(_record(index, step, state)[0])
-        index += 1
-    for target, new_prdc in sorted(state.pending_notify):
+        records.append(_record(len(records), step, state)[0])
+    for target, new_prdc in state.pending_notify:
         if not state.is_member(target):
             continue
         step = shared_step(StepKind.RECTIFY, target, new_prdc)
         state = apply_step(state, step)
-        records.append(_record(index, step, state)[0])
-        index += 1
+        records.append(_record(len(records), step, state)[0])
     return state, records
 
 
@@ -650,8 +660,6 @@ def converge(
     index = 0
     while index < limit:
         step = sched.pick(state)
-        if step is None:
-            break
         state = apply_step(state, step)
         sched.account(step, state)
         record = _record(index, step, state)[0]

@@ -49,11 +49,6 @@ def step_to_doc(step: Step) -> dict:
     return doc
 
 
-def _is_int(value: object) -> bool:
-    """An integer, and not a JSON true/false (``bool`` subclasses ``int``)."""
-    return type(value) is int
-
-
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ScenarioFormatError(message)
@@ -107,16 +102,16 @@ def _members_from_doc(recs: object, where: str, space: IdSpace, r: int) -> tuple
         for key in ("id", "prdc", "succ_list"):
             _expect(key in rec, f"{at} is missing field {key!r}")
         ident, prdc, succ = rec["id"], rec["prdc"], rec["succ_list"]
-        _expect(_is_int(ident) and space.contains(ident),
+        _expect(type(ident) is int and space.contains(ident),
                 f"{at}.id {ident!r} outside [0, {space.size})")
         _expect(ident not in seen, f"{at}.id {ident} duplicates an earlier member")
         seen.add(ident)
-        _expect(_is_int(prdc) and space.contains(prdc),
+        _expect(type(prdc) is int and space.contains(prdc),
                 f"{at}.prdc {prdc!r} outside [0, {space.size})")
         _expect(isinstance(succ, list) and len(succ) == r,
                 f"{at}.succ_list must have exactly r={r} entries, got {succ!r}")
         for e in succ:
-            _expect(_is_int(e) and space.contains(e),
+            _expect(type(e) is int and space.contains(e),
                     f"{at}.succ_list entry {e!r} outside [0, {space.size})")
         nodes.append(NodeState(ident, prdc, tuple(succ)))
     return tuple(nodes)
@@ -135,10 +130,11 @@ def _pending_from_doc(entries: object, where: str, space: IdSpace) -> tuple[tupl
     of two identifiers of ``space``; ``where`` names the field in errors."""
     _expect(isinstance(entries, list), f"field {where!r} must be a list of pairs, got {entries!r}")
     for i, entry in enumerate(entries):
-        _expect(isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry)),
+        _expect(isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry),
                 f"{where}[{i}] must be a list of two integers, got {entry!r}")
         _expect(all(map(space.contains, entry)),
                 f"{where}[{i}] holds an identifier outside [0, {space.size}), got {entry!r}")
+        _expect(entry not in entries[:i], f"{where}[{i}] repeats an earlier entry {entry!r}")
     return tuple(tuple(entry) for entry in entries)
 
 
@@ -191,14 +187,14 @@ def _config_block(doc: dict, name: str) -> dict:
     return dict(block)
 
 
-def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int | None = None) -> Scenario:
+def scenario_from_doc(doc: dict, m_override: int | None = None) -> Scenario:
     _expect(isinstance(doc, dict), "scenario must be a JSON object")
     _expect(doc.get("version") == SCENARIO_VERSION,
             f"unsupported scenario version {doc.get('version')!r}")
     m = m_override if m_override is not None else doc.get("m")
-    r = r_override if r_override is not None else doc.get("r")
-    _expect(_is_int(m), f"field 'm' must be an integer, got {m!r}")
-    _expect(_is_int(r) and r >= 1, f"field 'r' must be a positive integer, got {r!r}")
+    r = doc.get("r")
+    _expect(type(m) is int, f"field 'm' must be an integer, got {m!r}")
+    _expect(type(r) is int and r >= 1, f"field 'r' must be a positive integer, got {r!r}")
     try:
         space = IdSpace(m)
     except ValueError as exc:
@@ -237,7 +233,7 @@ def scenario_from_doc(doc: dict, m_override: int | None = None, r_override: int 
     )
 
 
-def load_scenario(path: str, m_override: int | None = None, r_override: int | None = None) -> Scenario:
+def load_scenario(path: str, m_override: int | None = None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -251,7 +247,7 @@ def load_scenario(path: str, m_override: int | None = None, r_override: int | No
         ) from None
     except (ValueError, RecursionError) as exc:  # an overlong integer, or deep nesting
         raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_doc(doc, m_override, r_override)
+    return scenario_from_doc(doc, m_override)
 
 
 # -- traces -------------------------------------------------------------------
@@ -284,9 +280,11 @@ def _check_record(rec: TraceRecord, pos: int) -> None:
         raise ValueError(f"record {pos}: every flag must be true or false, got {flags!r}")
     if type(cumulative) is not int:
         raise ValueError(f"record {pos}: 'cumulative_error' must be an integer, got {cumulative!r}")
-    kind, actor, arg = step.kind, step.actor, step.arg
+    kind, actor, arg, forced = step
     arg_ok = kind not in _NEEDS_ARG if arg is None else type(arg) is int and kind not in _TAKES_NO_ARG
-    if kind not in _KIND_NAMES or type(actor) is not int or not arg_ok:
+    # step_to_doc writes ``forced`` on a fail only
+    if (kind not in _KIND_NAMES or type(actor) is not int or not arg_ok
+            or type(forced) is not bool or forced and kind != StepKind.FAIL):
         raise ValueError(f"record {pos}: no trace step reads back as {step!r}")
 
 
@@ -369,11 +367,10 @@ def _record_from_doc(doc: dict, line: int, pos: int, prelude: bool = False) -> T
     the ``pos``-th record line, or entry ``pos`` of the header's prelude
     (``prelude``). Its index must be ``pos``."""
     where = f"prelude[{pos}]" if prelude else "record"
-    try:
-        index, step, digest = doc["index"], doc["step"], doc["state_digest"]
-        flags, cumulative = doc["flags"], doc["cumulative_error"]
-    except KeyError as exc:
-        raise _record_error(line, where, f"is missing field {exc.args[0]!r}") from None
+    index, step, digest, flags, cumulative = _fields(
+        doc, ("index", "step", "state_digest", "flags", "cumulative_error"), line, where)
+    if doc.get("type", "record") != "record":  # a prelude entry may leave its type out
+        raise _record_error(line, where, f"field 'type' must be 'record', got {doc['type']!r}")
     if type(index) is not int:
         raise _record_error(line, where, f"field 'index' must be an integer, got {index!r}")
     if index != pos:
@@ -457,11 +454,13 @@ def read_trace(fh: IO[str]) -> Trace:
                                f"got {header.get('format')!r}")
     try:
         m, r, kind, initial = _fields(header, ("m", "r", "kind", "initial"), first, "header")
-        if not (_is_int(m) and _is_int(r) and r >= 1):
+        if not (type(m) is int and type(r) is int and r >= 1):
             raise TraceFormatError(f"line {first}: header 'm' and 'r' must be integers, 'r' "
                                    f"positive, got {m!r} and {r!r}")
-        if not isinstance(kind, str):
-            raise TraceFormatError(f"line {first}: header 'kind' must be a string, got {kind!r}")
+        for name in ("kind", "created_at", "tool_version", "scenario_digest"):
+            if type(header.get(name, "")) is not str:
+                raise TraceFormatError(f"line {first}: header {name!r} must be a string, "
+                                       f"got {header[name]!r}")
         try:
             space = IdSpace(m)
         except ValueError as exc:

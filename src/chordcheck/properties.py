@@ -28,12 +28,12 @@ read from a trace, so a replay that finds the report its run computed
 still compares every record with a report derived from the members.
 
 Every property result has one path: :func:`check_all` builds the report
-with its flags, witnesses and metric, and :func:`error_metric` and
-:func:`is_ideal` read that report. The ring properties (at least one
-ring, at most one ring, an ordered ring, connected appendages) all come
-from the table of best successors that the facts give. Ideality is zero
-pointer error: the ideal flag, its witness and :func:`is_ideal` read the
-metric.
+with its flags, witnesses and metric in one pass over the members'
+facts, and :func:`error_metric` and :func:`is_ideal` read that report.
+The ring properties (at least one ring, at most one ring, an ordered
+ring, connected appendages) all come from the table of best successors
+that the facts give. Ideality is zero pointer error: the ideal flag, its
+witness and :func:`is_ideal` read the metric.
 
 ``Invariant`` is the conjunction of just two properties: every member has
 a live successor, and at least r + 1 members are principal. A snapshot's
@@ -321,19 +321,21 @@ def check_all(state: GlobalState) -> PropertyReport:
 
 @lru_cache(maxsize=REPORTS_CEILING)
 def _report(m: int, r: int, members: tuple[NodeState, ...]) -> PropertyReport:
-    """Every flag, witness and the metric of a network of ``members`` in
-    the space of width ``m``, from their facts (see :func:`check_all`)."""
+    """Every flag, witness and the metric of ``members`` in the space of
+    width ``m``, from one pass over their facts (see :func:`check_all`)."""
     live = sum(1 << node.ident for node in members)
-    rows = [_member_facts(m, live, node) for node in members]
-    metric = _metric(members, rows)
-    required = r + 1
     stranded = []
     duplicated = []
     disorder = None
     succ = {}
     skipped = 0
-    for node, (head, skips, repeats, triple, _, _, _) in zip(members, rows):
+    succ_err: dict[int, int] = {}
+    pred_err: dict[int, int] = {}
+    list_err: dict[int, int] = {}
+    error_witness = None
+    for node in members:
         ident = node.ident
+        head, skips, repeats, triple, succ_e, pred_e, list_e = _member_facts(m, live, node)
         succ[ident] = head
         if head is None:
             stranded.append(ident)
@@ -342,25 +344,33 @@ def _report(m: int, r: int, members: tuple[NodeState, ...]) -> PropertyReport:
             duplicated.append(ident)
         if disorder is None and triple is not None:
             disorder = (ident, triple)
+        succ_err[ident], pred_err[ident], list_err[ident] = succ_e, pred_e, list_e
+        # a zero predecessor error is exactly a globally correct predecessor
+        if error_witness is None and (list_e or pred_e):
+            error_witness = (ident, "succ_list" if list_e else "prdc")
+    metric = ErrorMetric(len(members), succ_err, pred_err, list_err,
+                         sum(succ_err.values()) + sum(pred_err.values()), error_witness)
+    required = r + 1
     principal = live & ~skipped
     enough = principal.bit_count() >= required
+    # in FLAG_NAMES order; the invariant's witnesses are its conjuncts'
     checks = [
         ("one_live_successor", not stranded, tuple(stranded)),
         ("sufficient_principals", enough, None if enough else {
             "principals": tuple(n.ident for n in members if principal >> n.ident & 1),
             "required": required,
         }),
+        ("invariant", not stranded and enough, None),
         ("no_duplicates", not duplicated, tuple(duplicated)),
         ("ordered_successor_lists", disorder is None, disorder),
         *_ring_flags(IdSpace(m), members, succ),
         ("ideal", metric.ideal, metric.witness),
     ]
-    flags = {name: ok for name, ok, _ in checks}
-    flags["invariant"] = not stranded and enough
     return PropertyReport(
-        flags={name: flags[name] for name in FLAG_NAMES},
+        flags={name: ok for name, ok, _ in checks},
         metric=metric,
-        witnesses={name: witness for name, ok, witness in checks if not ok},
+        witnesses={name: witness for name, ok, witness in checks
+                   if not ok and name != "invariant"},
     )
 
 
@@ -483,25 +493,3 @@ def _member_facts(m: int, mask: int, node: NodeState) -> MemberFacts:
         list_err,
     )
 
-
-def _metric(members: tuple[NodeState, ...], rows: list[MemberFacts]) -> ErrorMetric:
-    succ_err: dict[int, int] = {}
-    pred_err: dict[int, int] = {}
-    list_err: dict[int, int] = {}
-    witness = None
-    for node, (_, _, _, _, succ_error, pred_error, list_error) in zip(members, rows):
-        ident = node.ident
-        succ_err[ident] = succ_error
-        pred_err[ident] = pred_error
-        list_err[ident] = list_error
-        # a zero predecessor error is exactly a globally correct predecessor
-        if witness is None and (list_error or pred_error):
-            witness = (ident, "succ_list" if list_error else "prdc")
-    return ErrorMetric(
-        s=len(rows),
-        successor_error=succ_err,
-        predecessor_error=pred_err,
-        list_error=list_err,
-        cumulative=sum(succ_err.values()) + sum(pred_err.values()),
-        witness=witness,
-    )

@@ -66,13 +66,16 @@ class NodeState(NamedTuple):
 
 
 def _check_node(node: NodeState, r: int, size: int) -> None:
-    if len(node.succ_list) != r:
+    ident, prdc, succ_list = node
+    if len(succ_list) != r:
         raise ValueError(
-            f"member {node.ident} has a successor list of length "
-            f"{len(node.succ_list)}, expected exactly r={r}"
+            f"member {ident} has a successor list of length "
+            f"{len(succ_list)}, expected exactly r={r}"
         )
-    if not all(0 <= i < size for i in (node.ident, node.prdc, *node.succ_list)):
-        raise ValueError(f"member {node.ident} holds an identifier outside [0, {size})")
+    for name, values in (("ident", (ident,)), ("prdc", (prdc,)), ("succ_list", succ_list)):
+        if not all(type(i) is int and 0 <= i < size for i in values):  # a bool is no identifier
+            raise ValueError(f"member {ident!r}: {name} {values!r} holds a non-integer or an "
+                             f"identifier outside [0, {size})")
 
 
 def _pack_lists(node: NodeState, m: int) -> int:
@@ -195,8 +198,11 @@ class GlobalState(_Fields):
             mask |= 1 << node.ident
         pending_stabilize = tuple(sorted(pending_stabilize))
         pending_notify = tuple(sorted(set(pending_notify)))  # duplicates collapse
-        if not all(0 <= i < size for entry in pending_stabilize + pending_notify for i in entry):
-            raise ValueError(f"a pending entry holds an identifier outside [0, {size})")
+        for name, entries in (("pending_stabilize", pending_stabilize),
+                              ("pending_notify", pending_notify)):
+            if not all(type(i) is int and 0 <= i < size for entry in entries for i in entry):
+                raise ValueError(f"{name} {entries!r} holds a non-integer or an identifier "
+                                 f"outside [0, {size})")
         candidates = dict(pending_stabilize)
         if len(candidates) != len(pending_stabilize):
             raise ValueError("a member owns more than one stabilize in flight")

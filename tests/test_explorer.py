@@ -542,6 +542,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="step_cap must be an integer, got True"):
             converge(s, Schedule(seed=1), step_cap=True)
 
+    @pytest.mark.parametrize("seed,window", [(True, None), (1.0, None), ("1", None),
+                                             (1, True), (1, 6.0)],
+                             ids=["seed true", "seed 1.0", "seed '1'", "window true", "window 6.0"])
+    def test_schedule_settings_must_be_integers(self, seed, window):
+        # a trace records both, and its reader refuses another type
+        with pytest.raises(ValueError, match="seed and fairness_window must be integers"):
+            Schedule(seed=seed, fairness_window=window)
+
     def test_window_must_cover_members(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 4, 6])
         with pytest.raises(ValueError):
@@ -971,9 +979,12 @@ class TestDigest:
             "704fad55de18b2224f8cc8b362b6fb0033e02955201bac9774caee6600ae3e02"
 
     def test_boolean_fields_digest_like_their_integer_twins(self, space3):
-        twin = make_state(space3, 2, [(1, 1, (1, 1))])
-        boolean = GlobalState(space3, 2, [NodeState(True, True, (True, 1))])
-        assert boolean == twin
+        ring = ideal_ring(space3, 2, [0, 2, 5])
+        twin = apply_step(ring, Step(StepKind.JOIN, 1, 0))
+        # the constructor refuses a bool identifier, but a step's actor is
+        # not checked, and a join makes it a member
+        boolean = apply_step(ring, Step(StepKind.JOIN, True, 0))
+        assert boolean == twin and boolean.members[1].ident is True
         # whichever of the two the memo sees first, both give one text
         for first, second in ((boolean, twin), (twin, boolean)):
             _member_text.cache_clear()

@@ -756,7 +756,6 @@ class TestCli:
             ["converge", "--fairness-window", "0"],
             ["simulate", "--steps", "-1"],
             ["converge", "--steps", "-1"],
-            ["check", "--r", "0"],
             ["check", "--m", "0"],
             ["check", "--m", "20"],
         )],
@@ -766,7 +765,7 @@ class TestCli:
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv, block):
         path = write_scenario(tmp_path, {**IDEAL3, **block})
         assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
-        if argv[1:2] in (["--m"], ["--r"]):
+        if argv[1:2] == ["--m"]:
             # the message gives the flag's own value, not the scenario's
             err = capsys.readouterr().err
             assert f"usage error: {argv[1]} must be" in err and err.endswith(f"got {argv[2]}\n")
@@ -782,10 +781,17 @@ class TestCli:
 
     def test_m_override_revalidates(self, tmp_path):
         path = write_scenario(tmp_path, IDEAL3)
-        # shrinking the space below the member identifiers must fail loudly,
-        # and so must a list length the scenario's lists do not have
+        # shrinking the space below the member identifiers must fail loudly
         assert main(["check", path, "--m", "2"]) == EXIT_SCHEMA
-        assert main(["check", path, "--r", "3"]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("command", ["check", "explore", "simulate", "converge"])
+    def test_r_is_an_unknown_argument(self, tmp_path, capsys, command):
+        # every succ_list holds exactly the scenario's r entries, so an
+        # r override could only repeat it
+        path = write_scenario(tmp_path, IDEAL3)
+        for value in ("0", "2", "3"):
+            assert main([command, path, "--r", value]) == EXIT_USAGE
+            assert f"unrecognized arguments: --r {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,code", [
         pytest.param(["repro", "fig3"], EXIT_OK, id="repro"),

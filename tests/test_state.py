@@ -92,6 +92,24 @@ class TestGlobalState:
         with pytest.raises(ValueError, match=message):
             make_state(space3, True, [(0, 0, (0,))])
 
+    @pytest.mark.parametrize("nodes,pending,field", [
+        ([NodeState(True, 5, (2, 5)), NodeState(2, 1, (5, 1)), NodeState(5, 2, (1, 2))], {},
+         "ident"),
+        ([NodeState(0, True, (2, 5)), NodeState(2, 0, (5, 0)), NodeState(5, 2, (0, 2))], {},
+         "prdc"),
+        ([NodeState(0, 5, (2, 5)), NodeState(2, 0, (5, True)), NodeState(5, 2, (0, 2))], {},
+         "succ_list"),
+        ([], {"pending_stabilize": [(0, True)]}, "pending_stabilize"),
+        ([], {"pending_notify": [(True, 2)]}, "pending_notify"),
+    ], ids=["ident", "prdc", "succ_list", "pending_stabilize", "pending_notify"])
+    def test_rejects_a_bool_identifier(self, space3, nodes, pending, field):
+        # True passes a range check as 1, but a trace would record it as
+        # true and refuse to read it, and its digest would differ from its
+        # integer twin's
+        ring = ideal_ring(space3, 2, [0, 2, 5]).members
+        with pytest.raises(ValueError, match=rf"{field} .*non-integer"):
+            GlobalState(space3, 2, nodes or ring, **pending)
+
     def test_rejects_duplicate_members(self, space3):
         with pytest.raises(ValueError, match="duplicate"):
             make_state(space3, 2, [(0, 0, (1, 2)), (0, 1, (2, 3))])

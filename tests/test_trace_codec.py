@@ -89,6 +89,14 @@ class TestWrite:
             step=Step(StepKind.STABILIZE_FROM_PREDECESSOR, 3))}),
         ("records", lambda recs: {2: recs[2]._replace(step=Step(StepKind.FAIL, 3, 4))}),
         ("records", lambda recs: {2: recs[2]._replace(step=Step(7, 3))}),
+        # a step writes ``forced`` only on a fail, and only as true
+        *[("records", lambda recs, step=step: {2: recs[2]._replace(step=step)}) for step in (
+            Step(StepKind.STABILIZE_FROM_SUCCESSOR, 0, None, True),
+            Step(StepKind.STABILIZE_FROM_SUCCESSOR, 0, None, "yes"),
+            Step(StepKind.STABILIZE_FROM_SUCCESSOR, 0, None, 1),
+            Step(StepKind.FAIL, 3, None, 1),
+            Step(StepKind.FAIL, 3, None, "yes"),
+        )],
         ("prelude", lambda recs: {0: recs[0]._replace(index=False)}),
         ("prelude", lambda recs: {0: recs[0]._replace(flags={**recs[0].flags, "ideal": 1})}),
     ])
@@ -233,7 +241,7 @@ class TestNamedFields:
 
 # the fields a trace may lack and still read and replay as it did: the
 # header's creation time, tool version and scenario digest are written
-# for people and never read, and a prelude entry is a record by its place
+# for people, and a prelude entry is a record by its place
 OPTIONAL = {("header", "created_at"), ("header", "tool_version"), ("header", "scenario_digest"),
             ("prelude[0]", "type")}
 
@@ -415,25 +423,6 @@ def edited_doc(doc, path, value):
     return doc
 
 
-# the leaf mutants that read and replay clean. The header's creation time,
-# tool version and scenario digest, and a prelude entry's type, are
-# written for people and never read (see OPTIONAL); a repeated pending
-# notification collapses into the one it repeats; and these meta entries
-# of the verdict line are never read back: a repro's scenario, m and r, a
-# simulate's seed, window and churn, and a converge's seed, and its
-# step_cap once it has converged
-UNREFUSED_LEAF_MUTANTS = (
-    {(kind, "header", "retype", (name,)) for kind in KINDS
-     for name in ("created_at", "tool_version", "scenario_digest")}
-    | {("converge", "header", "retype", ("prelude", 0, "type")),
-       ("converge", "header", "lengthen", ("seed_state", "pending_notify"))}
-    | {(kind, "verdict", "retype", ("meta", name)) for kind, names in (
-        ("fig3", ("scenario", "m", "r")), ("fig4", ("scenario", "m", "r")),
-        ("simulate", ("seed", "fairness_window", "churn")), ("converge", ("seed", "step_cap")))
-       for name in names}
-)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_retyped_emptied_or_lengthened_leaf_is_refused(every_trace_kind, kind, tmp_path,
                                                              capsys):
@@ -460,4 +449,4 @@ def test_every_retyped_emptied_or_lengthened_leaf_is_refused(every_trace_kind, k
             else:
                 assert code == EXIT_VIOLATION and "replay mismatch: " in err, (
                     place, op, where, code, err)
-    assert clean == {mutant for mutant in UNREFUSED_LEAF_MUTANTS if mutant[0] == kind}
+    assert not clean, clean
