@@ -55,10 +55,10 @@ def state_digest(state: GlobalState) -> str:
     (:func:`_member_text`), so a step that changes one member formats at
     most that member anew; ``m``, ``r`` and the pending tuples are
     formatted per call. A member's text is the ``repr`` of its
-    :class:`NodeState` with integer fields, and the members are joined as
-    a tuple's ``repr`` joins them (a lone member keeps its trailing
-    comma), so the text, and every digest, is the one the literal
-    ``repr`` gives.
+    :class:`NodeState`, and the members are joined as a tuple's ``repr``
+    joins them (a lone member keeps its trailing comma), so the text, and
+    every digest, is the one the literal ``repr`` gives, with every
+    identifier written as an integer (a ``bool`` as the 1 or 0 it equals).
     """
     key = (state.space.m, state.r, state.key)
     digest = _digests.get(key)
@@ -75,8 +75,10 @@ def _digest(state: GlobalState) -> str:
     members = ", ".join(map(_member_text, state.members))
     if len(state.members) == 1:
         members += ","
-    text = (f"({state.space.m!r}, {state.r!r}, ({members}), "
-            f"{state.pending_stabilize!r}, {state.pending_notify!r})")
+    # as in a member's text, a bool identifier reads as the integer it equals
+    pending = f"{state.pending_stabilize!r}, {state.pending_notify!r}"
+    pending = pending.replace("True", "1").replace("False", "0")
+    text = f"({state.space.m!r}, {state.r!r}, ({members}), {pending})"
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
@@ -103,13 +105,11 @@ MEMBER_TEXTS_CEILING = 1024
 
 @lru_cache(maxsize=MEMBER_TEXTS_CEILING)
 def _member_text(node: NodeState) -> str:
-    """``repr(node)`` with every field formatted as an integer, so that
-    members that compare equal (``True`` and ``1``) give one text whichever
-    the memo saw first."""
-    entries = ", ".join(f"{entry:d}" for entry in node.succ_list)
-    if len(node.succ_list) == 1:
-        entries += ","
-    return f"NodeState(ident={node.ident:d}, prdc={node.prdc:d}, succ_list=({entries}))"
+    """``repr(node)`` with every identifier written as an integer: derive
+    checks no types, and members that compare equal (``True`` and ``1``)
+    share the text the memo saw first. No other text of a member holds
+    either word."""
+    return repr(node).replace("True", "1").replace("False", "0")
 
 
 class TraceRecord(NamedTuple):

@@ -129,13 +129,16 @@ def _pending_from_doc(entries: object, where: str, space: IdSpace) -> tuple[tupl
     """The pending entries of a trace state's field ``where``, each a list
     of two identifiers of ``space``; ``where`` names the field in errors."""
     _expect(isinstance(entries, list), f"field {where!r} must be a list of pairs, got {entries!r}")
+    pairs: dict[tuple[int, int], None] = {}  # in file order; a set lookup finds a repeat
     for i, entry in enumerate(entries):
         _expect(isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry),
                 f"{where}[{i}] must be a list of two integers, got {entry!r}")
         _expect(all(map(space.contains, entry)),
                 f"{where}[{i}] holds an identifier outside [0, {space.size}), got {entry!r}")
-        _expect(entry not in entries[:i], f"{where}[{i}] repeats an earlier entry {entry!r}")
-    return tuple(tuple(entry) for entry in entries)
+        pair = (entry[0], entry[1])
+        _expect(pair not in pairs, f"{where}[{i}] repeats an earlier entry {entry!r}")
+        pairs[pair] = None
+    return tuple(pairs)
 
 
 # -- scenarios ----------------------------------------------------------------

@@ -68,10 +68,8 @@ class NodeState(NamedTuple):
 def _check_node(node: NodeState, r: int, size: int) -> None:
     ident, prdc, succ_list = node
     if len(succ_list) != r:
-        raise ValueError(
-            f"member {ident} has a successor list of length "
-            f"{len(succ_list)}, expected exactly r={r}"
-        )
+        raise ValueError(f"member {ident} has a successor list of length {len(succ_list)}, "
+                         f"expected exactly r={r}")
     for name, values in (("ident", (ident,)), ("prdc", (prdc,)), ("succ_list", succ_list)):
         if not all(type(i) is int and 0 <= i < size for i in values):  # a bool is no identifier
             raise ValueError(f"member {ident!r}: {name} {values!r} holds a non-integer or an "

@@ -979,15 +979,32 @@ class TestDigest:
             "704fad55de18b2224f8cc8b362b6fb0033e02955201bac9774caee6600ae3e02"
 
     def test_boolean_fields_digest_like_their_integer_twins(self, space3):
-        ring = ideal_ring(space3, 2, [0, 2, 5])
-        twin = apply_step(ring, Step(StepKind.JOIN, 1, 0))
-        # the constructor refuses a bool identifier, but a step's actor is
-        # not checked, and a join makes it a member
-        boolean = apply_step(ring, Step(StepKind.JOIN, True, 0))
-        assert boolean == twin and boolean.members[1].ident is True
+        twin = make_state(space3, 2, [(1, 1, (1, 1))], pending_stabilize=[(1, 1)],
+                          pending_notify=[(1, 1)])
+        # the constructor refuses a bool identifier, but derive, which the
+        # steps build through, checks no types
+        boolean = GlobalState(space3, 2, ()).derive(
+            True, NodeState(True, True, (True, 1)), True, sent=(True, True))
+        assert boolean == twin
+        (node,), ((owner, candidate),), (notify,) = (
+            boolean.members, boolean.pending_stabilize, boolean.pending_notify)
+        assert all(x is True for x in (node.ident, node.prdc, node.succ_list[0],
+                                       owner, candidate, *notify))
         # whichever of the two the memo sees first, both give one text
         for first, second in ((boolean, twin), (twin, boolean)):
             _member_text.cache_clear()
+            explorer._digests.clear()
+            assert state_digest(first) == state_digest(second) == literal_digest(twin)
+
+    def test_boolean_notification_from_steps_digests_like_its_twin(self, space3):
+        # a join by actor True, then its stabilize, notifies member 2
+        ring = ideal_ring(space3, 2, [0, 2, 5])
+        twin, boolean = (
+            apply_step(apply_step(ring, Step(StepKind.JOIN, actor, 0)),
+                       Step(StepKind.STABILIZE_FROM_SUCCESSOR, actor))
+            for actor in (1, True))
+        assert boolean == twin and boolean.pending_notify[0][1] is True
+        for first, second in ((boolean, twin), (twin, boolean)):
             explorer._digests.clear()
             assert state_digest(first) == state_digest(second) == literal_digest(twin)
 

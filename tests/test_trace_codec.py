@@ -198,6 +198,8 @@ class TestNamedFields:
          "line 1: initial.pending_notify[0] must be a list of two integers, got [1]"),
         (lambda docs: docs[0]["initial"].update(pending_notify=[[2, 8]]),
          "line 1: initial.pending_notify[0] holds an identifier outside [0, 8), got [2, 8]"),
+        (lambda docs: docs[0]["initial"].update(pending_notify=[[1, 2], [0, 1], [1, 2]]),
+         "line 1: initial.pending_notify[2] repeats an earlier entry [1, 2]"),
         (lambda docs: docs[0]["initial"].update(pending_stabilize=[[1, 2]]),
          "line 1: initial: a stabilize in flight is owned by a non-member"),
         (lambda docs: docs[0].update(m=0),
