@@ -27,15 +27,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInitialStateError, ProtocolError, ReplayMismatchError
 from .idspace import IdSpace
-from .properties import (
-    PropertyReport,
-    check_all,
-    error_metric,
-    invariant_holds,
-    invariant_with,
-    valid_initial,
-)
-from .protocol import Step, StepKind, apply_step, check_churn, enabled_steps, shared_step
+from .properties import PropertyReport, check_all, error_metric, invariant_holds, valid_initial
+from .protocol import (CHURN_POLICIES, Step, StepKind, apply_step, check_churn, enabled_steps,
+                       invariant_with, shared_step)
 from .state import GlobalState, NodeState
 
 
@@ -152,27 +146,25 @@ def _record(index: int, step: Step, state: GlobalState) -> tuple[TraceRecord, Pr
     return record, report
 
 
-_KINDS = ("script", "repro", "explore", "simulate", "converge")
-# the kinds whose traces can say ``ok`` are told apart by these meta entries
-_MARKS = {"script": set(), "simulate": {"steps_requested"}, "repro": {"violates"}}
-# the type of each meta entry a kind's writer records, where it is present
+# per known kind, the type of each meta entry its writer records, if present
 _META_TYPES = {
+    "script": {},
     "repro": {"scenario": str, "m": int, "r": int, "violates": str},
+    "explore": {},
     "simulate": {"seed": int, "fairness_window": int, "churn": str, "steps_requested": int},
     "converge": {"seed": int, "fairness_window": int, "step_cap": int},
 }
 
 
-def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalState,
-             final: GlobalState) -> tuple[str, dict]:
-    """The verdict of a trace of ``kind`` with these records, from
-    ``initial`` to ``final``, and the meta entries derived with it; the one
+def _outcome(kind: str, meta: dict, records: list[TraceRecord],
+             initial: GlobalState) -> tuple[str, dict]:
+    """The verdict of a trace of ``kind`` with these records from
+    ``initial``, and the meta entries derived with it; the one
     rule of each kind, applied by every writer and by :func:`replay`.
 
     - ``script``: ``ok``.
     - ``simulate``: ``ok``; the run stops after ``meta["steps_requested"]``
-      records, or sooner only when ``final`` has no member, the one state
-      in which the fair scheduler finds no step.
+      records.
     - ``repro``: ``ok`` if the last record violates the flag that
       ``meta["violates"]`` names, else ``unexpected-pass``.
     - ``explore``: ``invariant-violated``; the last record must violate the
@@ -187,30 +179,44 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
 
     The kinds that can say ``ok`` are told apart by their meta: of the
     entries ``violates`` and ``steps_requested``, a repro trace carries the
-    first, a simulate trace the second and a script trace neither.
+    first, a simulate trace the second and every other kind neither.
 
-    A trace that no rule judges (an unknown kind, meta that does not mark
-    its kind or holds an entry of another type than its writer records, a
-    repro trace whose ``violates`` names no flag, an explore trace that is
-    no counterexample, a simulate or converge trace of another length than
-    its run stops at) raises :class:`ReplayMismatchError`.
+    A trace that no rule judges raises :class:`ReplayMismatchError`: an
+    unknown kind, meta that does not mark its kind or holds an entry of
+    another type than its writer records, an explore, simulate or converge
+    step that is forced or a join or fail outside its run's churn policy
+    (``full``, ``meta["churn"]`` or else ``full``, and ``none``), a repro
+    trace whose ``violates`` names no flag, an explore trace that is no
+    counterexample, or a simulate or converge trace of another length than
+    its run stops at.
     """
-    marks = _MARKS.get(kind)
-    if marks is not None and marks != meta.keys() & {"violates", "steps_requested"}:
+    types = _META_TYPES.get(kind)
+    if types is None:
+        raise ReplayMismatchError(f"unknown trace kind {kind!r}; expected one of {list(_META_TYPES)}")
+    marks = types.keys() & {"violates", "steps_requested"}
+    if marks != meta.keys() & {"violates", "steps_requested"}:
         raise ReplayMismatchError(f"the meta of a {kind} trace must carry exactly {sorted(marks)} "
                                   "of 'violates' and 'steps_requested'")
-    for name, expected in _META_TYPES.get(kind, {}).items():
+    for name, expected in types.items():
         if name in meta and type(meta[name]) is not expected:
             raise ReplayMismatchError(f"a {kind} trace records meta {name!r} as "
                                       f"{expected.__name__}, got {meta[name]!r}")
+    churn = {"explore": "full", "simulate": meta.get("churn", "full"), "converge": "none"}.get(kind)
+    if churn is not None:
+        if churn not in CHURN_POLICIES:
+            raise ReplayMismatchError(f"unknown churn policy {churn!r}")
+        refused = [k for k in CHURN_POLICIES["full"] if k not in CHURN_POLICIES[churn]]
+        for rec in records:
+            if rec.step.forced or rec.step.kind in refused:
+                raise ReplayMismatchError(f"records[{rec.index}]: a {kind} run under churn "
+                                          f"{churn!r} takes no step {rec.step!r}")
     if kind == "script":
         return "ok", {}
     if kind == "simulate":
         requested = meta["steps_requested"]
-        if not (len(records) == requested or len(records) < requested and not final.live_count):
+        if len(records) != requested:
             raise ReplayMismatchError(
-                f"a simulate trace with steps_requested {requested!r} has {len(records)} "
-                "records, and its final state has members")
+                f"a simulate trace with steps_requested {requested!r} has {len(records)} records")
         return "ok", {}
     if kind == "repro":
         violates = meta["violates"]
@@ -225,33 +231,31 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord], initial: GlobalS
             raise ReplayMismatchError(
                 "an explore trace must end at its first record that violates the invariant")
         return "invariant-violated", {}
-    if kind == "converge":
-        ideal = [rec.flags["ideal"] for rec in records]
-        if error_metric(initial).ideal:
-            steps_to_ideal = 0
-        else:
-            steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
-        converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
-        if steps_to_ideal is None:
-            expected = meta.get("step_cap")
-        elif converged:
-            window = meta.get("fairness_window")
-            expected = None if window is None else steps_to_ideal + window
-        else:
-            expected = ideal.index(False, steps_to_ideal) + 1
-        if len(records) != expected:
-            raise ReplayMismatchError(
-                f"a converge trace with steps_to_ideal {steps_to_ideal!r} has {len(records)} "
-                f"records; its run stops after {expected!r}")
-        return "converged" if converged else "not-converged", {"steps_to_ideal": steps_to_ideal}
-    raise ReplayMismatchError(f"unknown trace kind {kind!r}; expected one of {list(_KINDS)}")
+    ideal = [rec.flags["ideal"] for rec in records]
+    if error_metric(initial).ideal:
+        steps_to_ideal = 0
+    else:
+        steps_to_ideal = ideal.index(True) + 1 if True in ideal else None
+    converged = steps_to_ideal is not None and all(ideal[steps_to_ideal:])
+    if steps_to_ideal is None:
+        expected = meta.get("step_cap")
+    elif converged:
+        window = meta.get("fairness_window")
+        expected = None if window is None else steps_to_ideal + window
+    else:
+        expected = ideal.index(False, steps_to_ideal) + 1
+    if len(records) != expected:
+        raise ReplayMismatchError(
+            f"a converge trace with steps_to_ideal {steps_to_ideal!r} has {len(records)} "
+            f"records; its run stops after {expected!r}")
+    return "converged" if converged else "not-converged", {"steps_to_ideal": steps_to_ideal}
 
 
-def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], final: GlobalState,
-           meta: dict, **fields) -> Trace:
+def _trace(kind: str, initial: GlobalState, records: list[TraceRecord], meta: dict,
+           **fields) -> Trace:
     """A writer's trace, with the verdict and derived meta of
     :func:`_outcome`; ``fields`` are the other :class:`Trace` fields."""
-    verdict, derived = _outcome(kind, meta, records, initial, final)
+    verdict, derived = _outcome(kind, meta, records, initial)
     return Trace(initial=initial, records=records, verdict=verdict, kind=kind,
                  meta={**meta, **derived}, **fields)
 
@@ -269,7 +273,7 @@ def run_script(
     for i, step in enumerate(steps):
         state = apply_step(state, step)
         records.append(_record(i, step, state)[0])
-    return _trace(kind, initial, records, state, meta or {})
+    return _trace(kind, initial, records, meta or {})
 
 
 # -- bounded breadth-first exploration ---------------------------------------
@@ -381,10 +385,11 @@ def explore(
     summary. The root's verdict is the ``invariant`` flag of its
     :func:`~chordcheck.properties.check_all` report; a post-state's is
     read from the expanded state's memoized mask rows (see
-    :func:`~chordcheck.properties.mask_rows`): the guard of an
-    unforced fail has already found it among the survivors, and every
-    other step changes only its actor's row (:func:`invariant_with`). A
-    post-state that keeps its parent's ``members`` tuple (see
+    :func:`~chordcheck.protocol.mask_rows`): the guard of an unforced fail
+    has already found it among the survivors, and every other step
+    changes only its actor's row
+    (:func:`~chordcheck.protocol.invariant_with`). A post-state that keeps
+    its parent's ``members`` tuple (see
     :meth:`~chordcheck.state.GlobalState.derive`) differs only in pending
     entries, which no conjunct reads, so it inherits the verdict of its
     parent, checked when it was reached; only a root that violates the
@@ -539,17 +544,13 @@ class _FairScheduler:
             return shared_step(StepKind.STABILIZE_FROM_PREDECESSOR, member, candidate)
         return shared_step(StepKind.STABILIZE_FROM_SUCCESSOR, member, None)
 
-    def pick(self, state: GlobalState) -> Step | None:
-        """This round's step, or None when no step is enabled.
-
-        Some step is enabled exactly when some member is live: each live
-        member can start a stabilize or finish the one it has in flight.
-        So the deadline and notification rounds need no enumeration, and
-        the seeded random draw, the one consumer of the enabled list,
-        draws from a list that is never empty.
-        """
-        if not state.live_count:
-            return None
+    def pick(self, state: GlobalState) -> Step:
+        """This round's step. A run starts where the invariant holds and
+        takes no fail that the invariant does not survive, so some member
+        is live and can start a stabilize or finish the one it has in
+        flight: the deadline and notification rounds need no enumeration,
+        and the seeded random draw, the one consumer of the enabled list,
+        draws from a list that is never empty."""
         oldest = min(self.stamps.values())
         if self.round - oldest >= self.window - 1:
             member = min(m for m, stamp in self.stamps.items() if stamp == oldest)
@@ -598,14 +599,12 @@ def simulate(
     records = []
     for i in range(steps):
         step = sched.pick(state)
-        if step is None:
-            break
         state = apply_step(state, step)
         sched.account(step, state)
         records.append(_record(i, step, state)[0])
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "churn": churn,
             "steps_requested": steps}
-    return _trace("simulate", initial, records, state, meta)
+    return _trace("simulate", initial, records, meta)
 
 
 def _drain_prelude(state: GlobalState) -> tuple[GlobalState, list[TraceRecord]]:
@@ -671,7 +670,7 @@ def converge(
         elif ideal and not record.flags["ideal"]:
             break
     meta = {"seed": schedule.seed, "fairness_window": sched.window, "step_cap": step_cap}
-    return _trace("converge", start, records, state, meta,
+    return _trace("converge", start, records, meta,
                   seed_state=initial if prelude else None, prelude=prelude)
 
 
@@ -689,7 +688,8 @@ def replay(trace: Trace) -> list:
     ``steps_to_ideal``), are re-derived by the writers' one rule,
     :func:`_outcome`, so a trace of unknown kind, and a simulate or
     converge trace cut short or run on, is refused. Only a converge trace
-    may carry a prelude.
+    may carry a prelude, and only the one that :func:`_drain_prelude`, the
+    writer's own rule, derives from its seed state.
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
@@ -701,11 +701,13 @@ def replay(trace: Trace) -> list:
                                       "only a converge trace has one")
         if trace.seed_state is None:
             raise ReplayMismatchError("trace has a prelude but no seed state")
-        state, _ = _rederive(trace.seed_state, trace.prelude, "prelude")
-        if state != trace.initial:
+        state, prelude = _drain_prelude(trace.seed_state)
+        for record, rec in zip(prelude, trace.prelude):
+            _compare("prelude", record, rec)
+        if len(prelude) != len(trace.prelude) or state != trace.initial:
             raise ReplayMismatchError("prelude does not reproduce the initial state")
-    final, reports = _rederive(trace.initial, trace.records, "records")
-    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial, final)
+    reports = _rederive(trace.initial, trace.records)
+    verdict, derived = _outcome(trace.kind, trace.meta, trace.records, trace.initial)
     for key, value in derived.items():
         recorded = trace.meta.get(key)
         # exact types: a recorded true or 9.0 is not the integer 1 or 9
@@ -718,27 +720,32 @@ def replay(trace: Trace) -> list:
     return reports
 
 
-# the fields of a record that replay derives (it copies the index and step)
-_FIELD_LABELS = {"digest": "state digest", "flags": "property flags",
-                 "cumulative_error": "cumulative error"}
+# what a mismatch names each field of a record by
+_FIELD_LABELS = {"index": "index", "step": "step", "digest": "state digest",
+                 "flags": "property flags", "cumulative_error": "cumulative error"}
 
 
-def _rederive(state: GlobalState, recs: list[TraceRecord], where: str) -> tuple[GlobalState, list]:
-    """Apply the steps of ``recs`` to ``state`` and check that each record
-    is the one :func:`_record` gives; the final state and the reports. A
-    step that the state refuses is a mismatch too: the trace does not
-    describe a run from its own start."""
+def _compare(where: str, record: TraceRecord, rec: TraceRecord) -> None:
+    """Refuse ``rec`` unless it is the derived ``record``, naming a field."""
+    if record != rec:
+        name = next(f for f, a, b in zip(rec._fields, record, rec) if a != b)
+        raise ReplayMismatchError(
+            f"{where}[{record.index}]: {_FIELD_LABELS[name]} {getattr(record, name)!r} "
+            f"!= recorded {getattr(rec, name)!r}")
+
+
+def _rederive(state: GlobalState, recs: list[TraceRecord]) -> list:
+    """Apply the steps of ``recs`` to ``state``, checking each record, its
+    index and step copied, against the one :func:`_record` gives; the
+    reports. A step that the state refuses is a mismatch too: the trace
+    does not describe a run from its own start."""
     reports = []
     for rec in recs:
         try:
             state = apply_step(state, rec.step)
         except ProtocolError as exc:
-            raise ReplayMismatchError(f"{where}[{rec.index}]: step refused: {exc}") from None
+            raise ReplayMismatchError(f"records[{rec.index}]: step refused: {exc}") from None
         record, report = _record(rec.index, rec.step, state)
-        if record != rec:
-            name = next(f for f, a, b in zip(rec._fields, record, rec) if a != b)
-            raise ReplayMismatchError(
-                f"{where}[{rec.index}]: {_FIELD_LABELS[name]} {getattr(record, name)!r} "
-                f"!= recorded {getattr(rec, name)!r}")
+        _compare("records", record, rec)
         reports.append(report)
-    return state, reports
+    return reports

@@ -39,32 +39,17 @@ witness and :func:`is_ideal` read the metric.
 a live successor, and at least r + 1 members are principal. A snapshot's
 verdict is the ``invariant`` flag of its report, so :func:`invariant_holds`
 and :func:`valid_initial` read :func:`check_all` as every trace record
-does, and one member table is evaluated once for all of them.
-
-The step layer reads the invariant from a member table's mask rows
-(:func:`mask_rows`), memoized per ``(m, r, members)``, at most
-:data:`MASK_ROWS_CEILING`, since no conjunct and no fail verdict reads
-the pending entries. A one-entry slot in front of that memo answers a
-repeat of the ``members`` tuple object asked last, by identity, so a
-step's guard and the explorer's verdict, which ask for the table
-:func:`~chordcheck.protocol.enabled_steps` has just fetched, do not
-hash it again. The rows hold every fail verdict and the join table, the
-one definition of the join rule (see :class:`MaskRows`), which
-:mod:`~chordcheck.protocol` reads, and :func:`invariant_with` gives the
-verdict after one member's row is replaced or added, which is all a
-stabilize, a rectify or a join changes. Here the width changes the
-value, not only the key: which non-members an arc that wraps past 0
-skips, and which ones a member covers, depend on it (the verdicts do
-not). The other structural properties (no duplicates, ordered lists, one
-ordered ring, connected appendages) are consequences of the invariant,
-which the test suite and the explorer verify rather than assume.
+does, and one member table is evaluated once for all of them. The other
+structural properties (no duplicates, ordered lists, one ordered ring,
+connected appendages) are consequences of the invariant, which the test
+suite and the explorer verify rather than assume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .idspace import IdSpace
@@ -95,162 +80,12 @@ class PropertyReport:
     witnesses: dict[str, object] = field(default_factory=dict)
 
 
-class MaskRows(NamedTuple):
-    """What the invariant reads of one member table (see :func:`mask_rows`).
-
-    ``others[i]`` is the union of the skip masks (see
-    :func:`~chordcheck.state.member_masks`) of every member but the i-th,
-    in member order, and ``skipped`` the union of all of them.
-    ``stranded`` has a bit set for each member with no live entry.
-    ``failable`` holds every fail verdict at once: bit x is set iff x is a
-    member and the invariant holds for the survivors of x failing, the one
-    definition of the verdict that
-    :func:`~chordcheck.protocol.safely_failable` gives for one member and
-    :func:`~chordcheck.protocol.enabled_steps` reads for all. Failing x
-    strands every other member whose only live entry is x, and a member
-    with no live entry already is stranded unless it is the one that
-    fails; the survivors' skip union is ``others``.
-
-    ``joins`` is the join table: every non-member identifier that some
-    member covers (strictly inside the arc from the member to the head of
-    its successor list), in ascending order, each followed by its lowest
-    covering member, flat: ``(joiner, predecessor, joiner, ...)``. It is
-    what :func:`~chordcheck.protocol.enabled_steps` offers as joins and
-    :func:`~chordcheck.protocol.lookup_predecessor` answers. It is flat
-    because a 2-tuple per joiner would take about 48 bytes more each, and an m=6
-    table of the benchmark's simulate holds about 59 joiners.
-    """
-
-    others: tuple[int, ...]
-    skipped: int
-    stranded: int
-    failable: int
-    joins: tuple[int, ...]
-
-
-def mask_rows(state: GlobalState) -> MaskRows:
-    """The mask rows of the members of ``state``, memoized per ``(m, r,
-    members)`` (see the module docstring); callers must not mutate them.
-
-    A repeat of the ``members`` tuple object asked last, with the same
-    ``m`` and ``r``, is answered from a one-entry slot before the memo
-    hashes the tuple: the guard of a fail and the explorer's verdict ask
-    for the table that :func:`~chordcheck.protocol.enabled_steps` has just
-    fetched. The slot holds a reference to that tuple, so no other tuple
-    can take its identity while it is there."""
-    global _last_rows
-    members = state.members
-    m = state.space.m
-    r = state.r
-    last = _last_rows
-    if members is last[0] and m == last[1] and r == last[2]:
-        return last[3]
-    rows = _mask_rows(m, r, members)
-    _last_rows = (members, m, r, rows)
-    return rows
-
-
-# bounds the rows memo, which lives as long as the process: 1,024 holds
-# all 763 tables of an m=4 depth-4 exploration, which ran about 9% slower
-# at 256; benchmark peak RSS rose 0.9-1.9 MB at 1,024, 0.1-0.7 MB at 256.
-# With its join table an entry holds about 770 bytes at m=4 and 1.6 kB at
-# m=6 (590 and 700 bytes without), so a full memo holds 0.8-1.7 MB
-MASK_ROWS_CEILING = 1024
-
-# (members, m, r, rows) of the table mask_rows answered last; see there
-_last_rows: tuple = (None, 0, 0, None)
-
-
-@lru_cache(maxsize=MASK_ROWS_CEILING)
-def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
-    """One pass over the masks and covering arcs of ``members`` in the
-    space of width ``m``, then the prefix and suffix ORs of their skip
-    masks, every fail verdict and the join table (see
-    :class:`MaskRows`)."""
-    space = IdSpace(m)
-    arc = space.arc
-    live = sum(1 << node.ident for node in members)
-    skips = []
-    stranded = 0
-    candidates = live
-    covered = 0
-    joiners = []  # (joiner, predecessor)
-    for node in members:
-        ident = node.ident
-        # members come in ascending order, and each claims only what no
-        # lower member covers: every joiner gets its lowest covering member
-        claimed = arc(ident, node.succ_list[0]) & ~covered
-        covered |= claimed
-        claimed &= ~live
-        while claimed:
-            low = claimed & -claimed
-            joiners.append((low.bit_length() - 1, ident))
-            claimed ^= low
-        skipped, entries = member_masks(space, node)
-        skips.append(skipped)
-        heads = entries & live
-        own = 1 << ident
-        if not heads:
-            stranded |= own
-            candidates &= own  # already stranded: only its own fail unstrands it
-        elif heads & (heads - 1) == 0 and heads != own:
-            candidates &= ~heads  # its one live entry is another member
-    after = [0] * (len(skips) + 1)
-    for i in range(len(skips) - 1, -1, -1):
-        after[i] = after[i + 1] | skips[i]
-    others = []
-    before = 0
-    for i, skipped in enumerate(skips):
-        others.append(before | after[i + 1])
-        before |= skipped
-    failable = 0
-    if candidates:
-        required = r + 1
-        for node, other in zip(members, others):
-            own = 1 << node.ident
-            if candidates & own and (live & ~own & ~other).bit_count() >= required:
-                failable |= own
-    joiners.sort()
-    joins = tuple(chain.from_iterable(joiners))
-    return MaskRows(tuple(others), after[0], stranded, failable, joins)
-
-
 def invariant_holds(state: GlobalState) -> bool:
     """Whether ``state`` satisfies the invariant: every member has a live
     successor, and at least r + 1 live identifiers are principal (not
     skipped by any extended successor list). The ``invariant`` flag of
     its :func:`check_all` report."""
     return check_all(state).flags["invariant"]
-
-
-def invariant_with(state: GlobalState, node: NodeState) -> bool:
-    """The invariant of ``state`` with ``node`` in place of the member with
-    its identifier, or added as a new member if there is none, whatever
-    the pending entries: the verdict on the state a stabilize, a rectify
-    or a join leaves, where only the actor's row changes. Read from the
-    rows of the members of ``state`` (see :func:`mask_rows`) and the new
-    row's masks, without computing the post-state's rows."""
-    rows = mask_rows(state)
-    space = state.space
-    skipped, entries = member_masks(space, node)
-    live = state.mask
-    own = 1 << node.ident
-    stranded = rows.stranded & ~own
-    if live & own:
-        skipped |= rows.others[(live & (own - 1)).bit_count()]
-    else:
-        live |= own
-        skipped |= rows.skipped
-        todo = stranded
-        while todo:
-            # the joiner is live from now on: a stranded member listing it is not
-            low = todo & -todo
-            todo ^= low
-            if member_masks(space, state.node(low.bit_length() - 1))[1] & own:
-                stranded ^= low
-    if stranded or not entries & live:
-        return False
-    return (live & ~skipped).bit_count() > state.r
 
 
 def _ring_flags(space: IdSpace, members: tuple[NodeState, ...],

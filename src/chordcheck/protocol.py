@@ -14,16 +14,22 @@ row as it was hands over the row it found. :meth:`GlobalState.derive
 snapshot, splicing into the parent's key only what changes.
 :func:`apply_step` unpacks a step once and calls its kind's rule
 directly, and a rule builds the row it changes without ``NodeState``'s
-Python-level constructor. The fail guard reads the state's fail
-verdicts, and the joins read the state's join table, both kept in the
-member table's mask rows (:func:`~chordcheck.properties.mask_rows`),
-computed once per member table; the guard of a fail that
-:func:`enabled_steps` offered finds them in the rows' last-table slot,
-without hashing the table again. The rows serve the steps alone: a
-snapshot's own verdicts come from its property report
-(:func:`~chordcheck.properties.check_all`). The join, fail and
-stabilize-from-successor guards test membership on the state's ``mask``
-bits.
+Python-level constructor.
+
+The join and fail guards read a member table's mask rows
+(:func:`mask_rows`: every fail verdict, the invariant among a fail's
+survivors, and the join table; see :class:`MaskRows`), memoized per
+``(m, r, members)``, at most :data:`MASK_ROWS_CEILING`, since no guard
+reads the pending entries; :func:`invariant_with` gives the invariant
+after a stabilize, a rectify or a join, which change one member's row.
+A one-entry slot in front of the memo answers a repeat of the last
+``members`` tuple object, by identity, so a fail guard and the explorer's
+verdict on a step that :func:`enabled_steps` offered do not hash the
+table again. The width changes the rows, not only their key: which
+non-members an arc that wraps past 0 skips or covers depends on it (the
+verdicts do not). A snapshot's own verdicts come from its property
+report, not from the rows. The join, fail and stabilize-from-successor
+guards test membership on the state's ``mask`` bits.
 
 :func:`enabled_steps`, the fair scheduler and converge's prelude take
 one :class:`Step` object per distinct step from :func:`shared_step`'s
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -49,8 +56,8 @@ from .errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from .properties import mask_rows
-from .state import GlobalState, NodeState
+from .idspace import IdSpace
+from .state import GlobalState, NodeState, member_masks
 
 
 class StepKind(IntEnum):
@@ -100,7 +107,10 @@ def shared_step(kind: int, actor: int, arg: int | None) -> Step:
     return Step(StepKind(kind), actor, arg)
 
 
-CHURN_POLICIES = ("none", "joins_only", "fails_only", "full")
+# what each churn policy offers besides the repair steps, in the order
+# of the --churn choices
+CHURN_POLICIES = {"none": (), "joins_only": (_JOIN,), "fails_only": (_FAIL,),
+                  "full": (_JOIN, _FAIL)}
 
 
 def check_churn(churn: str) -> None:
@@ -115,13 +125,161 @@ def check_churn(churn: str) -> None:
 _tuple_new = tuple.__new__
 
 
+class MaskRows(NamedTuple):
+    """What the invariant reads of one member table (see :func:`mask_rows`).
+
+    ``others[i]`` is the union of the skip masks (see
+    :func:`~chordcheck.state.member_masks`) of every member but the i-th,
+    in member order, and ``skipped`` the union of all of them.
+    ``stranded`` has a bit set for each member with no live entry.
+    ``failable`` holds every fail verdict at once: bit x is set iff x is a
+    member and the invariant holds for the survivors of x failing, the one
+    definition of the verdict that :func:`safely_failable` gives for one
+    member and :func:`enabled_steps` reads for all. Failing x strands
+    every other member whose only live entry is x, and a member with no
+    live entry already is stranded unless it is the one that fails; the
+    survivors' skip union is ``others``.
+
+    ``joins`` is the join table: every non-member identifier that some
+    member covers (strictly inside the arc from the member to the head of
+    its successor list), in ascending order, each followed by its lowest
+    covering member, flat: ``(joiner, predecessor, joiner, ...)``. It is
+    what :func:`enabled_steps` offers as joins and :func:`lookup_predecessor`
+    answers. It is flat because a 2-tuple per joiner would take about 48
+    bytes more each, and an m=6 table of the benchmark's simulate holds
+    about 59 joiners.
+    """
+
+    others: tuple[int, ...]
+    skipped: int
+    stranded: int
+    failable: int
+    joins: tuple[int, ...]
+
+
+def mask_rows(state: GlobalState) -> MaskRows:
+    """The mask rows of the members of ``state``, memoized per ``(m, r,
+    members)`` (see the module docstring); callers must not mutate them.
+
+    A repeat of the ``members`` tuple object asked last, with the same
+    ``m`` and ``r``, is answered from a one-entry slot before the memo
+    hashes the tuple: the guard of a fail and the explorer's verdict ask
+    for the table that :func:`enabled_steps` has just fetched. The slot
+    holds a reference to that tuple, so no other tuple can take its
+    identity while it is there."""
+    global _last_rows
+    members = state.members
+    m = state.space.m
+    r = state.r
+    last = _last_rows
+    if members is last[0] and m == last[1] and r == last[2]:
+        return last[3]
+    rows = _mask_rows(m, r, members)
+    _last_rows = (members, m, r, rows)
+    return rows
+
+
+# bounds the rows memo, which lives as long as the process: 1,024 holds
+# all 763 tables of an m=4 depth-4 exploration, which ran about 9% slower
+# at 256; benchmark peak RSS rose 0.9-1.9 MB at 1,024, 0.1-0.7 MB at 256.
+# With its join table an entry holds about 770 bytes at m=4 and 1.6 kB at
+# m=6 (590 and 700 bytes without), so a full memo holds 0.8-1.7 MB
+MASK_ROWS_CEILING = 1024
+
+# (members, m, r, rows) of the table mask_rows answered last; see there
+_last_rows: tuple = (None, 0, 0, None)
+
+
+@lru_cache(maxsize=MASK_ROWS_CEILING)
+def _mask_rows(m: int, r: int, members: tuple[NodeState, ...]) -> MaskRows:
+    """One pass over the masks and covering arcs of ``members`` in the
+    space of width ``m``, then the prefix and suffix ORs of their skip
+    masks, every fail verdict and the join table (see
+    :class:`MaskRows`)."""
+    space = IdSpace(m)
+    arc = space.arc
+    live = sum(1 << node.ident for node in members)
+    skips = []
+    stranded = 0
+    candidates = live
+    covered = 0
+    joiners = []  # (joiner, predecessor)
+    for node in members:
+        ident = node.ident
+        # members come in ascending order, and each claims only what no
+        # lower member covers: every joiner gets its lowest covering member
+        claimed = arc(ident, node.succ_list[0]) & ~covered
+        covered |= claimed
+        claimed &= ~live
+        while claimed:
+            low = claimed & -claimed
+            joiners.append((low.bit_length() - 1, ident))
+            claimed ^= low
+        skipped, entries = member_masks(space, node)
+        skips.append(skipped)
+        heads = entries & live
+        own = 1 << ident
+        if not heads:
+            stranded |= own
+            candidates &= own  # already stranded: only its own fail unstrands it
+        elif heads & (heads - 1) == 0 and heads != own:
+            candidates &= ~heads  # its one live entry is another member
+    after = [0] * (len(skips) + 1)
+    for i in range(len(skips) - 1, -1, -1):
+        after[i] = after[i + 1] | skips[i]
+    others = []
+    before = 0
+    for i, skipped in enumerate(skips):
+        others.append(before | after[i + 1])
+        before |= skipped
+    failable = 0
+    if candidates:
+        required = r + 1
+        for node, other in zip(members, others):
+            own = 1 << node.ident
+            if candidates & own and (live & ~own & ~other).bit_count() >= required:
+                failable |= own
+    joiners.sort()
+    joins = tuple(chain.from_iterable(joiners))
+    return MaskRows(tuple(others), after[0], stranded, failable, joins)
+
+
+def invariant_with(state: GlobalState, node: NodeState) -> bool:
+    """The invariant of ``state`` with ``node`` in place of the member with
+    its identifier, or added as a new member if there is none, whatever
+    the pending entries: the verdict on the state a stabilize, a rectify
+    or a join leaves, where only the actor's row changes. Read from the
+    rows of the members of ``state`` (see :func:`mask_rows`) and the new
+    row's masks, without computing the post-state's rows."""
+    rows = mask_rows(state)
+    space = state.space
+    skipped, entries = member_masks(space, node)
+    live = state.mask
+    own = 1 << node.ident
+    stranded = rows.stranded & ~own
+    if live & own:
+        skipped |= rows.others[(live & (own - 1)).bit_count()]
+    else:
+        live |= own
+        skipped |= rows.skipped
+        todo = stranded
+        while todo:
+            # the joiner is live from now on: a stranded member listing it is not
+            low = todo & -todo
+            todo ^= low
+            if member_masks(space, state.node(low.bit_length() - 1))[1] & own:
+                stranded ^= low
+    if stranded or not entries & live:
+        return False
+    return (live & ~skipped).bit_count() > state.r
+
+
 def lookup_predecessor(state: GlobalState, joiner: int) -> int:
     """Find a member p with ``between(p, joiner, head(p.succ_list))``.
 
     Omniscient oracle: the lowest such member wins, so results are
     deterministic. Read from the join table of the members' mask rows
-    (see :class:`~chordcheck.properties.MaskRows`), which
-    :func:`enabled_steps` reads too. Raises NoCandidateError when no
+    (see :class:`MaskRows`), which :func:`enabled_steps` reads too. Raises NoCandidateError when no
     member covers the joiner (possible in corrupted states; surfaced,
     never silently patched).
     """
@@ -270,7 +428,7 @@ def safely_failable(state: GlobalState, member: int) -> bool:
     left without a live successor and at least r + 1 members stay
     principal. This is the guard of one fail in :func:`step_fail`, read
     from the ``failable`` row of the members' mask rows (see
-    :class:`~chordcheck.properties.MaskRows`), the one definition of every
+    :class:`MaskRows`), the one definition of every
     fail verdict, which is computed once per member table: when
     :func:`enabled_steps` has fetched the rows, the guard finds them in
     the last-table slot."""
@@ -285,7 +443,7 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     pick; a candidate no member covers gets no step. Unforced fails are
     offered only for safely-failable members (see
     :func:`safely_failable`). Both are read from the members' mask rows
-    (see :class:`~chordcheck.properties.MaskRows`), computed once per
+    (see :class:`MaskRows`), computed once per
     member table, so a state whose table was met before pays one lookup
     for its joins and fails. The list is deterministic for a given state
     and churn policy, and is built in canonical order (by kind, then
@@ -293,17 +451,18 @@ def enabled_steps(state: GlobalState, churn: str = "full") -> list[Step]:
     sorted. Each step is :func:`shared_step`'s one object for it.
     """
     check_churn(churn)
+    churned = CHURN_POLICIES[churn]
     step = shared_step
     steps: list[Step] = []
-    rows = None if churn == "none" else mask_rows(state)
+    rows = mask_rows(state) if churned else None
 
-    if churn in ("joins_only", "full"):
+    if _JOIN in churned:
         kind = _JOIN
         joins = iter(rows.joins)
         for ident, target in zip(joins, joins):
             steps.append(step(kind, ident, target))
 
-    if churn in ("fails_only", "full"):
+    if _FAIL in churned:
         kind = _FAIL
         failable = rows.failable
         for node in state.members:

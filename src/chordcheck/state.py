@@ -40,10 +40,9 @@ the parent's ``members`` tuple in place, and a pending tuple that a step
 leaves alone is the parent's own. ``with_node`` is a delta too.
 
 A snapshot is a plain value and keeps nothing derived from it: what is
-derived from members is memoized by value under a named ceiling (decoded
-key fields here, skip masks in :func:`member_masks`, mask rows in
-:func:`~chordcheck.properties.mask_rows`), so every snapshot with equal
-members shares one entry.
+derived from members is memoized by value under a named ceiling (here
+the decoded key fields and the skip masks of :func:`member_masks`), so
+every snapshot with equal members shares one entry.
 """
 
 from __future__ import annotations

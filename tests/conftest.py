@@ -18,6 +18,7 @@ from chordcheck import (
     explorer,
     ideal_ring,
     properties,
+    protocol,
     run_fig3,
     run_fig4,
     run_script,
@@ -105,8 +106,8 @@ def clear_property_memos():
     the next record derives everything afresh."""
     properties._member_facts.cache_clear()
     properties._report.cache_clear()
-    properties._mask_rows.cache_clear()
-    properties._last_rows = (None, 0, 0, None)
+    protocol._mask_rows.cache_clear()
+    protocol._last_rows = (None, 0, 0, None)
     explorer._digests.clear()
 
 

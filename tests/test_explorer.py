@@ -41,7 +41,7 @@ from chordcheck import (
     step_join,
     valid_initial,
 )
-from chordcheck import explorer, properties, protocol
+from chordcheck import explorer, protocol
 from chordcheck.errors import InvalidInitialStateError, ReplayMismatchError, TraceFormatError
 from chordcheck.explorer import (
     MEMBER_TEXTS_CEILING,
@@ -172,7 +172,7 @@ class TestExplore:
         for name in calls:
             monkeypatch.setattr(explorer, name, counting(name))
         s = ideal_ring(IdSpace(4), 2, [0, 3, 6, 9, 12])
-        before = properties._mask_rows.cache_info()
+        before = protocol._mask_rows.cache_info()
         result = explore(s, ExploreConfig(max_depth=4, churn="full"))
         assert (result.verdict, result.states_visited, result.transitions,
                 result.frontier_size) == ("ok", 10_517, 35_896, 8_753)
@@ -180,7 +180,7 @@ class TestExplore:
                          "invariant_with": 2_610}
         # one rows-memo lookup per expansion and one for the root's check:
         # a fail guard and a verdict reuse the table enabled_steps fetched
-        lookups = properties._mask_rows.cache_info()
+        lookups = protocol._mask_rows.cache_info()
         lookups = lookups.hits + lookups.misses - before.hits - before.misses
         assert lookups <= 10_517 - 8_753 + 1
 
@@ -610,9 +610,6 @@ class TestFairScheduler:
         pick = fair.pick(state)
         assert pick == ref.pick(state) != Step(StepKind.RECTIFY, 2, 0)
 
-    def test_no_members_no_step(self, space3):
-        assert picks_agree(GlobalState(space3, 2, ()), 1, "full", rounds=5) == 0
-
     def test_seeded_simulate_pinned(self):
         state = load_scenario(str(SCENARIOS / "join_lifecycle_m6.json")).starting_state()
         trace = simulate(state, Schedule(seed=3), steps=200, churn="full")
@@ -741,6 +738,12 @@ class TestReplay:
                 assert list(a.witnesses.items()) == list(b.witnesses.items())
 
 
+def forged_trace(initial, steps, kind, verdict, meta=None):
+    """A trace of ``steps`` from ``initial`` that claims ``kind``, with the
+    given verdict and meta, its records derived as a script's."""
+    return replace(run_script(initial, steps), kind=kind, verdict=verdict, meta=meta or {})
+
+
 def converged_trace(space3):
     """A converge trace on the m=3 ring (0, 2, 5) just after 1 joined."""
     trace = converge(step_join(ideal_ring(space3, 2, [0, 2, 5]), 1, 0), Schedule(seed=1))
@@ -802,12 +805,94 @@ class TestReplayOutcome:
         with pytest.raises(ReplayMismatchError, match="steps_requested 30 has 3 records"):
             replay(replace(run, records=run.records[:3]))
         replay(replace(run, records=run.records[:3], meta={**run.meta, "steps_requested": 3}))
-        # the fair scheduler finds no step only in a network with no member
+        # a meta entry that is absent still replays; no churn reads as full
+        replay(replace(run, records=run.records[:3], meta={"steps_requested": 3}))
+        # the fair scheduler never runs dry, and a simulate run forces no fail
         emptied = run_script(s, [Step(StepKind.FAIL, x, forced=True) for x in (0, 2, 5)])
-        replay(replace(emptied, kind="simulate", meta={"steps_requested": 10}))
+        with pytest.raises(ReplayMismatchError, match=r"records\[0\]"):
+            replay(replace(emptied, kind="simulate", meta={"steps_requested": 10}))
         for requested in (2, 3.0):
             with pytest.raises(ReplayMismatchError, match="steps_requested"):
-                replay(replace(emptied, kind="simulate", meta={"steps_requested": requested}))
+                replay(replace(run, records=run.records[:3], meta={"steps_requested": requested}))
+
+    @pytest.mark.parametrize("case", ["forced-fail", "join-under-none", "explore-forced-fail",
+                                      "converge-join"])
+    def test_step_that_the_run_never_takes_refused(self, case):
+        # each trace replayed clean before replay read the steps, the
+        # explore one as a counterexample that explore cannot produce
+        ring = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        repairs = [Step(StepKind.STABILIZE_FROM_SUCCESSOR, x) for x in (0, 2, 5, 7)]
+        meta = {"seed": 1, "fairness_window": 10, "churn": "none", "steps_requested": 5}
+        if case == "forced-fail":
+            trace = forged_trace(ring, [Step(StepKind.FAIL, 3, forced=True), *repairs],
+                                 "simulate", "ok", meta)
+        elif case == "join-under-none":
+            assert enabled_steps(ring)[0] == Step(StepKind.JOIN, 1, 0)
+            trace = forged_trace(ring, [Step(StepKind.JOIN, 1, 0), *repairs], "simulate", "ok",
+                                 meta)
+        elif case == "explore-forced-fail":
+            trace = forged_trace(ideal_ring(IdSpace(3), 2, [0, 2, 5]),
+                                 [Step(StepKind.FAIL, 0, forced=True)], "explore",
+                                 "invariant-violated")
+        else:
+            joined = step_join(ring, 1, 0)
+            tail = converge(apply_step(joined, Step(StepKind.JOIN, 4, 3)), Schedule(1))
+            assert not tail.prelude and tail.verdict == "converged"
+            trace = forged_trace(joined, [Step(StepKind.JOIN, 4, 3),
+                                          *(rec.step for rec in tail.records)],
+                                 "converge", "converged",
+                                 {"seed": 1, "fairness_window": 14, "step_cap": 200,
+                                  "steps_to_ideal": tail.meta["steps_to_ideal"] + 1})
+        with pytest.raises(ReplayMismatchError, match=r"records\[0\]: .* takes no step"):
+            replay(trace)
+
+    def test_unknown_churn_policy_refused(self):
+        ring = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
+        repairs = [Step(StepKind.STABILIZE_FROM_SUCCESSOR, x) for x in (0, 2, 5, 7)]
+        meta = {"seed": 1, "fairness_window": 10, "churn": "most", "steps_requested": 4}
+        with pytest.raises(ReplayMismatchError, match="unknown churn policy 'most'"):
+            replay(forged_trace(ring, repairs, "simulate", "ok", meta))
+
+    @pytest.mark.parametrize("churn", CHURNS)
+    def test_churn_policy_bounds_the_steps_a_simulate_trace_holds(self, churn):
+        ring = ideal_ring(IdSpace(3), 2, [0, 2, 5])
+        replay(simulate(ring, Schedule(seed=4), steps=60, churn=churn))
+        run = simulate(ring, Schedule(seed=4), steps=60, churn="full")
+        taken = {rec.step.kind for rec in run.records} & {StepKind.JOIN, StepKind.FAIL}
+        assert taken == {StepKind.JOIN, StepKind.FAIL}
+        relabelled = replace(run, meta={**run.meta, "churn": churn})
+        if churn == "full":
+            replay(relabelled)
+        else:
+            with pytest.raises(ReplayMismatchError, match="takes no step"):
+                replay(relabelled)
+
+    def test_reordered_prelude_refused(self):
+        # converge rectifies (0, 2) and then (0, 5); delivering (0, 5)
+        # first reaches the same initial state
+        seed = make_state(IdSpace(3), 2, [(0, 6, (2, 5)), (2, 0, (5, 0)), (5, 2, (0, 2))],
+                          pending_notify=[(0, 2), (0, 5)])
+        trace = converge(seed, Schedule(1))
+        assert [rec.step for rec in trace.prelude] == [Step(StepKind.RECTIFY, 0, 2),
+                                                        Step(StepKind.RECTIFY, 0, 5)]
+        replay(trace)
+        reordered = run_script(seed, [Step(StepKind.RECTIFY, 0, 5), Step(StepKind.RECTIFY, 0, 2)])
+        assert reordered.final_state() == trace.initial and trace.initial.node(0).prdc == 5
+        with pytest.raises(ReplayMismatchError, match=r"prelude\[0\]: step"):
+            replay(replace(trace, prelude=reordered.records))
+        with pytest.raises(ReplayMismatchError, match="prelude does not reproduce"):
+            replay(replace(trace, prelude=trace.prelude[:1]))
+
+    def test_marks_checked_on_every_kind(self):
+        # only repro and simulate traces carry a mark
+        explored = explore(build_fig3_state(),
+                           ExploreConfig(max_depth=2, require_valid_initial=False)).trace
+        replay(explored)
+        with pytest.raises(ReplayMismatchError, match=r"must carry exactly \[\]"):
+            replay(replace(explored, meta={"violates": "invariant"}))
+        converged = converged_trace(IdSpace(3))
+        with pytest.raises(ReplayMismatchError, match=r"must carry exactly \[\]"):
+            replay(replace(converged, meta={**converged.meta, "steps_requested": 3}))
 
     def test_every_converge_trace_replays(self, space3):
         # explored states carry continuations and notifications in flight;

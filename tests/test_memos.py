@@ -70,7 +70,7 @@ def test_every_package_memo_has_a_ceiling():
                        for name, cache in lru_caches(module).items()})
     assert {"chordcheck.state._masks", "chordcheck.state._decode_field",
             "chordcheck.explorer._member_text", "chordcheck.properties._member_facts",
-            "chordcheck.properties._mask_rows", "chordcheck.properties._report",
+            "chordcheck.protocol._mask_rows", "chordcheck.properties._report",
             "chordcheck.protocol.shared_step"} <= caches.keys()
     assert unbounded(caches) == []
 

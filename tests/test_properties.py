@@ -29,15 +29,10 @@ from chordcheck import (
     replay,
     valid_initial,
 )
-from chordcheck import properties
+from chordcheck import properties, protocol
 from chordcheck.cli import main
-from chordcheck.properties import (
-    FLAG_NAMES,
-    MASK_ROWS_CEILING,
-    MEMBER_FACTS_CEILING,
-    REPORTS_CEILING,
-    mask_rows,
-)
+from chordcheck.properties import FLAG_NAMES, MEMBER_FACTS_CEILING, REPORTS_CEILING
+from chordcheck.protocol import MASK_ROWS_CEILING, mask_rows
 
 from chordcheck.state import _frozen
 
@@ -523,16 +518,16 @@ class TestMaskRowsMemo:
         for path in scenarios:
             main(["check", str(path)])
         assert '"valid_initial": true' in capsys.readouterr().out
-        lookups = properties._mask_rows.cache_info()
+        lookups = protocol._mask_rows.cache_info()
         assert (lookups.hits, lookups.misses, lookups.currsize) == (0, 0, 0)
-        assert properties._last_rows[0] is None
+        assert protocol._last_rows[0] is None
 
     def test_memoized_rows_equal_fresh_rows_on_every_explored_state(self):
         result = explore(ideal_ring(IdSpace(3), 2, [0, 2, 5]),
                          ExploreConfig(max_depth=6, churn="full", collect_states=True))
         assert result.ok
         assert any(s.pending_stabilize or s.pending_notify for s in result.states)
-        fresh = properties._mask_rows.__wrapped__
+        fresh = protocol._mask_rows.__wrapped__
         for s in result.states:
             assert mask_rows(s) == fresh(s.space.m, s.r, s.members)
 
@@ -559,13 +554,13 @@ class TestMaskRowsMemo:
 
     def test_memo_never_grows_past_its_ceiling(self):
         rng = random.Random(47)
-        fresh = properties._mask_rows.__wrapped__
+        fresh = protocol._mask_rows.__wrapped__
         seen = set()
         while len(seen) <= 2 * MASK_ROWS_CEILING:
             s = random_global_state(rng, m=4, r=2, min_members=1, max_members=5)
             seen.add(s.members)
             rows = mask_rows(s)
-            assert 0 < properties._mask_rows.cache_info().currsize <= MASK_ROWS_CEILING
+            assert 0 < protocol._mask_rows.cache_info().currsize <= MASK_ROWS_CEILING
             if len(seen) % 64 == 0:
                 assert rows == fresh(s.space.m, s.r, s.members)
 
@@ -580,7 +575,7 @@ class TestMaskRowsMemo:
         wide = _frozen(wide.space, wide.r, narrow.members, wide.pending_stabilize,
                        wide.pending_notify, wide.mask, wide.key)
         assert wide == make_state(IdSpace(4), 2, nodes) and wide.members is narrow.members
-        fresh = properties._mask_rows.__wrapped__
+        fresh = protocol._mask_rows.__wrapped__
         for s in (narrow, wide, narrow, narrow, wide):
             assert mask_rows(s) == fresh(s.space.m, s.r, s.members)
         assert mask_rows(narrow) != mask_rows(wide)
@@ -588,7 +583,7 @@ class TestMaskRowsMemo:
     def test_clearing_the_property_memos_clears_the_rows(self, space3):
         mask_rows(ideal_ring(space3, 2, [0, 2, 5]))
         clear_property_memos()
-        assert properties._mask_rows.cache_info().currsize == 0
+        assert protocol._mask_rows.cache_info().currsize == 0
 
 
 class TestIsIdeal:

@@ -38,8 +38,8 @@ from chordcheck.errors import (
     StabilizeInProgressError,
     UnknownMemberError,
 )
-from chordcheck.properties import invariant_holds, mask_rows
-from chordcheck.protocol import STEPS_CEILING, shared_step
+from chordcheck.properties import invariant_holds
+from chordcheck.protocol import STEPS_CEILING, mask_rows, shared_step
 
 from conftest import (
     doubled,

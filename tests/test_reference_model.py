@@ -26,7 +26,7 @@ from chordcheck import (
     invariant_holds,
     make_state,
 )
-from chordcheck.properties import invariant_with
+from chordcheck.protocol import invariant_with
 
 from conftest import global_states
 

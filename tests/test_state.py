@@ -26,7 +26,8 @@ from chordcheck import (
     safely_failable,
 )
 from chordcheck.errors import UnknownMemberError
-from chordcheck.properties import invariant_holds, invariant_with
+from chordcheck.properties import invariant_holds
+from chordcheck.protocol import invariant_with
 from chordcheck.state import (
     DECODED_FIELDS_CEILING,
     MEMBER_MASKS_CEILING,

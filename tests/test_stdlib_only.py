@@ -32,3 +32,25 @@ def test_package_imports_only_the_standard_library():
     foreign = {path.name: names for path in paths
                if (names := foreign_imports(path.read_text(encoding="utf-8")))}
     assert not foreign
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules ``source`` imports relatively."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+    return names
+
+
+def test_step_and_checker_layers_stay_apart():
+    # the protocol owns its step rules and the checker its report; the
+    # data layers import only the layers below them
+    assert package_imports("import os\nfrom .state import A\nfrom . import errors\n") == \
+        {"state", "errors"}
+    imports = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+               for path in PACKAGE.glob("*.py")}
+    assert "properties" not in imports["protocol"]
+    assert "protocol" not in imports["properties"]
+    assert imports["errors"] == imports["idspace"] == set()
+    assert imports["state"] == {"errors", "idspace"}
