@@ -116,7 +116,7 @@ CHURN_POLICIES = {"none": (), "joins_only": (_JOIN,), "fails_only": (_FAIL,),
 def check_churn(churn: str) -> None:
     """Refuse a churn policy outside :data:`CHURN_POLICIES` with
     ValueError."""
-    if churn not in CHURN_POLICIES:
+    if not isinstance(churn, str) or churn not in CHURN_POLICIES:  # a list is unhashable
         raise ValueError(f"unknown churn policy {churn!r}")
 
 

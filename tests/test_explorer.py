@@ -124,6 +124,8 @@ class TestExplore:
         # a depth-0 exploration enumerates nothing, so enabled_steps would never see it
         with pytest.raises(ValueError, match="unknown churn policy 'bogus'"):
             ExploreConfig(max_depth=0, churn="bogus")
+        with pytest.raises(ValueError, match=r"unknown churn policy \['full'\]"):
+            ExploreConfig(max_depth=0, churn=["full"])
 
     def test_ideal_ring_full_churn_no_violations(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
