@@ -385,11 +385,10 @@ def explore(
     summary. The root's verdict is the ``invariant`` flag of its
     :func:`~chordcheck.properties.check_all` report; a post-state's is
     read from the expanded state's memoized mask rows (see
-    :func:`~chordcheck.protocol.mask_rows`): the guard of an unforced fail
-    has already found it among the survivors, and every other step
-    changes only its actor's row
-    (:func:`~chordcheck.protocol.invariant_with`). A post-state that keeps
-    its parent's ``members`` tuple (see
+    :func:`~chordcheck.protocol.mask_rows`): the guard of an
+    unforced fail has already found it among the survivors, and every
+    other step changes only its actor's row (:func:`invariant_with`). A
+    post-state that keeps its parent's ``members`` tuple (see
     :meth:`~chordcheck.state.GlobalState.derive`) differs only in pending
     entries, which no conjunct reads, so it inherits the verdict of its
     parent, checked when it was reached; only a root that violates the
@@ -688,20 +687,21 @@ def replay(trace: Trace) -> list:
     ``steps_to_ideal``), are re-derived by the writers' one rule,
     :func:`_outcome`, so a trace of unknown kind, and a simulate or
     converge trace cut short or run on, is refused. Only a converge trace
-    may carry a prelude, and only the one that :func:`_drain_prelude`, the
-    writer's own rule, derives from its seed state.
+    may carry a prelude, and only the one :func:`_drain_prelude`, the
+    writer's own rule, derives from its seed state (or initial state).
 
     A mismatch is a hard error: it means the trace does not describe the
     run it claims to (serialization drift, version skew, or tampering).
     Returns the per-step property reports.
     """
-    if trace.prelude:
-        if trace.kind != "converge":
-            raise ReplayMismatchError(f"a {trace.kind} trace carries a prelude; "
-                                      "only a converge trace has one")
-        if trace.seed_state is None:
-            raise ReplayMismatchError("trace has a prelude but no seed state")
-        state, prelude = _drain_prelude(trace.seed_state)
+    if trace.prelude and trace.kind != "converge":
+        raise ReplayMismatchError(f"a {trace.kind} trace carries a prelude; "
+                                  "only a converge trace has one")
+    if trace.prelude and trace.seed_state is None:
+        raise ReplayMismatchError("trace has a prelude but no seed state")
+    if trace.kind == "converge":
+        seed = trace.initial if trace.seed_state is None else trace.seed_state
+        state, prelude = _drain_prelude(seed)
         for record, rec in zip(prelude, trace.prelude):
             _compare("prelude", record, rec)
         if len(prelude) != len(trace.prelude) or state != trace.initial:

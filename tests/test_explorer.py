@@ -884,6 +884,14 @@ class TestReplayOutcome:
             replay(replace(trace, prelude=reordered.records))
         with pytest.raises(ReplayMismatchError, match="prelude does not reproduce"):
             replay(replace(trace, prelude=trace.prelude[:1]))
+        # with no prelude, the initial state is the seed: one that still
+        # holds messages converge would drain is no converge start
+        undrained = forged_trace(seed, [rec.step for rec in trace.prelude + trace.records],
+                                 "converge", trace.verdict,
+                                 {**trace.meta, "steps_to_ideal": len(trace.prelude)})
+        assert undrained.meta["steps_to_ideal"] == 2 and trace.meta["steps_to_ideal"] == 0
+        with pytest.raises(ReplayMismatchError, match="prelude does not reproduce"):
+            replay(undrained)
 
     def test_marks_checked_on_every_kind(self):
         # only repro and simulate traces carry a mark
