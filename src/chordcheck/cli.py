@@ -36,7 +36,6 @@ from .idspace import MAX_BITS
 from .properties import check_all, valid_initial
 from .protocol import CHURN_POLICIES
 from .repro import SCENARIO_NAMES, run_scenario
-from .state import GlobalState
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -209,14 +208,9 @@ def cmd_explore(args) -> int:
     return EXIT_VIOLATION
 
 
-def _schedule(args, block: dict, state: GlobalState) -> Schedule:
+def _schedule(args, block: dict) -> Schedule:
     # a schedule needs a seed, and the library has no default for it
-    schedule = Schedule(**{"seed": 0, **_given(block, seed=args.seed, fairness_window=args.fairness_window)})
-    try:
-        schedule.window_for(state)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return schedule
+    return Schedule(**{"seed": 0, **_given(block, seed=args.seed, fairness_window=args.fairness_window)})
 
 
 def cmd_simulate(args) -> int:
@@ -226,7 +220,7 @@ def cmd_simulate(args) -> int:
     # a run needs a length, and the library has no default for it
     settings = {"steps": 100, **_given(block, steps=args.steps, churn=args.churn)}
     try:
-        trace = simulate(state, _schedule(args, block, state), **settings)
+        trace = simulate(state, _schedule(args, block), **settings)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)
@@ -241,7 +235,7 @@ def cmd_converge(args) -> int:
         return EXIT_VIOLATION
     block = scenario.converge_config
     try:
-        trace = converge(state, _schedule(args, block, state), **_given(block, step_cap=args.steps))
+        trace = converge(state, _schedule(args, block), **_given(block, step_cap=args.steps))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _output_trace(trace, args.out, scenario.digest)

@@ -119,7 +119,9 @@ class Trace:
     """Replayable record of one run: the initial snapshot and, per step,
     the resulting state digest, property flags, and cumulative pointer
     error. ``seed_state``/``prelude`` are present when the run normalized
-    in-flight messages before measuring (see ``converge``)."""
+    in-flight messages before measuring (see ``converge``), and then the
+    prelude is not empty; a trace that breaks this pairing raises
+    ValueError."""
 
     initial: GlobalState
     records: list[TraceRecord]
@@ -128,6 +130,11 @@ class Trace:
     meta: dict = field(default_factory=dict)
     seed_state: GlobalState | None = None
     prelude: list[TraceRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if (self.seed_state is None) != (not self.prelude):
+            raise ValueError(
+                "a trace carries a seed_state and a non-empty prelude together, or neither")
 
     def final_state(self) -> GlobalState:
         state = self.initial
@@ -186,7 +193,8 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord],
     another type than its writer records, an explore, simulate or converge
     step that is forced or a join or fail outside its run's churn policy
     (``full``, ``meta["churn"]`` or else ``full``, and ``none``), a repro
-    trace whose ``violates`` names no flag, an explore trace that is no
+    trace whose ``m`` or ``r`` is not its initial state's or whose
+    ``violates`` names no flag, an explore trace that is no
     counterexample, or a simulate or converge trace of another length than
     its run stops at.
     """
@@ -219,6 +227,10 @@ def _outcome(kind: str, meta: dict, records: list[TraceRecord],
                 f"a simulate trace with steps_requested {requested!r} has {len(records)} records")
         return "ok", {}
     if kind == "repro":
+        for name, value in (("m", initial.space.m), ("r", initial.r)):
+            if meta.get(name, value) != value:
+                raise ReplayMismatchError(f"a repro trace's meta {name!r} {meta[name]!r} is not "
+                                          f"its initial state's {value}")
         violates = meta["violates"]
         if not records or violates not in records[-1].flags:
             raise ReplayMismatchError(
@@ -288,6 +300,8 @@ class ExploreConfig:
     collect_states: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.max_depth) is not int or type(self.max_states) is not int:  # a bool is no limit
+            raise ValueError(f"max_depth and max_states must be integers, got {self!r}")
         if self.max_depth < 0 or self.max_states < 1:
             raise ValueError("max_depth must be >= 0 and max_states positive")
         check_churn(self.churn)
@@ -697,8 +711,6 @@ def replay(trace: Trace) -> list:
     if trace.prelude and trace.kind != "converge":
         raise ReplayMismatchError(f"a {trace.kind} trace carries a prelude; "
                                   "only a converge trace has one")
-    if trace.prelude and trace.seed_state is None:
-        raise ReplayMismatchError("trace has a prelude but no seed state")
     if trace.kind == "converge":
         seed = trace.initial if trace.seed_state is None else trace.seed_state
         state, prelude = _drain_prelude(seed)

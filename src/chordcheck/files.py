@@ -470,18 +470,16 @@ def read_trace(fh: IO[str]) -> Trace:
             raise TraceFormatError(f"line {first}: header 'm': {exc}") from None
         initial = state_from_doc(initial, space, r, first, "initial")
         seed_state = None
-        prelude = []
-        if "seed_state" in header or "prelude" in header:
-            # converge writes both or neither, and a prelude only when it
-            # drained something
-            if "seed_state" not in header or not header.get("prelude"):
-                raise TraceFormatError(f"line {first}: header must carry 'seed_state' and a "
-                                       "non-empty 'prelude' together, or neither")
+        if "seed_state" in header:
             seed_state = state_from_doc(header["seed_state"], space, r, first, "seed_state")
+        prelude = []
+        if "prelude" in header:
             entries = header["prelude"]
             if not isinstance(entries, list):
                 raise TraceFormatError(f"line {first}: header 'prelude' must be a list of "
                                        f"records, got {entries!r}")
+            if not entries:  # converge writes a prelude only when it drained something
+                raise TraceFormatError(f"line {first}: header 'prelude' is empty")
             for pos, doc in enumerate(entries):
                 if not isinstance(doc, dict):
                     raise _record_error(first, f"prelude[{pos}]",
@@ -514,15 +512,11 @@ def read_trace(fh: IO[str]) -> Trace:
         raise
     except (KeyError, TypeError, ValueError, ScenarioFormatError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from None
-    return Trace(
-        initial=initial,
-        records=records,
-        verdict=verdict,
-        kind=kind,
-        meta=meta,
-        seed_state=seed_state,
-        prelude=prelude,
-    )
+    try:
+        return Trace(initial=initial, records=records, verdict=verdict, kind=kind, meta=meta,
+                     seed_state=seed_state, prelude=prelude)
+    except ValueError as exc:  # a seed state and a prelude that do not pair
+        raise TraceFormatError(f"line {first}: header: {exc}") from None
 
 
 def load_trace(path: str) -> Trace:

@@ -70,8 +70,7 @@ class StepKind(IntEnum):
 
 # the kinds, bound once: reading a member off the enum class costs about
 # 190 ns under Python 3.11
-_KINDS = tuple(StepKind)
-_JOIN, _FAIL, _FROM_SUCCESSOR, _FROM_PREDECESSOR, _RECTIFY = _KINDS
+_JOIN, _FAIL, _FROM_SUCCESSOR, _FROM_PREDECESSOR, _RECTIFY = StepKind
 
 
 class Step(NamedTuple):
@@ -398,15 +397,13 @@ def step_rectify(state: GlobalState, member: int, new_prdc: int) -> GlobalState:
 
 def apply_step(state: GlobalState, step: Step) -> GlobalState:
     """Apply one atomic step: call its kind's rule with the step's fields.
-    A kind that is not an integer in the range of ``StepKind`` raises
-    ValueError; a plain integer in that range names the kind of its value.
-    A STABILIZE_FROM_PREDECESSOR whose argument names another candidate
-    than the one its member captured raises NoPendingStabilizeError."""
+    A kind that is not a ``StepKind`` member (a plain integer too) raises
+    ValueError. A STABILIZE_FROM_PREDECESSOR whose argument names another
+    candidate than the one its member captured raises
+    NoPendingStabilizeError."""
     kind, actor, arg, forced = step
     if kind.__class__ is not StepKind:
-        if not (isinstance(kind, int) and 0 <= kind < len(_KINDS)):
-            raise ValueError(f"unknown step kind {kind!r}")
-        kind = _KINDS[kind]
+        raise ValueError(f"unknown step kind {kind!r}")
     if kind is _JOIN:
         return step_join(state, actor, arg)
     if kind is _FROM_SUCCESSOR:

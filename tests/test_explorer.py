@@ -127,6 +127,14 @@ class TestExplore:
         with pytest.raises(ValueError, match=r"unknown churn policy \['full'\]"):
             ExploreConfig(max_depth=0, churn=["full"])
 
+    @pytest.mark.parametrize("name,value", [("max_depth", 2.5), ("max_states", 1.5),
+                                            ("max_depth", True), ("max_states", True),
+                                            ("max_depth", "2")])
+    def test_limits_must_be_integers(self, name, value):
+        # a float limit would run one level or state on, and a bool is no count
+        with pytest.raises(ValueError, match="max_depth and max_states must be integers"):
+            ExploreConfig(**{name: value})
+
     def test_ideal_ring_full_churn_no_violations(self, space3):
         s = ideal_ring(space3, 2, [0, 2, 5])
         result = explore(s, ExploreConfig(max_depth=4, churn="full"))

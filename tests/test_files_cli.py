@@ -22,7 +22,6 @@ from chordcheck import (
     explore,
     ideal_ring,
     make_state,
-    replay,
     run_fig3,
     simulate,
 )
@@ -36,7 +35,7 @@ from chordcheck.cli import (
     EXIT_VIOLATION,
     main,
 )
-from chordcheck.errors import ReplayMismatchError, ScenarioFormatError, TraceFormatError
+from chordcheck.errors import ScenarioFormatError, TraceFormatError
 from chordcheck.files import (
     load_scenario,
     load_trace,
@@ -342,12 +341,6 @@ class TestTraceFormat:
             edited(run, 0, kind=7),
             edited(run, len(run) - 1, meta=[["seed", 8]]),
         ]
-        # converge headers carry seed_state and a non-empty prelude together
-        cases += [
-            without(drained, 0, "seed_state"),
-            without(drained, 0, "prelude"),
-            edited(drained, 0, prelude=[]),
-        ]
         cases += [
             [],
             ['{"type": "record"}'],
@@ -361,6 +354,13 @@ class TestTraceFormat:
         ]
         for lines in cases:
             with pytest.raises(TraceFormatError):
+                read_trace(io.StringIO("\n".join(lines) + "\n"))
+        # converge headers carry seed_state and a non-empty prelude together
+        # (the trace's own rule), and no writer writes an empty prelude
+        for lines in (without(drained, 0, "seed_state"), without(drained, 0, "prelude"),
+                      edited(drained, 0, prelude=[]),
+                      without(edited(drained, 0, prelude=[]), 0, "seed_state")):
+            with pytest.raises(TraceFormatError, match="^line 1: header"):
                 read_trace(io.StringIO("\n".join(lines) + "\n"))
         # trace members go through the scenario's member-record checks
         with pytest.raises(TraceFormatError, match=r"initial\.members\[2\] is missing field 'succ_list'"):
@@ -770,6 +770,16 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"usage error: {argv[1]} must be" in err and err.endswith(f"got {argv[2]}\n")
 
+    def test_window_check_is_the_schedulers(self, capsys):
+        # a run checks its scenario and its own settings before its
+        # scheduler checks the window
+        stranded = str(SCENARIOS / "stranded_appendages_m6.json")
+        assert main(["simulate", stranded, "--fairness-window", "1"]) == EXIT_VIOLATION
+        assert "initial state is not a valid initial network" in capsys.readouterr().err
+        ideal = str(SCENARIOS / "ideal_ring_m3.json")
+        assert main(["converge", ideal, "--steps", "-1", "--fairness-window", "1"]) == EXIT_USAGE
+        assert "usage error: step_cap must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["explore", "simulate"])
     def test_join_candidate_cap_is_an_unknown_setting(self, tmp_path, capsys, command):
         path = write_scenario(tmp_path, {**IDEAL3, command: {"join_candidate_cap": 2}})
@@ -843,8 +853,34 @@ class TestRefusalPaths:
         assert "prelude does not reproduce the initial state" in capsys.readouterr().err
 
     def test_prelude_without_seed_state(self, every_trace_kind):
-        with pytest.raises(ReplayMismatchError, match="prelude but no seed state"):
-            replay(replace(every_trace_kind["converge"], seed_state=None))
+        # the pairing is the trace's own rule, so no writer is handed one
+        # that would lose its prelude on the way to the file
+        with pytest.raises(ValueError, match="together, or neither"):
+            replace(every_trace_kind["converge"], seed_state=None)
+
+    def test_seed_state_without_prelude(self):
+        ring = ideal_ring(IdSpace(3), 2, [0, 2, 5])
+        with pytest.raises(ValueError, match="together, or neither"):
+            replace(converge(ring, Schedule(1)), seed_state=ring, prelude=[])
+
+    def test_repro_meta_that_is_not_its_header(self, tmp_path, capsys):
+        # replay cannot rebuild a reproduction without importing repro, so
+        # 'scenario' is only a label; 'm' and 'r' must be the initial state's
+        out = tmp_path / "fig3.trace"
+        assert main(["repro", "fig3", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        for name, value in (("m", 9), ("r", 5)):
+            closing = json.loads(lines[-1])
+            closing["meta"][name] = value
+            out.write_text("\n".join([*lines[:-1], json.dumps(closing)]) + "\n")
+            capsys.readouterr()
+            assert main(["replay", str(out)]) == EXIT_VIOLATION
+            assert f"meta '{name}' {value} is not its initial state's" in capsys.readouterr().err
+        # an absent entry still replays, as every meta entry does
+        closing = json.loads(lines[-1])
+        del closing["meta"]["m"], closing["meta"]["r"]
+        out.write_text("\n".join([*lines[:-1], json.dumps(closing)]) + "\n")
+        assert main(["replay", str(out)]) == EXIT_OK
 
     def test_repro_violating_no_flag(self, tmp_path, capsys):
         out = tmp_path / "fig4.trace"

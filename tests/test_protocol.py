@@ -463,8 +463,8 @@ class TestEnabledSteps:
 
 
 class TestMalformedSteps:
-    """Scripted steps that no enumeration offers: a kind outside StepKind's
-    range is refused, never indexed, and a negative or out-of-space actor
+    """Scripted steps that no enumeration offers: a kind that is not a
+    StepKind member is refused, and a negative or out-of-space actor
     or argument meets the step's own precondition, never a bit test."""
 
     @pytest.fixture
@@ -473,7 +473,9 @@ class TestMalformedSteps:
         return make_state(space3, 2, [(0, 5, (2, 5)), (2, 0, (5, 0)), (5, 2, (0, 2))],
                           pending_stabilize=[(2, 3)], pending_notify=[(0, 5), (5, 2)])
 
-    @pytest.mark.parametrize("kind", [-1, 5, "join", 1.0, None])
+    # a plain integer is refused even in StepKind's range: every producer
+    # hands out members
+    @pytest.mark.parametrize("kind", [-1, 5, "join", 1.0, None, 0, 1, 2, 3, 4])
     @pytest.mark.parametrize("actor, arg", [(0, None), (1, 0), (-1, -1), (5, 2)])
     def test_unknown_kind(self, s, kind, actor, arg):
         with pytest.raises(ValueError, match="unknown step kind"):
@@ -502,28 +504,11 @@ class TestMalformedSteps:
         (StepKind.RECTIFY, -1, -1, NoPendingNotifyError),
     ])
     def test_out_of_space_actor_or_argument(self, s, kind, actor, arg, error):
-        # each kind also as the plain integer a script might hold
-        for k in (kind, int(kind)):
-            if error is None:
-                assert apply_step(s, Step(k, actor, arg)) is s
-            else:
-                with pytest.raises(error):
-                    apply_step(s, Step(k, actor, arg))
-
-    def test_plain_integer_kind_gives_the_same_post_state(self):
-        # a StepKind member takes apply_step's fast path; a plain integer
-        # must reach the same rule with the same fields
-        kinds = set()
-        differ = []
-
-        def compare(pre, step, post):
-            kinds.add(step.kind)
-            if apply_step(pre, step._replace(kind=int(step.kind))) != post:
-                differ.append((pre, step))
-
-        s = ideal_ring(IdSpace(3), 2, [0, 2, 3, 5, 7])
-        assert explore(s, ExploreConfig(max_depth=4, churn="full"), compare).ok
-        assert kinds == set(StepKind) and differ == []
+        if error is None:
+            assert apply_step(s, Step(kind, actor, arg)) is s
+        else:
+            with pytest.raises(error):
+                apply_step(s, Step(kind, actor, arg))
 
     @pytest.mark.parametrize("call, args, error, message", [
         (step_join, (-1, 0), NoCandidateError, "identifier -1 is outside the identifier space"),

@@ -43,14 +43,23 @@ def package_imports(source: str) -> set[str]:
     return names
 
 
+# the package's layers, lowest first; ``__init__`` and ``__main__`` sit
+# above them all
+LAYERS = [("errors", "idspace"), ("state",), ("protocol", "properties"), ("explorer",),
+          ("files",), ("repro",), ("cli",)]
+
+
 def test_step_and_checker_layers_stay_apart():
-    # the protocol owns its step rules and the checker its report; the
-    # data layers import only the layers below them
+    # each module imports only modules of the layers below its own: the
+    # protocol owns its step rules and the checker its report, so neither
+    # imports the other
     assert package_imports("import os\nfrom .state import A\nfrom . import errors\n") == \
         {"state", "errors"}
-    imports = {path.stem: package_imports(path.read_text(encoding="utf-8"))
-               for path in PACKAGE.glob("*.py")}
-    assert "properties" not in imports["protocol"]
-    assert "protocol" not in imports["properties"]
-    assert imports["errors"] == imports["idspace"] == set()
-    assert imports["state"] == {"errors", "idspace"}
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == layer.keys()
+    for name in modules:
+        # ``from . import __version__`` reads a package attribute, not a module
+        imports = package_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        above = {dep for dep in imports - {"__version__"} if layer[dep] >= layer[name]}
+        assert not above, (name, above)
